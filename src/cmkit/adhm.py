@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .linalg import (
     Field,
@@ -151,21 +150,17 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     letters = {"X": q.X, "Y": q.Y}
-    out: list[tuple[str, object]] = []
-    for length in range(1, max_len + 1):
-        for word in product("XY", repeat=length):
-            w = Matrix.identity(q.n, q.field)
-            for ch in word:
-                w = w @ letters[ch]
-            out.append((f"tr({''.join(word)})", w.trace()))
-    for length in range(0, max_len + 1):
-        for word in product("XY", repeat=length):
-            w = Matrix.identity(q.n, q.field)
-            for ch in word:
-                w = w @ letters[ch]
-            label = f"j·{''.join(word)}·i" if word else "j·i"
-            out.append((label, (q.j @ w @ q.i).trace()))
-    return out
+    traces: list[tuple[str, object]] = []
+    pairings: list[tuple[str, object]] = []
+    # Words of one length in lexicographic order, each product I @ a @ b ...
+    # extended from its prefix's.
+    level = [("", Matrix.identity(q.n, q.field))]
+    for length in range(max_len + 1):
+        if length:
+            level = [(word + ch, w @ letters[ch]) for word, w in level for ch in "XY"]
+            traces.extend((f"tr({word})", w.trace()) for word, w in level)
+        pairings.extend((f"j·{word}·i" if word else "j·i", (q.j @ w @ q.i).trace()) for word, w in level)
+    return traces + pairings
 
 
 def _monomials(degree_bound: int) -> list[tuple[int, int]]:
@@ -210,6 +205,8 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     Requires XY = YX, j = 0, r = 1 and stability (i cyclic).  For
     degree_bound >= n the quotient dimension is exactly n.
     """
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     if q.r != 1:
         raise ValueError("hilbert_ideal needs framing rank 1")
     if not q.j.is_zero():

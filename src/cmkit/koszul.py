@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Field, Matrix, ShapeError, commutator, solve_affine
+from .linalg import Field, Matrix, ShapeError, add_sandwich, commutator, solve_affine, unvec
 from .adhm import CMQuadruple, cm_residual
 
 
@@ -197,20 +197,16 @@ class FiberSolution:
         return len(self.kernel_basis)
 
 
-def _unknown_basis(n: int, r: int, field: Field) -> list[tuple[Matrix, Matrix]]:
-    """Basis pairs (Y-unit, j-unit) in the fixed order: Y column-major, then j row-major."""
-    out = []
-    for col in range(n):
-        for row in range(n):
-            y = [[field.zero] * n for _ in range(n)]
-            y[row][col] = field.one
-            out.append((Matrix.from_rows(y, field), Matrix.zeros(r, n, field)))
-    for row in range(r):
-        for col in range(n):
-            jm = [[field.zero] * n for _ in range(r)]
-            jm[row][col] = field.one
-            out.append((Matrix.zeros(n, n, field), Matrix.from_rows(jm, field)))
-    return out
+def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
+    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equations row-major."""
+    n, r, field = X.rows, i.cols, X.field
+    eye = Matrix.identity(n, field)
+    ncols = n * n + r * n
+    flat = [field.zero] * (n * n * ncols)
+    add_sandwich(flat, ncols, X, eye, eq_row=0, unknown_col=0, square=True)
+    add_sandwich(flat, ncols, eye, X, eq_row=0, unknown_col=0, square=True, negate=True)
+    add_sandwich(flat, ncols, i, eye, eq_row=0, unknown_col=n * n, square=False, negate=True)
+    return Matrix(n * n, ncols, tuple(flat), field)
 
 
 def solve_cm_fiber(X: Matrix, i: Matrix) -> FiberSolution | None:
@@ -224,34 +220,12 @@ def solve_cm_fiber(X: Matrix, i: Matrix) -> FiberSolution | None:
     if X.cols != n or i.rows != n:
         raise ShapeError("need square X and an n x r framing block")
     r = i.cols
-    field = X.field
-    units = _unknown_basis(n, r, field)
-    ncols = len(units)
-    flat = [field.zero] * (n * n * ncols)
-    for cidx, (yu, ju) in enumerate(units):
-        image = commutator(X, yu) - i @ ju
-        for a in range(n):
-            for b in range(n):
-                flat[(a * n + b) * ncols + cidx] = image[a, b]
-    op = Matrix(n * n, ncols, tuple(flat), field)
-    rhs = Matrix.column([-v for v in Matrix.identity(n, field).entries], field)
-    sol = solve_affine(op, rhs)
+    rhs = Matrix.column([-v for v in Matrix.identity(n, X.field).entries], X.field)
+    sol = solve_affine(_fiber_system(X, i), rhs)
     if sol is None:
         return None
-
-    def unvec(v: Matrix) -> tuple[Matrix, Matrix]:
-        y = [[field.zero] * n for _ in range(n)]
-        for col in range(n):
-            for row in range(n):
-                y[row][col] = v[col * n + row, 0]
-        jm = [[field.zero] * n for _ in range(r)]
-        for row in range(r):
-            for col in range(n):
-                jm[row][col] = v[n * n + row * n + col, 0]
-        return Matrix.from_rows(y, field), Matrix.from_rows(jm, field)
-
-    py, pj = unvec(sol.particular)
-    kern = tuple(unvec(v) for v in sol.kernel_basis)
+    py, pj = unvec(sol.particular, n, r, n)
+    kern = tuple(unvec(v, n, r, n) for v in sol.kernel_basis)
     return FiberSolution(X, i, py, pj, kern)
 
 

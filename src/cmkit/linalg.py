@@ -8,6 +8,13 @@ polynomials, and matrix polynomial evaluation.
 The default field is ``Fraction`` arithmetic, where every comparison is
 exact.  The complex mode carries an explicit tolerance; zero tests and pivot
 selection are the only places the tolerance enters.
+
+Linear systems in matrix unknowns use one vectorization convention.  The
+unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
+column-major, then F row-major.  Each matrix equation contributes its entries
+as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
+a term +-(Z |-> A Z B) straight into such a system, and ``unvec`` reads a
+solution vector back into its two blocks.
 """
 
 from __future__ import annotations
@@ -342,6 +349,52 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
     # The A-part of the reduced augmented rows is the RREF of A itself.
     kern = _kernel_from_rref([r[: a.cols] for r in rows], pivots, a.cols, a.field)
     return AffineSolution(Matrix.column(x, a.field), kern)
+
+
+def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
+    """The unknown vector of (square, framing): square column-major, then framing row-major."""
+    n = square.rows
+    return [square.entries[row * n + col] for col in range(n) for row in range(n)] + list(framing.entries)
+
+
+def unvec(v: Matrix, n: int, framing_rows: int, framing_cols: int) -> tuple[Matrix, Matrix]:
+    """Inverse of :func:`vec` on a column: (n x n square block, framing block)."""
+    flat = v.entries
+    square = tuple(flat[col * n + row] for row in range(n) for col in range(n))
+    framing = flat[n * n : n * n + framing_rows * framing_cols]
+    return Matrix(n, n, square, v.field), Matrix(framing_rows, framing_cols, framing, v.field)
+
+
+def add_sandwich(
+    flat: list,
+    ncols: int,
+    a: Matrix,
+    b: Matrix,
+    *,
+    eq_row: int,
+    unknown_col: int,
+    square: bool,
+    negate: bool = False,
+) -> None:
+    """Add the coefficients of +-(Z |-> A Z B) into a flat row-major system with ncols columns.
+
+    Entry (p, q) of A Z B is equation ``eq_row + p * B.cols + q``.  Unknown
+    Z[k, l] is column ``unknown_col + l * A.cols + k`` when Z is the square
+    block (column-major) and ``unknown_col + k * B.rows + l`` when it is the
+    framing block (row-major).  Its coefficient in equation (p, q) is
+    A[p, k] * B[l, q]; only nonzero entries of A and B are visited.
+    """
+    zr, zc, bc = a.cols, b.rows, b.cols
+    a_nz = [(*divmod(t, zr), x) for t, x in enumerate(a.entries) if x != 0]
+    b_nz = [(*divmod(t, bc), y) for t, y in enumerate(b.entries) if y != 0]
+    for p, k, x in a_nz:
+        for l, q, y in b_nz:
+            col = unknown_col + (l * zr + k if square else k * zc + l)
+            idx = (eq_row + p * bc + q) * ncols + col
+            if negate:
+                flat[idx] -= x * y
+            else:
+                flat[idx] += x * y
 
 
 def char_poly(a: Matrix) -> list[Scalar]:

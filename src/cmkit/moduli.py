@@ -13,14 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
+from .linalg import (  # solve_affine is unused here but bench/spans.py wraps moduli.solve_affine
     Field,
     Matrix,
     ShapeError,
+    add_sandwich,
     char_poly,
     kernel_basis,
     rank,
     solve_affine,
+    unvec,
+    vec,
 )
 from .adhm import _closure_rank
 from .koszul import solve_cm_fiber
@@ -114,6 +117,20 @@ def framing_surjective(fs: FramedTorsionSheaf) -> bool:
     return _closure_rank(seeds, [fs.X], fs.n, fs.field) == fs.n
 
 
+def _end_system(fs: FramedTorsionSheaf) -> Matrix:
+    """The operator (g, s) |-> (g X - X g, g i - i s) on vec(g, s), equations row-major."""
+    n, r, field = fs.n, fs.r, fs.field
+    eye_n, eye_r = Matrix.identity(n, field), Matrix.identity(r, field)
+    ncols = n * n + r * r
+    neqs = n * n + n * r
+    flat = [field.zero] * (neqs * ncols)
+    add_sandwich(flat, ncols, eye_n, fs.X, eq_row=0, unknown_col=0, square=True)
+    add_sandwich(flat, ncols, fs.X, eye_n, eq_row=0, unknown_col=0, square=True, negate=True)
+    add_sandwich(flat, ncols, eye_n, fs.i, eq_row=n * n, unknown_col=0, square=True)
+    add_sandwich(flat, ncols, fs.i, eye_r, eq_row=n * n, unknown_col=n * n, square=False, negate=True)
+    return Matrix(neqs, ncols, tuple(flat), field)
+
+
 def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
     """Basis of the algebra {(s, g) : g X = X g, g i = i s}.
 
@@ -121,62 +138,30 @@ def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
     basis is deterministic.  The algebra is unital and closed under the
     componentwise composition (s, g)(s', g') = (s s', g g').
     """
-    n, r, field = fs.n, fs.r, fs.field
-    g_units = []
-    for col in range(n):
-        for row in range(n):
-            g = [[field.zero] * n for _ in range(n)]
-            g[row][col] = field.one
-            g_units.append(Matrix.from_rows(g, field))
-    s_units = []
-    for row in range(r):
-        for col in range(r):
-            s = [[field.zero] * r for _ in range(r)]
-            s[row][col] = field.one
-            s_units.append(Matrix.from_rows(s, field))
-    ncols = len(g_units) + len(s_units)
-    neqs = n * n + n * r
-    flat = [field.zero] * (neqs * ncols)
-    for cidx in range(ncols):
-        if cidx < len(g_units):
-            g = g_units[cidx]
-            comm = g @ fs.X - fs.X @ g
-            frame = g @ fs.i
-        else:
-            s = s_units[cidx - len(g_units)]
-            comm = Matrix.zeros(n, n, field)
-            frame = -(fs.i @ s)
-        for a in range(n):
-            for b in range(n):
-                flat[(a * n + b) * ncols + cidx] = comm[a, b]
-        for a in range(n):
-            for b in range(r):
-                flat[(n * n + a * r + b) * ncols + cidx] = frame[a, b]
-    system = Matrix(neqs, ncols, tuple(flat), field)
     out = []
-    for v in kernel_basis(system):
-        g = [[field.zero] * n for _ in range(n)]
-        for col in range(n):
-            for row in range(n):
-                g[row][col] = v[col * n + row, 0]
-        s = [[field.zero] * r for _ in range(r)]
-        for row in range(r):
-            for col in range(r):
-                s[row][col] = v[n * n + row * r + col, 0]
-        out.append((Matrix.from_rows(s, field), Matrix.from_rows(g, field)))
+    for v in kernel_basis(_end_system(fs)):
+        g, s = unvec(v, fs.n, fs.r, fs.r)
+        out.append((s, g))
     return out
 
 
-def _pair_to_column(pair: tuple[Matrix, Matrix], field: Field) -> list:
-    s, g = pair
-    vec = []
-    for col in range(g.rows):
-        for row in range(g.rows):
-            vec.append(g[row, col])
-    for row in range(s.rows):
-        for col in range(s.cols):
-            vec.append(s[row, col])
-    return vec
+def _end_coords(supports: list[list[tuple[int, Fraction]]], target: list) -> list:
+    """Coordinates of ``target`` in a kernel basis given by each vector's nonzero (index, entry).
+
+    A kernel basis from an RREF ends each vector in a 1 at its own free
+    column, where every other basis vector is zero, so the coordinates are
+    the entries of ``target`` at those columns.  The recombination must give
+    ``target`` back, or it lies outside the span.
+    """
+    coords = [target[sup[-1][0]] for sup in supports]
+    recon = [0] * len(target)
+    for c, sup in zip(coords, supports):
+        if c != 0:
+            for t, x in sup:
+                recon[t] += c * x
+    if recon != target:
+        raise AssertionError("endomorphism product escaped the algebra")
+    return coords
 
 
 def is_indecomposable(fs: FramedTorsionSheaf):
@@ -191,25 +176,16 @@ def is_indecomposable(fs: FramedTorsionSheaf):
     """
     if not fs.field.is_rational:
         raise ValueError("is_indecomposable requires the exact rational field")
-    basis = endomorphisms(fs)
-    m = len(basis)
+    kern = kernel_basis(_end_system(fs))
+    m = len(kern)
     field = fs.field
-    cols = [_pair_to_column(p, field) for p in basis]
-    dim = len(cols[0])
-    flat = tuple(cols[c][rix] for rix in range(dim) for c in range(m))
-    basis_matrix = Matrix(dim, m, flat, field)
-
-    def coords(pair: tuple[Matrix, Matrix]) -> list[Fraction]:
-        target = Matrix.column(_pair_to_column(pair, field), field)
-        sol = solve_affine(basis_matrix, target)
-        if sol is None:
-            raise AssertionError("endomorphism product escaped the algebra")
-        return [sol.particular[k, 0] for k in range(m)]
+    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
 
     # Left-multiplication matrices of the regular representation.
     left = []
-    for s_a, g_a in basis:
-        col_list = [coords((s_a @ s_b, g_a @ g_b)) for (s_b, g_b) in basis]
+    for g_a, s_a in basis:
+        col_list = [_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis]
         left.append(Matrix.from_rows([[col_list[b][t] for b in range(m)] for t in range(m)], field))
     trace_form = Matrix.from_rows(
         [[(left[a] @ left[b]).trace() for b in range(m)] for a in range(m)], field

@@ -25,6 +25,9 @@ class SchemaError(ValueError):
 
 
 def field_from_name(name: str, tolerance: float = 1e-9) -> Field:
+    bad = isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
+    if bad or (isinstance(tolerance, float) and not math.isfinite(tolerance)) or tolerance < 0:
+        raise SchemaError("tolerance", f"expected a finite number >= 0, got {tolerance!r}")
     if name == "rational":
         return RATIONAL
     if name == "complex":

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from cmkit.cli import main
 from cmkit.serialize import quadruple_from_json, quadruple_to_json
 from cmkit import sample_cm
@@ -16,6 +18,18 @@ FLAGSHIP = {
     "Y": [["0", "-1"], ["1", "0"]],
     "i": [["1"], ["1"]],
     "j": [["1", "1"]],
+}
+
+
+# Commuting stable data with j = 0: the two points (0, 0) and (1, 0).
+COMMUTING_PAIR = {
+    "n": 2,
+    "r": 1,
+    "field": "rational",
+    "X": [["0", "0"], ["0", "1"]],
+    "Y": [["0", "0"], ["0", "0"]],
+    "i": [["1"], ["1"]],
+    "j": [["0", "0"]],
 }
 
 
@@ -59,16 +73,7 @@ def test_invariants(capsys, monkeypatch):
 
 
 def test_hilbert_ideal_command(capsys, monkeypatch):
-    payload = {
-        "n": 2,
-        "r": 1,
-        "field": "rational",
-        "X": [["0", "0"], ["0", "1"]],
-        "Y": [["0", "0"], ["0", "0"]],
-        "i": [["1"], ["1"]],
-        "j": [["0", "0"]],
-    }
-    code, [rep] = _run(["hilbert-ideal", "--degree", "2"], json.dumps(payload), capsys, monkeypatch)
+    code, [rep] = _run(["hilbert-ideal", "--degree", "2"], json.dumps(COMMUTING_PAIR), capsys, monkeypatch)
     assert code == 0
     assert rep["result"]["quotient_dim"] == 2
     assert any(entry["pretty"] == "y" for entry in rep["result"]["ideal_basis"])
@@ -238,3 +243,24 @@ def test_batch_from_file(tmp_path, capsys, monkeypatch):
 def test_sample_invalid_size_is_error(capsys, monkeypatch):
     code, [rep] = _run(["sample", "--n", "0", "--seed", "1"], "", capsys, monkeypatch)
     assert code == 2 and rep["status"] == "error"
+
+
+def test_hilbert_ideal_negative_degree_is_error(capsys, monkeypatch):
+    code, [rep] = _run(["hilbert-ideal", "--degree", "-1"], json.dumps(COMMUTING_PAIR), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+
+
+@pytest.mark.parametrize("tolerance", ["abc", -1, float("nan"), True, None])
+def test_bad_tolerance_is_schema_error(tolerance, capsys, monkeypatch):
+    sheaf = {"n": 1, "r": 1, "field": "complex", "tolerance": tolerance,
+             "X": [[[0.5, 0.0]]], "i": [[[1.0, 0.0]]]}
+    code, [rep] = _run(["fiber-solve"], json.dumps(sheaf), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["messages"][0].startswith("tolerance:")
+
+
+@pytest.mark.parametrize("flag", ["-1", "nan"])
+def test_bad_tolerance_flag_is_schema_error(flag, capsys, monkeypatch):
+    code, [rep] = _run(["verify", "--field", "complex", "--tolerance", flag],
+                       json.dumps({k: v for k, v in FLAGSHIP.items() if k != "field"}), capsys, monkeypatch)
+    assert code == 2 and rep["messages"][0].startswith("tolerance:")

@@ -440,3 +440,50 @@ def test_fiber_dimension_over_diagonal_cyclic_data_is_n():
         assert sol is not None and sol.dimension == n
         for y, j in sol.kernel_basis:
             assert j.is_zero()
+
+
+def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
+    """Reference oracle: the fiber operator assembled by applying it to every unit (Y, j)."""
+    from cmkit import commutator
+
+    n, r, field = X.rows, i.cols, X.field
+    units = []
+    for col in range(n):
+        for row in range(n):
+            y = [[field.zero] * n for _ in range(n)]
+            y[row][col] = field.one
+            units.append((Matrix.from_rows(y, field), Matrix.zeros(r, n, field)))
+    for row in range(r):
+        for col in range(n):
+            jm = [[field.zero] * n for _ in range(r)]
+            jm[row][col] = field.one
+            units.append((Matrix.zeros(n, n, field), Matrix.from_rows(jm, field)))
+    ncols = len(units)
+    flat = [field.zero] * (n * n * ncols)
+    for cidx, (yu, ju) in enumerate(units):
+        image = commutator(X, yu) - i @ ju
+        for a in range(n):
+            for b in range(n):
+                flat[(a * n + b) * ncols + cidx] = image[a, b]
+    return Matrix(n * n, ncols, tuple(flat), field)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "complex"])
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("r", [1, 2])
+def test_fiber_system_matches_unit_probing(field_name, conjugated, r):
+    from cmkit import complex_field
+    from cmkit.koszul import _fiber_system
+
+    rng = random.Random(1000 * r + 10 * conjugated + len(field_name))
+    n = 4
+    X = sample_cm(n, rng.randint(0, 10**6)).X
+    if conjugated:
+        g = rand_invertible(rng, n)
+        X = g @ X @ g.inverse()
+    i = rand_matrix(rng, n, r)
+    if field_name == "complex":
+        field = complex_field(1e-9)
+        X = Matrix.from_rows(X.to_rows(), field)
+        i = Matrix.from_rows([[v * (1 + 1j) for v in row] for row in i.to_rows()], field)
+    assert _fiber_system(X, i) == _probed_fiber_system(X, i)

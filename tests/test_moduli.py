@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
     support,
 )
-from conftest import rand_invertible
+from conftest import rand_invertible, rand_matrix
 
 
 J2 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -253,3 +253,74 @@ def test_support_factors_are_monic():
     factors = support(fs)
     assert all(coeffs[-1] == 1 for coeffs, _ in factors)
     assert {factor_str(c) for c, _ in factors} == {"x - 1/2", "x - 1/3"}
+
+
+def _probed_end_system(fs: FramedTorsionSheaf) -> Matrix:
+    """Reference oracle: the End operator assembled by applying it to every unit (g, s)."""
+    n, r, field = fs.n, fs.r, fs.field
+    g_units = []
+    for col in range(n):
+        for row in range(n):
+            g = [[field.zero] * n for _ in range(n)]
+            g[row][col] = field.one
+            g_units.append(Matrix.from_rows(g, field))
+    s_units = []
+    for row in range(r):
+        for col in range(r):
+            s = [[field.zero] * r for _ in range(r)]
+            s[row][col] = field.one
+            s_units.append(Matrix.from_rows(s, field))
+    ncols = len(g_units) + len(s_units)
+    neqs = n * n + n * r
+    flat = [field.zero] * (neqs * ncols)
+    for cidx in range(ncols):
+        if cidx < len(g_units):
+            g = g_units[cidx]
+            comm = g @ fs.X - fs.X @ g
+            frame = g @ fs.i
+        else:
+            s = s_units[cidx - len(g_units)]
+            comm = Matrix.zeros(n, n, field)
+            frame = -(fs.i @ s)
+        for a in range(n):
+            for b in range(n):
+                flat[(a * n + b) * ncols + cidx] = comm[a, b]
+        for a in range(n):
+            for b in range(r):
+                flat[(n * n + a * r + b) * ncols + cidx] = frame[a, b]
+    return Matrix(neqs, ncols, tuple(flat), field)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "complex"])
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("r", [1, 2])
+def test_end_system_matches_unit_probing(field_name, conjugated, r):
+    from cmkit.moduli import _end_system
+
+    rng = random.Random(2000 * r + 10 * conjugated + len(field_name))
+    n = 4
+    # A repeated eigenvalue keeps the commutant larger than the diagonal one.
+    X = Matrix.from_rows([[[1, 1, 2, -3][k] if k == l else 0 for l in range(n)] for k in range(n)])
+    if conjugated:
+        g = rand_invertible(rng, n)
+        X = g @ X @ g.inverse()
+    i = rand_matrix(rng, n, r)
+    if field_name == "complex":
+        field = complex_field(1e-9)
+        X = Matrix.from_rows(X.to_rows(), field)
+        i = Matrix.from_rows([[v * (1 - 2j) for v in row] for row in i.to_rows()], field)
+    fs = FramedTorsionSheaf(X, i)
+    assert _end_system(fs) == _probed_end_system(fs)
+
+
+def test_end_coords_reject_vector_outside_span():
+    from cmkit.linalg import kernel_basis, vec
+    from cmkit.moduli import _end_coords, _end_system
+
+    fs = FramedTorsionSheaf(DIAG01, Matrix.column([1, 0]))
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kernel_basis(_end_system(fs))]
+    # The idempotent (0, diag(0, 1)) lies in End; J2 with s = 0 does not commute with X.
+    inside = vec(Matrix.from_rows([[0, 0], [0, 1]]), Matrix.zeros(1, 1))
+    assert len(_end_coords(supports, inside)) == len(supports) == 2
+    with pytest.raises(AssertionError, match="escaped the algebra"):
+        _end_coords(supports, vec(J2, Matrix.zeros(1, 1)))

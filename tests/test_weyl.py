@@ -265,3 +265,27 @@ def test_micro_inverse_of_x_squared_action():
 def test_cech_larger_twists():
     assert cech_graded_ranks(8, 10) == (9, 0, True)
     assert cech_graded_ranks(-9, 11) == (0, 8, True)
+
+
+def _dense_window_ranks(twist: int, w: int) -> tuple[Fraction, Fraction]:
+    """Reference oracle: the window map as a dense matrix, ranked by elimination."""
+    from cmkit import Matrix, MicrolocalElement, WeylElement, rank
+
+    cod_index = {(a, b): k for k, (a, b) in enumerate((a, b) for a in range(w + 1) for b in range(-w, w + 1))}
+    columns = []
+    for a in range(w + 1):
+        for b in range(0, w + 1):
+            columns.append(dict(embed(WeylElement.from_terms({(a, b): 1})).terms))
+        for b in range(-w, min(twist, w) + 1):
+            columns.append(dict((-1 * MicrolocalElement.from_terms({(a, b): 1})).terms))
+    m = Matrix.from_rows([[col.get(key, 0) for col in columns] for key in cod_index])
+    r = rank(m)
+    return Fraction(len(columns) - r, w + 1), Fraction(len(cod_index) - r, w + 1)
+
+
+def test_window_ranks_match_dense_rank():
+    from cmkit.weyl import _window_ranks
+
+    for twist in range(-6, 7):
+        for w in range(0, 7):
+            assert _window_ranks(twist, w) == _dense_window_ranks(twist, w), (twist, w)
