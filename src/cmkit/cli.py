@@ -261,8 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     if not needs_input:
         return _run_single(args, b"", stream)
     if args.input:
-        with open(args.input, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            _emit(_report(args.command, _digest(b""), ERROR, None, [f"cannot read input: {exc}"]), stream)
+            return ERROR
     else:
         raw = sys.stdin.buffer.read()
     if getattr(args, "batch", False):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[Fraction, complex]
@@ -187,6 +188,8 @@ class Matrix:
         if self.field != other.field:
             raise ShapeError("mixed fields")
         n, m, p = self.rows, self.cols, other.cols
+        if self.field.is_rational:
+            return Matrix(n, p, _rational_product(self.entries, other.entries, n, m, p), self.field)
         flat = [self.field.zero] * (n * p)
         se, oe = self.entries, other.entries
         for i in range(n):
@@ -241,6 +244,40 @@ class Matrix:
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
         return f"[{body}]"
+
+
+def _numerators(entries: tuple) -> tuple[list[int], int]:
+    """Integer numerators of rational entries over the lcm of their denominators."""
+    d = lcm(*{x.denominator for x in entries})
+    return [x.numerator * (d // x.denominator) for x in entries], d
+
+
+def _rational_product(left: tuple, right: tuple, n: int, m: int, p: int) -> tuple[Fraction, ...]:
+    """Entries of the exact product of an n x m and an m x p rational matrix, row-major.
+
+    Both operands are scaled to integers over one common denominator each, so
+    the inner loop multiplies plain ints and skips zeros on both sides; each
+    result entry becomes a Fraction once, over the product of the two
+    denominators.  This pays off when the entries of each operand share their
+    denominators, as products of conjugated CM points do.  If both operands
+    have many distinct large coprime denominators, the common ones grow with
+    the sum of their sizes and the products cost more than entrywise Fraction
+    arithmetic would (n = 12, distinct 30-bit primes: about 5x slower).
+    """
+    a, da = _numerators(left)
+    b, db = _numerators(right)
+    b_rows = [[(c, y) for c, y in enumerate(b[k * p : (k + 1) * p]) if y] for k in range(m)]
+    d = da * db
+    zero = Fraction(0)
+    flat: list[Fraction] = []
+    for i in range(n):
+        acc = [0] * p
+        for k, x in enumerate(a[i * m : (i + 1) * m]):
+            if x:
+                for c, y in b_rows[k]:
+                    acc[c] += x * y
+        flat.extend(Fraction(v, d) if v else zero for v in acc)
+    return tuple(flat)
 
 
 def _rref(rows: list[list[Scalar]], field: Field) -> tuple[list[list[Scalar]], list[int]]:

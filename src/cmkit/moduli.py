@@ -164,6 +164,24 @@ def _end_coords(supports: list[list[tuple[int, Fraction]]], target: list) -> lis
     return coords
 
 
+def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
+    """Trace form tr(L_a L_b) of the regular representation L of End on its kernel basis.
+
+    The product table holds the coordinates of each e_a e_b.  Since L is a
+    representation, tr(L_a L_b) = tr(L_{e_a e_b}) = sum_c (e_a e_b)_c tr(L_c),
+    and tr(L_c) is the sum of the coordinates (e_c e_t)_t, so the form takes
+    O(m^3) scalar products and no m x m matrix.
+    """
+    kern = kernel_basis(_end_system(fs))
+    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
+    table = [[_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis] for g_a, s_a in basis]
+    traces = [sum(row[t][t] for t in range(len(basis))) for row in table]
+    return Matrix.from_rows(
+        [[sum(x * tr for x, tr in zip(coords, traces) if x) for coords in row] for row in table], fs.field
+    )
+
+
 def is_indecomposable(fs: FramedTorsionSheaf):
     """Locality test for the endomorphism algebra of (X, i).
 
@@ -176,21 +194,7 @@ def is_indecomposable(fs: FramedTorsionSheaf):
     """
     if not fs.field.is_rational:
         raise ValueError("is_indecomposable requires the exact rational field")
-    kern = kernel_basis(_end_system(fs))
-    m = len(kern)
-    field = fs.field
-    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
-    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
-
-    # Left-multiplication matrices of the regular representation.
-    left = []
-    for g_a, s_a in basis:
-        col_list = [_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis]
-        left.append(Matrix.from_rows([[col_list[b][t] for b in range(m)] for t in range(m)], field))
-    trace_form = Matrix.from_rows(
-        [[(left[a] @ left[b]).trace() for b in range(m)] for a in range(m)], field
-    )
-    semisimple_dim = rank(trace_form)
+    semisimple_dim = rank(_trace_form(fs))
     if semisimple_dim == 1:
         return True
     splits = all(len(coeffs) == 2 for coeffs, _ in support(fs))

@@ -233,6 +233,12 @@ def test_input_file_flag(tmp_path, capsys, monkeypatch):
     assert code == 0 and rep["result"]["is_cm_point"] is True
 
 
+def test_missing_input_file_is_error(tmp_path, capsys, monkeypatch):
+    code, [rep] = _run(["classify", "--input", str(tmp_path / "missing.json")], "", capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["command"] == "classify" and rep["messages"][0].startswith("cannot read input:")
+
+
 def test_batch_from_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "batch.ndjson"
     path.write_text(json.dumps(FLAGSHIP) + "\n" + json.dumps(FLAGSHIP) + "\n")

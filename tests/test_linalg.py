@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmkit import (
     Matrix,
@@ -137,3 +138,69 @@ def test_float_mode_partial_pivoting():
     assert sol is not None
     assert (a @ sol.particular - b).is_zero()
     assert abs(sol.particular[0, 0] - 1.0) < 1e-6 and abs(sol.particular[1, 0] - 1.0) < 1e-6
+
+
+# Denominators for the product property: 1, small, large, and pairwise coprime primes.
+_DENOMINATORS = [1, 2, 3, 6, 7, 12, 2**61 - 1, 10**18 + 9, 3**40]
+
+
+@st.composite
+def _rational_operands(draw):
+    n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
+    kind = draw(st.sampled_from(["mixed", "integer", "zero"]))
+    if kind == "zero":
+        entry = st.just(Fraction(0))
+    elif kind == "integer":
+        entry = st.integers(-(10**12), 10**12).map(Fraction)
+    else:
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from(_DENOMINATORS)),
+        )
+
+    def operand(rows, cols):
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+
+    return operand(n, m), operand(m, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_operands())
+def test_rational_matmul_matches_entrywise_definition(operands):
+    a, b = operands
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    expected = tuple(
+        sum((a[i, k] * b[k, c] for k in range(a.cols)), Fraction(0))
+        for i in range(a.rows)
+        for c in range(b.cols)
+    )
+    assert product.entries == expected
+    assert all(type(x) is Fraction for x in product.entries)
+
+
+def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference oracle: the accumulate-from-zero loop that complex products use."""
+    flat = [complex(0)] * (a.rows * b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a[i, k]
+            if x == 0:
+                continue
+            for c in range(b.cols):
+                flat[i * b.cols + c] += x * b[k, c]
+    return Matrix(a.rows, b.cols, tuple(flat), a.field)
+
+
+def test_complex_matmul_unchanged_entry_for_entry():
+    field = complex_field(1e-9)
+    a = Matrix.from_rows(
+        [[complex(-0.0, 0.0), 1.5 - 2j, complex(0.0, -0.0)], [1e-300 + 0j, -3.25j, complex(-1.0, -0.0)]], field
+    )
+    b = Matrix.from_rows(
+        [[0.1 + 0.2j, complex(-0.0, -0.0)], [complex(0.0, -1e-17), 7 - 0j], [-2.5 + 1j, 1e300 + 1e-300j]], field
+    )
+    for left, right in ((a, b), (b, a)):
+        assert [repr(x) for x in (left @ right).entries] == [
+            repr(x) for x in _complex_loop_product(left, right).entries
+        ]

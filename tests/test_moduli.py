@@ -324,3 +324,53 @@ def test_end_coords_reject_vector_outside_span():
     assert len(_end_coords(supports, inside)) == len(supports) == 2
     with pytest.raises(AssertionError, match="escaped the algebra"):
         _end_coords(supports, vec(J2, Matrix.zeros(1, 1)))
+
+
+def _left_matrix_trace_form(fs: FramedTorsionSheaf) -> Matrix:
+    """Reference oracle: tr(L_a L_b) from the left-multiplication matrices L_a of End."""
+    from cmkit.linalg import kernel_basis, unvec, vec
+    from cmkit.moduli import _end_coords, _end_system
+
+    kern = kernel_basis(_end_system(fs))
+    m = len(kern)
+    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
+    left = []
+    for g_a, s_a in basis:
+        col_list = [_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis]
+        left.append(Matrix.from_rows([[col_list[b][t] for b in range(m)] for t in range(m)]))
+    return Matrix.from_rows([[(left[a] @ left[b]).trace() for b in range(m)] for a in range(m)])
+
+
+def _scalar_sheaf(n: int, c: int) -> FramedTorsionSheaf:
+    i = Matrix.column([Fraction(k + 1, 2) for k in range(n)])
+    return FramedTorsionSheaf(Matrix.from_rows([[c if k == l else 0 for l in range(n)] for k in range(n)]), i)
+
+
+def _diagonal_cyclic_sheaf(n: int) -> FramedTorsionSheaf:
+    X = Matrix.from_rows([[Fraction(3 * k - 4, k + 1) if k == l else 0 for l in range(n)] for k in range(n)])
+    return FramedTorsionSheaf(X, Matrix.column([Fraction(-1) ** k * (k + 2) for k in range(n)]))
+
+
+def _nonsplit_sheaf() -> FramedTorsionSheaf:
+    # diag(rotation block, 3) framed on the rational line: End = Q(i) x Q.
+    X = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 3]])
+    return FramedTorsionSheaf(X, Matrix.column([0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "fs, answer",
+    [
+        (_scalar_sheaf(3, 2), False),
+        (_scalar_sheaf(4, -1), False),
+        (_diagonal_cyclic_sheaf(3), True),
+        (_diagonal_cyclic_sheaf(5), True),
+        (_nonsplit_sheaf(), INCONCLUSIVE),
+    ],
+    ids=["scalar-n3", "scalar-n4", "diagonal-cyclic-n3", "diagonal-cyclic-n5", "nonsplit"],
+)
+def test_trace_form_matches_left_matrix_oracle(fs, answer):
+    from cmkit.moduli import _trace_form
+
+    assert _trace_form(fs) == _left_matrix_trace_form(fs)
+    assert is_indecomposable(fs) == answer
