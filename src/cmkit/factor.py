@@ -1,0 +1,378 @@
+"""Factorization of rational polynomials over Q, standard library only.
+
+Polynomials are lists of coefficients in ascending degree.  ``factor_rational``
+splits a polynomial into square-free parts by Yun's algorithm over
+``Fraction``, then factors each part by Zassenhaus's method:
+
+1. clear denominators to a primitive integer polynomial f with leading
+   coefficient b > 0;
+2. take the first odd prime p not dividing b with f mod p square-free;
+3. factor f mod p: distinct-degree factorization, then Cantor-Zassenhaus
+   equal-degree splitting with ``random.Random(p)``, so runs repeat exactly;
+4. Hensel-lift the modular factors along a balanced factor tree to p^k with
+   p^k > 2 * (Mignotte bound) * b;
+5. recombine subsets of the lifted factors, smallest first, by exact trial
+   division over the integers.
+
+Recombination tries up to 2^(r-1) subsets when f has r factors mod p and
+few of them combine into true factors, so the worst case is exponential in
+r (x^4 + 1 is irreducible but splits mod every prime).  References: Yun, On
+square-free decomposition algorithms, SYMSAC 1976; von zur Gathen and
+Gerhard, Modern Computer Algebra, chapters 14 and 15.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt, lcm
+from typing import Sequence
+
+
+def factor_rational(f: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Monic irreducible factors over Q of a nonzero rational polynomial, with multiplicities.
+
+    ``f`` lists coefficients in ascending degree; the result pairs each
+    factor's ascending coefficients (leading 1) with its multiplicity, in no
+    particular order.  A constant has no factors.
+    """
+    out = []
+    for part, mult in _square_free([Fraction(c) for c in f]):
+        for g in _factor_square_free(_primitive_integer(part)):
+            out.append((tuple(Fraction(c, g[-1]) for c in g), mult))
+    return out
+
+
+def multiply_out(factors: Sequence[tuple[Sequence[Fraction], int]]) -> list[Fraction]:
+    """The product of f^m over the pairs (f, m), as ascending coefficients."""
+    out = [Fraction(1)]
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            out = _mul(out, coeffs)
+    return out
+
+
+# -- rational polynomials ---------------------------------------------------
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _deriv(a: list) -> list:
+    return _trim([k * c for k, c in enumerate(a)][1:])
+
+
+def _q_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b != 0 over the rationals."""
+    r = list(a)
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], r
+    q = [Fraction(0)] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] / b[-1]
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return q, _trim(r[:db])
+
+
+def _q_monic(a: list) -> list:
+    return [c / a[-1] for c in a]
+
+
+def _q_gcd(a: list, b: list) -> list:
+    """Monic gcd over the rationals; a != 0."""
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return _q_monic(a)
+
+
+def _square_free(f: list) -> list[tuple[list, int]]:
+    """Yun's decomposition: pairs (a, i), a monic square-free nonconstant, f = lc(f) * prod a^i."""
+    f = _q_monic(_trim(f))
+    df = _deriv(f)
+    a0 = _q_gcd(f, df)
+    b, c = _q_divmod(f, a0)[0], _q_divmod(df, a0)[0]
+    d = _sub(c, _deriv(b))
+    out, i = [], 1
+    while len(b) > 1:
+        a = _q_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _q_divmod(b, a)[0], _q_divmod(d, a)[0]
+        d = _sub(c, _deriv(b))
+        i += 1
+    return out
+
+
+def _primitive_integer(a: list) -> list[int]:
+    """The primitive integer multiple of a rational polynomial, with positive leading coefficient."""
+    den = lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    return _primitive(ints)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [x // g for x in a]
+
+
+# -- integer polynomials, and polynomials modulo m --------------------------
+
+
+def _mul(a: Sequence, b: Sequence) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _add(*polys: Sequence) -> list:
+    out = [0] * max(map(len, polys))
+    for a in polys:
+        for k, y in enumerate(a):
+            out[k] += y
+    return _trim(out)
+
+
+def _sub(a: Sequence, b: Sequence) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] -= y
+    return _trim(out)
+
+
+def _reduce(a: Sequence[int], m: int) -> list[int]:
+    return _trim([x % m for x in a])
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
+    r = _reduce(a, m)
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], r
+    inv = pow(b[-1], -1, m)
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] * inv % m
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % m
+    return q, _trim(r[:db])
+
+
+def _monic(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [x * inv % m for x in a]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd modulo the prime p; a, b not both 0."""
+    a, b = _reduce(a, p), _reduce(b, p)
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s a + t b = 1 mod the prime p, deg s < deg b, deg t < deg a; a, b coprime."""
+    r0, r1 = a, b
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _reduce(_sub(s0, _mul(q, s1)), p)
+        t0, t1 = t1, _reduce(_sub(t0, _mul(q, t1)), p)
+    inv = pow(r0[0], -1, p)
+    return [x * inv % p for x in s0], [x * inv % p for x in t0]
+
+
+def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e modulo f and p."""
+    out, a = [1], _divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a), f, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod(_mul(a, a), f, p)[1]
+    return out
+
+
+def _product(polys: Sequence[list[int]], m: int) -> list[int]:
+    out = [1]
+    for g in polys:
+        out = _reduce(_mul(out, g), m)
+    return out
+
+
+# -- factoring modulo p -----------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _good_prime(f: list[int]) -> int:
+    """The first odd prime p not dividing lc(f) with f mod p square-free."""
+    p = 3
+    while f[-1] % p == 0 or len(_gcd(f, _deriv(f), p)) > 1:
+        p += 2
+        while not _is_prime(p):
+            p += 2
+    return p
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, d): g is the product of the degree-d monic irreducible factors of f mod p.
+
+    f is monic and square-free mod p.
+    """
+    out = []
+    h, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(_sub(h, [0, 1]), f, p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Cantor-Zassenhaus: the monic factors of f mod the odd prime p, all irreducible of degree d."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (p**d - 1) // 2
+    while True:
+        a = _reduce([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        if len(a) < 2:
+            continue
+        g = _gcd(a, f, p)
+        if len(g) == 1:
+            g = _gcd(_sub(_powmod(a, e, f, p), [1]), f, p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p, rng) + _equal_degree(_divmod(f, g, p)[0], d, p, rng)
+
+
+# -- Hensel lifting and recombination ---------------------------------------
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g h and s g + t h = 1 from modulus m0 to m, where m0 | m | m0^2.
+
+    h is monic, deg s < deg h, deg t < deg g (Modern Computer Algebra, Alg. 15.10).
+    """
+    e = _reduce(_sub(f, _mul(g, h)), m)
+    q, r = _divmod(_mul(s, e), h, m)
+    g = _reduce(_add(g, _mul(t, e), _mul(q, g)), m)
+    h = _reduce(_add(h, r), m)
+    b = _reduce(_sub(_add(_mul(s, g), _mul(t, h)), [1]), m)
+    c, d = _divmod(_mul(s, b), h, m)
+    s = _reduce(_sub(s, d), m)
+    t = _reduce(_sub(t, _add(_mul(t, b), _mul(c, g))), m)
+    return g, h, s, t
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """Monic factors of f mod p^k lifting ``factors``, where f = lc(f) * prod(factors) mod p."""
+    pk = p**k
+    if len(factors) == 1:
+        return [_monic(_reduce(f, pk), pk)]
+    half = len(factors) // 2
+    g = _reduce([f[-1] * x for x in _product(factors[:half], p)], p)
+    h = _product(factors[half:], p)
+    s, t = _ext_gcd(g, h, p)
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        g, h, s, t = _hensel_step(f, g, h, s, t, p**j)
+    return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
+
+
+def _symmetric(a: list[int], m: int) -> list[int]:
+    return [x - m if 2 * x > m else x for x in a]
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g over the integers, or None when g does not divide f."""
+    r = list(f)
+    dg = len(g) - 1
+    if len(r) <= dg:
+        return None
+    q = [0] * (len(r) - dg)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c, rem = divmod(r[k + dg], g[-1])
+        if rem:
+            return None
+        q[k] = c
+        if c:
+            for j, y in enumerate(g):
+                r[k + j] -= c * y
+    return q if not any(r[:dg]) else None
+
+
+def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]:
+    """Irreducible factors over Z of primitive square-free f from its monic factors mod m.
+
+    m must exceed twice every coefficient of (lc(f) / lc(g)) * g for each
+    factor g of f, so such a product is read exactly from its symmetric
+    residues.  Subsets are tried smallest first; a subset that yields a true
+    factor is removed and the search goes on at the same size.
+    """
+    out = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = _symmetric(_reduce([f[-1] * x for x in _product([lifted[i] for i in subset], m)], m), m)
+            g = _primitive(g)
+            if g[0] and f[0] % g[0]:
+                continue
+            q = _exact_quotient(f, g)
+            if q is None:
+                continue
+            out.append(g)
+            f = q
+            lifted = [x for i, x in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+def _factor_square_free(f: list[int]) -> list[list[int]]:
+    """Irreducible factors over Z of a primitive square-free f of degree >= 1 with lc(f) > 0."""
+    if len(f) <= 2:
+        return [f]
+    p = _good_prime(f)
+    modular = []
+    rng = random.Random(p)
+    for g, d in _distinct_degree(_monic(_reduce(f, p), p), p):
+        modular.extend(_equal_degree(g, d, p, rng))
+    if len(modular) == 1:
+        return [f]
+    mignotte = 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    bound = 2 * mignotte * f[-1]
+    k, pk = 1, p
+    while pk <= bound:
+        k, pk = k + 1, pk * p
+    return _recombine(f, _hensel_lift(f, modular, p, k), pk)

@@ -62,22 +62,27 @@ class FramedTorsionSheaf:
 def support(fs: FramedTorsionSheaf):
     """Support of the sheaf: factorization of char_poly(X).
 
-    Rational mode returns [(coeffs ascending, multiplicity)] with irreducible
-    factors over the rationals; complex mode returns [(root, multiplicity)]
-    with numeric roots clustered by the field tolerance.
+    Rational mode returns [(coeffs ascending, multiplicity)] with monic
+    irreducible factors over the rationals, sorted by (length, coeffs), from
+    :mod:`cmkit.factor`: Yun's square-free decomposition, then Zassenhaus
+    (factor mod a prime, Hensel-lift, recombine by trial division).  The
+    worst case is exponential in the number r of factors mod that prime, up
+    to 2^(r-1) trial subsets, as in sympy's Zassenhaus; polynomials that are
+    irreducible over Q but split into many factors mod every prime
+    (Swinnerton-Dyer polynomials) reach it.  The factors are checked to
+    multiply back to char_poly(X) exactly.
+
+    Complex mode returns [(root, multiplicity)] with numeric roots clustered
+    by the field tolerance.
     """
     cp = char_poly(fs.X)
     if fs.field.is_rational:
-        import sympy
+        # imported here so that commands which never factor do not load (or compile) the module
+        from .factor import factor_rational, multiply_out
 
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed([sympy.Rational(c) for c in cp])), x, domain="QQ")
-        _, factors = poly.factor_list()
-        out = []
-        for fac, mult in factors:
-            coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-            lead = coeffs[-1]
-            out.append((tuple(c / lead for c in coeffs), int(mult)))
+        out = factor_rational(cp)
+        if multiply_out(out) != cp:
+            raise AssertionError("support factors do not multiply back to char_poly(X)")
         out.sort(key=lambda t: (len(t[0]), t[0]))
         return out
     import numpy as np

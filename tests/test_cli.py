@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmkit
 from cmkit.cli import main
 from cmkit.serialize import quadruple_from_json, quadruple_to_json
 from cmkit import sample_cm
@@ -143,6 +148,30 @@ def test_classify_command(capsys, monkeypatch):
     assert res["in_cm_support"] is True
     assert res["framing_surjective"] is False
     assert res["support"] == [{"factor": "x", "coeffs": ["0", "1"], "multiplicity": 2}]
+
+
+def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
+    # X is the companion matrix of x^3 - 2, irreducible over Q, so every step of the factorizer runs
+    sheaf = {"n": 3, "r": 1, "field": "rational", "X": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]],
+             "i": [["1"], ["0"], ["0"]]}
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(sheaf))
+    script = (
+        "import sys\n"
+        "from cmkit.cli import main\n"
+        "code = main(['classify', '--input', sys.argv[1]])\n"
+        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+    assert json.loads(proc.stdout)["result"]["support"] == [
+        {"factor": "x^3 - 2", "coeffs": ["-2", "0", "0", "1"], "multiplicity": 1}
+    ]
 
 
 def test_cech_command_known_value(capsys, monkeypatch):

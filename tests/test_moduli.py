@@ -51,7 +51,12 @@ def test_support_companion_round_trip():
         assert char_poly(X) == coeffs + [Fraction(1)]
         fs = FramedTorsionSheaf(X, Matrix.column([1] + [0] * (n - 1)))
         factors = support(fs)
-        assert sum(len(c) - 1 for c, m in factors for _ in range(m)) == n or True
+        product = [Fraction(1)]
+        for c, m in factors:
+            for _ in range(m):
+                product = [sum(product[k] * c[t - k] for k in range(len(product)) if 0 <= t - k < len(c))
+                           for t in range(len(product) + len(c) - 1)]
+        assert product == coeffs + [Fraction(1)]
         total = sum((len(c) - 1) * m for c, m in factors)
         assert total == n
 
