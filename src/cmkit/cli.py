@@ -7,8 +7,12 @@ Every command emits one report object on stdout:
 
 Exit codes: 0 for ok, 1 for a mathematically meaningful negative answer
 (empty CM fiber, violated CM relation), 2 for malformed input or violated
-preconditions.  ``--batch`` processes newline-delimited JSON, one report per
-line, preserving input order; the exit code is the worst per-line status.
+preconditions.  An unexpected exception inside a command (a defect, such as
+a failed internal certificate) is also exit 2: one ``"error"`` report whose
+message starts with ``internal error:``, never a traceback.  ``--batch``
+processes newline-delimited JSON, one report per line, preserving input
+order, and goes on after any failed line; the exit code is the worst
+per-line status.
 """
 
 from __future__ import annotations
@@ -153,9 +157,10 @@ def _cmd_classify(data, args):
     ends = moduli.endomorphisms(fs)
     report = moduli.cm_support_check(fs)
     if fs.field.is_rational:
+        factors = moduli.support(fs)
         sup = [{"factor": factor_str(coeffs), "coeffs": [str(c) for c in coeffs], "multiplicity": m}
-               for coeffs, m in moduli.support(fs)]
-        indec = moduli.is_indecomposable(fs)
+               for coeffs, m in factors]
+        indec = moduli.is_indecomposable(fs, factors)
     else:
         sup = [{"root": [z.real, z.imag], "multiplicity": m} for z, m in moduli.support(fs)]
         indec = INCONCLUSIVE
@@ -248,6 +253,9 @@ def _run_single(args, raw: bytes, stream) -> int:
         result, code, msgs = handler(data, args)
     except (SchemaError, ShapeError, SingularMatrixError, ValueError, ArithmeticError, OSError) as exc:
         _emit(_report(args.command, digest, ERROR, None, [str(exc)]), stream)
+        return ERROR
+    except Exception as exc:  # a defect in cmkit: still one report, and --batch goes on
+        _emit(_report(args.command, digest, ERROR, None, [f"internal error: {type(exc).__name__}: {exc}"]), stream)
         return ERROR
     _emit(_report(args.command, digest, code, result, msgs), stream)
     return code

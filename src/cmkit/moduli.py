@@ -187,7 +187,7 @@ def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
     )
 
 
-def is_indecomposable(fs: FramedTorsionSheaf):
+def is_indecomposable(fs: FramedTorsionSheaf, factors=None):
     """Locality test for the endomorphism algebra of (X, i).
 
     In characteristic zero the radical of a finite-dimensional associative
@@ -196,13 +196,17 @@ def is_indecomposable(fs: FramedTorsionSheaf):
     the quotient has dimension > 1 but char_poly(X) does not split over the
     rationals, the quotient may be a field hiding a geometric decomposition,
     so the answer is ``INCONCLUSIVE`` rather than a guess.  Exact mode only.
+    ``factors`` is ``support(fs)`` when the caller already has it; otherwise
+    it is computed when needed.
     """
     if not fs.field.is_rational:
         raise ValueError("is_indecomposable requires the exact rational field")
     semisimple_dim = rank(_trace_form(fs))
     if semisimple_dim == 1:
         return True
-    splits = all(len(coeffs) == 2 for coeffs, _ in support(fs))
+    if factors is None:
+        factors = support(fs)
+    splits = all(len(coeffs) == 2 for coeffs, _ in factors)
     if splits:
         return False
     return INCONCLUSIVE

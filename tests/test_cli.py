@@ -12,7 +12,7 @@ import pytest
 import cmkit
 from cmkit.cli import main
 from cmkit.serialize import quadruple_from_json, quadruple_to_json
-from cmkit import sample_cm
+from cmkit import moduli, sample_cm
 
 
 FLAGSHIP = {
@@ -172,6 +172,42 @@ def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
     assert json.loads(proc.stdout)["result"]["support"] == [
         {"factor": "x^3 - 2", "coeffs": ["-2", "0", "0", "1"], "multiplicity": 1}
     ]
+
+
+# X = 2 I_3 with r = 1: End has a semisimple part of dimension > 1 and the CM fiber is empty (exit 1)
+SCALAR_SHEAF = {"n": 3, "r": 1, "field": "rational",
+                "X": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]], "i": [["1"], ["0"], ["0"]]}
+
+
+def test_classify_factors_support_once(capsys, monkeypatch):
+    calls = []
+    support = moduli.support
+
+    def counted(fs):
+        calls.append(fs)
+        return support(fs)
+
+    monkeypatch.setattr(moduli, "support", counted)
+    code, [rep] = _run(["classify"], json.dumps(SCALAR_SHEAF), capsys, monkeypatch)
+    assert code == 1 and rep["result"]["indecomposable"] is False
+    assert len(calls) == 1
+
+
+def test_unexpected_exception_is_one_error_report_per_line(capsys, monkeypatch):
+    def broken(fs):
+        raise AssertionError("support factors do not multiply back to char_poly(X)")
+
+    monkeypatch.setattr(moduli, "support", broken)
+    lines = [json.dumps(SCALAR_SHEAF), json.dumps(SCALAR_SHEAF)]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("\n".join(lines).encode()), encoding="utf-8"))
+    code = main(["classify", "--batch"])
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2 and len(reports) == 2
+    for rep in reports:
+        assert rep["status"] == "error" and rep["result"] is None
+        assert rep["messages"][0].startswith("internal error:")
+    assert "Traceback" not in captured.err
 
 
 def test_cech_command_known_value(capsys, monkeypatch):

@@ -17,6 +17,7 @@ from cmkit import (
     rank,
     solve_affine,
 )
+from cmkit.linalg import RATIONAL, _rref
 from conftest import rand_matrix
 
 
@@ -204,3 +205,128 @@ def test_complex_matmul_unchanged_entry_for_entry():
         assert [repr(x) for x in (left @ right).entries] == [
             repr(x) for x in _complex_loop_product(left, right).entries
         ]
+
+
+def _reference_rref(rows, field):
+    """Reference oracle: the entry-for-entry Gauss-Jordan loop ``_rref`` ran in both fields
+    before rational elimination became fraction-free."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        if pr >= nrows:
+            break
+        choice = -1
+        if field.is_rational:
+            choice = next((r for r in range(pr, nrows) if rows[r][pc] != 0), -1)
+        else:
+            best = field.tolerance
+            for r in range(pr, nrows):
+                if abs(rows[r][pc]) > best:
+                    best, choice = abs(rows[r][pc]), r
+        if choice < 0:
+            continue
+        if choice != pr:
+            rows[pr], rows[choice] = rows[choice], rows[pr]
+        prow = rows[pr]
+        inv = 1 / prow[pc]
+        if inv != 1:
+            for c in range(pc, ncols):
+                if prow[c] != 0:
+                    prow[c] = prow[c] * inv
+        prow[pc] = field.one
+        nz_cols = [c for c in range(pc + 1, ncols) if prow[c] != 0]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            f = rows[r][pc]
+            if field.is_zero(f):
+                rows[r][pc] = field.zero
+                continue
+            rr = rows[r]
+            for c in nz_cols:
+                rr[c] = rr[c] - f * prow[c]
+            rr[pc] = field.zero
+        pivots.append(pc)
+        pr += 1
+    return rows, pivots
+
+
+@st.composite
+def _rational_rows(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["mixed", "integer", "zero"]))
+    if kind == "zero":
+        entry = st.just(Fraction(0))
+    elif kind == "integer":
+        entry = st.integers(-(10**12), 10**12).map(Fraction)
+    else:
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from(_DENOMINATORS)),
+        )
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):  # rank-deficient: a combination of two other rows
+        c = draw(entry)
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    if ncols and draw(st.booleans()):
+        k = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[k] = Fraction(0)
+    return nrows, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_integer_rref_matches_fraction_gauss_jordan(shaped):
+    nrows, ncols, rows = shaped
+    expected, expected_pivots = _reference_rref([list(r) for r in rows], RATIONAL)
+    got, pivots = _rref([list(r) for r in rows], RATIONAL)
+    assert (got, pivots) == (expected, expected_pivots)
+    assert all(type(x) is Fraction for row in got for x in row)
+    untouched = [list(r) for r in rows]
+    assert _rref(untouched, RATIONAL, write_back=False)[1] == expected_pivots and untouched == rows
+
+    a = Matrix(nrows, ncols, tuple(x for row in rows for x in row))
+    assert rank(a) == len(expected_pivots)
+    assert len(kernel_basis(a)) == ncols - len(expected_pivots)
+    if ncols:  # the last column as the right-hand side of the other columns
+        a_part = Matrix(nrows, ncols - 1, tuple(x for row in rows for x in row[:-1]))
+        sol = solve_affine(a_part, Matrix(nrows, 1, tuple(row[-1] for row in rows)))
+        if ncols - 1 in expected_pivots:
+            assert sol is None
+        else:
+            x = [Fraction(0)] * (ncols - 1)
+            for k, p in enumerate(expected_pivots):
+                x[p] = expected[k][-1]
+            assert sol.particular.entries == tuple(x)
+    if a.rows == a.cols:
+        n = a.rows
+        aug, aug_pivots = _reference_rref(
+            [list(row) + [Fraction(int(k == i)) for k in range(n)] for i, row in enumerate(rows)], RATIONAL
+        )
+        if aug_pivots == list(range(n)):
+            inv = a.inverse()
+            assert inv.entries == tuple(aug[i][n + k] for i in range(n) for k in range(n))
+            assert all(type(x) is Fraction for x in inv.entries)
+        else:
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+
+
+def test_complex_rref_unchanged_entry_for_entry():
+    field = complex_field(1e-9)
+    rows = [
+        [complex(-0.0, 0.0), 1.5 - 2j, complex(0.0, -0.0), 1e-12 + 0j, 0.3 + 0.1j],
+        [1e-300 + 0j, -3.25j, complex(-1.0, -0.0), 2 + 0j, complex(-0.0, 1.0)],
+        [0.1 + 0.2j, complex(0.0, -1e-17), 7 - 0j, -2.5 + 1j, 1e3 + 1e-300j],
+        [0.2 + 0.4j, complex(0.0, -2e-17), 14 - 0j, -5 + 2j, 2e3 + 2e-300j],
+    ]
+    for block in (rows, [r[:3] for r in rows], [list(r) for r in zip(*rows)]):
+        expected = _reference_rref([list(r) for r in block], field)
+        got = _rref([list(r) for r in block], field)
+        assert repr(got) == repr(expected)
+
