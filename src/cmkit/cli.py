@@ -18,6 +18,7 @@ per-line status.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -155,12 +156,12 @@ def _cmd_fiber_solve(data, args):
 def _cmd_classify(data, args):
     fs = sheaf_from_json(data, default_field=_default_field(args))
     ends = moduli.endomorphisms(fs)
-    report = moduli.cm_support_check(fs)
+    report = moduli.cm_support_check(fs, ends)
     if fs.field.is_rational:
         factors = moduli.support(fs)
         sup = [{"factor": factor_str(coeffs), "coeffs": [str(c) for c in coeffs], "multiplicity": m}
                for coeffs, m in factors]
-        indec = moduli.is_indecomposable(fs, factors)
+        indec = moduli.is_indecomposable(fs, factors, ends)
     else:
         sup = [{"root": [z.real, z.imag], "multiplicity": m} for z, m in moduli.support(fs)]
         indec = INCONCLUSIVE
@@ -202,6 +203,9 @@ _HANDLERS = {
 }
 
 
+# Building the parser costs far more than parsing with it, and parse_args keeps
+# no state in it, so one parser serves every call of main in a process.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmkit",

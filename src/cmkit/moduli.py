@@ -4,8 +4,13 @@ A pair (X, i) with X n x n and i n x r models a length-n torsion sheaf
 Q = coker(x - X) on the line together with a framing map with matrix i.
 Morphisms of framed pairs are pairs (s, g) with g X = X g and g i = i s;
 the sheaf is indecomposable exactly when this endomorphism algebra is local.
-The support of the CM family over these pairs is probed by the linear fiber
-solve from :mod:`cmkit.koszul`.
+
+One kernel basis of the End system answers both structural questions.  The
+CM fiber over (X, i) is a torsor whose only obstruction is a trace, and the
+obstruction space is the part of End with s = 0 (:func:`cm_support_check`).
+The radical of End is the kernel of the trace form of the faithful
+representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).  Without
+a basis, :func:`cm_support_check` solves the fiber with :mod:`cmkit.koszul`.
 """
 
 from __future__ import annotations
@@ -141,67 +146,59 @@ def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
 
     Unknowns are vectorized g column-major then s row-major, so the returned
     basis is deterministic.  The algebra is unital and closed under the
-    componentwise composition (s, g)(s', g') = (s s', g g').
+    componentwise composition (s, g)(s', g') = (s s', g g').  In rational
+    mode every basis element is checked against both defining equations.
     """
     out = []
     for v in kernel_basis(_end_system(fs)):
         g, s = unvec(v, fs.n, fs.r, fs.r)
         out.append((s, g))
+    X, i = fs.X, fs.i
+    if fs.field.is_rational and any(g @ X != X @ g or g @ i != i @ s for s, g in out):
+        raise AssertionError("endomorphism basis element fails g X = X g or g i = i s")
     return out
 
 
-def _end_coords(supports: list[list[tuple[int, Fraction]]], target: list) -> list:
-    """Coordinates of ``target`` in a kernel basis given by each vector's nonzero (index, entry).
+def _faithful_trace_form(fs: FramedTorsionSheaf, ends: list[tuple[Matrix, Matrix]]) -> Matrix:
+    """The form tr(g_a g_b) + tr(s_a s_b) on an End basis, as one matrix product.
 
-    A kernel basis from an RREF ends each vector in a 1 at its own free
-    column, where every other basis vector is zero, so the coordinates are
-    the entries of ``target`` at those columns.  The recombination must give
-    ``target`` back, or it lies outside the span.
+    Row a lists g_a and the transpose of s_a row-major; column b is vec(g_b, s_b),
+    which lists g_b column-major and s_b row-major.
     """
-    coords = [target[sup[-1][0]] for sup in supports]
-    recon = [0] * len(target)
-    for c, sup in zip(coords, supports):
-        if c != 0:
-            for t, x in sup:
-                recon[t] += c * x
-    if recon != target:
-        raise AssertionError("endomorphism product escaped the algebra")
-    return coords
+    m, width = len(ends), fs.n * fs.n + fs.r * fs.r
+    left = tuple(x for s, g in ends for x in (*g.entries, *s.transpose().entries))
+    cols = [vec(g, s) for s, g in ends]
+    right = tuple(c[k] for k in range(width) for c in cols)
+    return Matrix(m, width, left, fs.field) @ Matrix(width, m, right, fs.field)
 
 
-def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
-    """Trace form tr(L_a L_b) of the regular representation L of End on its kernel basis.
-
-    The product table holds the coordinates of each e_a e_b.  Since L is a
-    representation, tr(L_a L_b) = tr(L_{e_a e_b}) = sum_c (e_a e_b)_c tr(L_c),
-    and tr(L_c) is the sum of the coordinates (e_c e_t)_t, so the form takes
-    O(m^3) scalar products and no m x m matrix.
-    """
-    kern = kernel_basis(_end_system(fs))
-    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
-    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
-    table = [[_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis] for g_a, s_a in basis]
-    traces = [sum(row[t][t] for t in range(len(basis))) for row in table]
-    return Matrix.from_rows(
-        [[sum(x * tr for x, tr in zip(coords, traces) if x) for coords in row] for row in table], fs.field
-    )
-
-
-def is_indecomposable(fs: FramedTorsionSheaf, factors=None):
+def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     """Locality test for the endomorphism algebra of (X, i).
 
-    In characteristic zero the radical of a finite-dimensional associative
-    algebra is the kernel of the trace form of the regular representation.
+    In characteristic zero the radical of a finite-dimensional algebra A is
+    the kernel of the trace form tr_V(ab) of any faithful representation V,
+    not only the regular one (Dickson's criterion, as used by Friedl and
+    Ronyai, STOC 1985).  Nilpotent ideals have traceless products, so the
+    radical lies in the kernel.  Every simple module of A occurs in V, or a
+    lifted block idempotent would act nilpotently on the faithful V; so on
+    each simple block of A / rad the form is a positive multiple of the
+    reduced trace form, which is nondegenerate.  Hence rank tr_V = dim A/rad.
+    Here V carries (s, g) |-> diag(g, s), so the form is
+    tr(g_a g_b) + tr(s_a s_b), one product of an m x (n^2 + r^2) and an
+    (n^2 + r^2) x m matrix.
+
     The sheaf is declared indecomposable iff dim(End / radical) = 1.  When
     the quotient has dimension > 1 but char_poly(X) does not split over the
     rationals, the quotient may be a field hiding a geometric decomposition,
     so the answer is ``INCONCLUSIVE`` rather than a guess.  Exact mode only.
-    ``factors`` is ``support(fs)`` when the caller already has it; otherwise
-    it is computed when needed.
+    ``factors`` is ``support(fs)`` and ``ends`` is ``endomorphisms(fs)`` when
+    the caller already has them; otherwise they are computed when needed.
     """
     if not fs.field.is_rational:
         raise ValueError("is_indecomposable requires the exact rational field")
-    semisimple_dim = rank(_trace_form(fs))
+    if ends is None:
+        ends = endomorphisms(fs)
+    semisimple_dim = rank(_faithful_trace_form(fs, ends))
     if semisimple_dim == 1:
         return True
     if factors is None:
@@ -218,9 +215,31 @@ class SupportReport:
     fiber_dim: int | None
 
 
-def cm_support_check(fs: FramedTorsionSheaf) -> SupportReport:
-    """Feasibility and affine dimension of the CM fiber over (X, i)."""
-    sol = solve_cm_fiber(fs.X, fs.i)
-    if sol is None:
+def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
+    """Feasibility and affine dimension of the CM fiber over (X, i).
+
+    The fiber is the solution set of L(Y, j) = -I, where
+    L(Y, j) = X Y - Y X - i j maps gl_n + Hom(C^n, C^r) to gl_n.  Under the
+    trace pairing the adjoint of L is Z |-> (Z X - X Z, Z i), so coker L is
+    dual to the space of Z with [Z, X] = 0 and Z i = 0: exactly the End
+    elements (s, g) = (0, Z).  The fiber is nonempty iff tr Z = 0 on that
+    space, and then it has dimension n r + dim{Z}.
+
+    Given an End basis ``ends`` = [(s_a, g_a)] with m elements, let S be the
+    m x r^2 matrix of the s_a and t the column of tr g_a.  The Z are the
+    combinations with sum c_a s_a = 0, so the fiber is nonempty iff
+    rank(S | t) = rank(S), and its dimension is n r + m - rank(S).  Without
+    ``ends`` the fiber is solved directly.
+    """
+    if ends is None:
+        sol = solve_cm_fiber(fs.X, fs.i)
+        if sol is None:
+            return SupportReport(False, None)
+        return SupportReport(True, sol.dimension)
+    m, r2 = len(ends), fs.r * fs.r
+    s_part = Matrix(m, r2, tuple(x for s, _ in ends for x in s.entries), fs.field)
+    s_rank = rank(s_part)
+    with_trace = s_part.hstack(Matrix(m, 1, tuple(g.trace() for _, g in ends), fs.field))
+    if rank(with_trace) != s_rank:
         return SupportReport(False, None)
-    return SupportReport(True, sol.dimension)
+    return SupportReport(True, fs.n * fs.r + m - s_rank)

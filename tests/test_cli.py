@@ -210,6 +210,43 @@ def test_unexpected_exception_is_one_error_report_per_line(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_corrupted_end_basis_is_internal_error(capsys, monkeypatch):
+    kernel_basis = moduli.kernel_basis
+
+    def corrupted(a):
+        basis = kernel_basis(a)
+        v = basis[0]
+        # shift s, the last unknown: g i = i s then fails since i != 0
+        basis[0] = cmkit.Matrix(v.rows, v.cols, v.entries[:-1] + (v.entries[-1] + 1,), v.field)
+        return basis
+
+    monkeypatch.setattr(moduli, "kernel_basis", corrupted)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(SCALAR_SHEAF).encode()), encoding="utf-8"))
+    code = main(["classify"])
+    captured = capsys.readouterr()
+    [rep] = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == ["internal error: AssertionError: endomorphism basis element fails g X = X g or g i = i s"]
+    assert "Traceback" not in captured.err
+
+
+def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
+    # no "field" key, so --field decides; integer entries parse in both fields
+    sheaf = json.dumps({"n": 2, "r": 1, "X": [[0, 1], [0, 0]], "i": [[1], [0]]})
+    argvs = [["classify", "--field", "complex"], ["classify"], ["cech", "--twist", "1", "--cutoff", "6"],
+             ["classify", "--tolerance", "-1"]]
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in argvs:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(sheaf.encode()), encoding="utf-8"))
+        code = main(argv)
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=sheaf, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+    assert code == 2 and json.loads(out)["messages"][0].startswith("tolerance:")
+
+
 def test_cech_command_known_value(capsys, monkeypatch):
     code, [rep] = _run(["cech", "--twist", "-2", "--cutoff", "6"], "", capsys, monkeypatch)
     assert code == 0

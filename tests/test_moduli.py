@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmkit import (
     FramedTorsionSheaf,
@@ -16,6 +17,7 @@ from cmkit import (
     factor_str,
     framing_surjective,
     is_indecomposable,
+    rank,
     solve_affine,
     support,
 )
@@ -318,9 +320,48 @@ def test_end_system_matches_unit_probing(field_name, conjugated, r):
     assert _end_system(fs) == _probed_end_system(fs)
 
 
+def _end_coords(supports: list[list[tuple[int, Fraction]]], target: list) -> list:
+    """Reference oracle: coordinates of ``target`` in a kernel basis given by each vector's nonzero (index, entry).
+
+    A kernel basis from an RREF ends each vector in a 1 at its own free
+    column, where every other basis vector is zero, so the coordinates are
+    the entries of ``target`` at those columns.  The recombination must give
+    ``target`` back, or it lies outside the span.
+    """
+    coords = [target[sup[-1][0]] for sup in supports]
+    recon = [0] * len(target)
+    for c, sup in zip(coords, supports):
+        if c != 0:
+            for t, x in sup:
+                recon[t] += c * x
+    if recon != target:
+        raise AssertionError("endomorphism product escaped the algebra")
+    return coords
+
+
+def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
+    """Reference oracle: trace form tr(L_a L_b) of the regular representation L of End.
+
+    The product table holds the coordinates of each e_a e_b.  Since L is a
+    representation, tr(L_a L_b) = tr(L_{e_a e_b}) = sum_c (e_a e_b)_c tr(L_c),
+    and tr(L_c) is the sum of the coordinates (e_c e_t)_t.
+    """
+    from cmkit.linalg import kernel_basis, unvec, vec
+    from cmkit.moduli import _end_system
+
+    kern = kernel_basis(_end_system(fs))
+    basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
+    table = [[_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis] for g_a, s_a in basis]
+    traces = [sum(row[t][t] for t in range(len(basis))) for row in table]
+    return Matrix.from_rows(
+        [[sum(x * tr for x, tr in zip(coords, traces) if x) for coords in row] for row in table], fs.field
+    )
+
+
 def test_end_coords_reject_vector_outside_span():
     from cmkit.linalg import kernel_basis, vec
-    from cmkit.moduli import _end_coords, _end_system
+    from cmkit.moduli import _end_system
 
     fs = FramedTorsionSheaf(DIAG01, Matrix.column([1, 0]))
     supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kernel_basis(_end_system(fs))]
@@ -334,7 +375,7 @@ def test_end_coords_reject_vector_outside_span():
 def _left_matrix_trace_form(fs: FramedTorsionSheaf) -> Matrix:
     """Reference oracle: tr(L_a L_b) from the left-multiplication matrices L_a of End."""
     from cmkit.linalg import kernel_basis, unvec, vec
-    from cmkit.moduli import _end_coords, _end_system
+    from cmkit.moduli import _end_system
 
     kern = kernel_basis(_end_system(fs))
     m = len(kern)
@@ -375,7 +416,61 @@ def _nonsplit_sheaf() -> FramedTorsionSheaf:
     ids=["scalar-n3", "scalar-n4", "diagonal-cyclic-n3", "diagonal-cyclic-n5", "nonsplit"],
 )
 def test_trace_form_matches_left_matrix_oracle(fs, answer):
-    from cmkit.moduli import _trace_form
-
     assert _trace_form(fs) == _left_matrix_trace_form(fs)
     assert is_indecomposable(fs) == answer
+
+
+@st.composite
+def _sheaves(draw, field_name: str) -> FramedTorsionSheaf:
+    """Sheaves with n <= 5, r <= 3 and X scalar, Jordan, rotation-block, random or sparse."""
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["scalar", "jordan", "rotation", "random", "sparse"]))
+    small = st.integers(-2, 2)
+    X = [[0] * n for _ in range(n)]
+    if kind == "scalar":
+        c = draw(small)
+        for k in range(n):
+            X[k][k] = c
+    elif kind == "jordan":
+        # few distinct eigenvalues, so chains of equal ones are common
+        for k in range(n):
+            X[k][k] = draw(st.integers(0, 1))
+            if k + 1 < n and draw(st.booleans()):
+                X[k][k + 1] = 1
+    elif kind == "rotation":
+        for k in range(0, n - 1, 2):
+            a, b = draw(small), draw(st.integers(1, 2))
+            X[k][k], X[k][k + 1], X[k + 1][k], X[k + 1][k + 1] = a, -b, b, a
+        if n % 2:
+            X[n - 1][n - 1] = draw(small)
+    else:
+        entries = small if kind == "random" else st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+        X = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    i = [[draw(st.sampled_from([0, 0, 1, -1, 2])) for _ in range(r)] for _ in range(n)]
+    if draw(st.booleans()):
+        # conjugate by a unit upper triangular integer u: u X u^-1, u i
+        u = Matrix.from_rows([[1 if k == l else draw(st.integers(-1, 1)) if l > k else 0 for l in range(n)]
+                              for k in range(n)])
+        X, i = (u @ Matrix.from_rows(X) @ u.inverse()).to_rows(), (u @ Matrix.from_rows(i)).to_rows()
+    if field_name == "complex":
+        field = complex_field()
+        scale = draw(st.sampled_from([1, 1j, 1 - 2j]))
+        X = Matrix.from_rows([[complex(v) * scale for v in row] for row in X], field)
+        return FramedTorsionSheaf(X, Matrix.from_rows([[complex(v) for v in row] for row in i], field))
+    return FramedTorsionSheaf(Matrix.from_rows(X), Matrix.from_rows(i))
+
+
+@pytest.mark.parametrize("field_name", ["rational", "complex"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cm_support_by_duality_matches_fiber_solve(field_name, data):
+    fs = data.draw(_sheaves(field_name))
+    assert cm_support_check(fs, endomorphisms(fs)) == cm_support_check(fs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sheaves("rational"))
+def test_faithful_trace_form_rank_matches_regular(fs):
+    from cmkit.moduli import _faithful_trace_form
+
+    assert rank(_faithful_trace_form(fs, endomorphisms(fs))) == rank(_trace_form(fs))
