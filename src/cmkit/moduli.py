@@ -9,8 +9,7 @@ One kernel basis of the End system answers both structural questions.  The
 CM fiber over (X, i) is a torsor whose only obstruction is a trace, and the
 obstruction space is the part of End with s = 0 (:func:`cm_support_check`).
 The radical of End is the kernel of the trace form of the faithful
-representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).  Without
-a basis, :func:`cm_support_check` solves the fiber with :mod:`cmkit.koszul`.
+representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .linalg import (  # solve_affine is unused here but bench/spans.py wraps mo
     vec,
 )
 from .adhm import _closure_rank
-from .koszul import solve_cm_fiber
+from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
 
 INCONCLUSIVE = "inconclusive"
 
@@ -228,14 +227,11 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
     Given an End basis ``ends`` = [(s_a, g_a)] with m elements, let S be the
     m x r^2 matrix of the s_a and t the column of tr g_a.  The Z are the
     combinations with sum c_a s_a = 0, so the fiber is nonempty iff
-    rank(S | t) = rank(S), and its dimension is n r + m - rank(S).  Without
-    ``ends`` the fiber is solved directly.
+    rank(S | t) = rank(S), and its dimension is n r + m - rank(S).
+    ``ends`` is ``endomorphisms(fs)`` when the caller already has it.
     """
     if ends is None:
-        sol = solve_cm_fiber(fs.X, fs.i)
-        if sol is None:
-            return SupportReport(False, None)
-        return SupportReport(True, sol.dimension)
+        ends = endomorphisms(fs)
     m, r2 = len(ends), fs.r * fs.r
     s_part = Matrix(m, r2, tuple(x for s, _ in ends for x in s.entries), fs.field)
     s_rank = rank(s_part)
