@@ -20,8 +20,11 @@ from .linalg import (
     Field,
     Matrix,
     ShapeError,
+    _closure_rank,
     commutator,
+    format_terms,
     kernel_basis,
+    power,
     rank,
 )
 
@@ -82,62 +85,14 @@ def conjugate(q: CMQuadruple, g: Matrix) -> CMQuadruple:
     return CMQuadruple(g @ q.X @ ginv, g @ q.Y @ ginv, g @ q.i, q.j @ ginv)
 
 
-class _SpanTracker:
-    """Incremental row space: echelonized basis with exact pivot bookkeeping."""
-
-    def __init__(self, dim: int, field: Field) -> None:
-        self.dim = dim
-        self.field = field
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: list) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if not self.field.is_zero(f):
-                for c in range(self.dim):
-                    if row[c] != 0:
-                        v[c] = v[c] - f * row[c]
-        for p in range(self.dim):
-            if not self.field.is_zero(v[p]):
-                inv = 1 / v[p]
-                v = [inv * a for a in v]
-                v[p] = self.field.one
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _closure_rank(seed_columns: list[list], operators: list[Matrix], n: int, field: Field) -> int:
-    """Rank of the smallest operator-invariant subspace containing the seeds."""
-    tracker = _SpanTracker(n, field)
-    frontier = []
-    for v in seed_columns:
-        if tracker.add(v):
-            frontier.append(v)
-    for _ in range(n):
-        if tracker.rank == n or not frontier:
-            break
-        new_frontier = []
-        for op in operators:
-            for v in frontier:
-                w = [sum((op[a, b] * v[b] for b in range(n)), field.zero) for a in range(n)]
-                if tracker.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return tracker.rank
-
-
 def is_stable(q: CMQuadruple) -> bool:
     """True iff the columns of i generate the whole space under X and Y."""
-    seeds = [list(q.i.col(k)) for k in range(q.r)]
-    return _closure_rank(seeds, [q.X, q.Y], q.n, q.field) == q.n
+    return _closure_rank(q.i, [q.X, q.Y]) == q.n
+
+
+# There are 2^(L+1) - 1 words of length <= L, each one n x n product, so the
+# work and the report double with every step of the cutoff.
+MAX_WORD_LEN = 10
 
 
 def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
@@ -145,10 +100,13 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
 
     Traces run over words of length 1..max_len, pairings over 0..max_len
     (the empty word gives tr(j i)).  Labels are ``tr(W)`` and ``j·W·i``; the
-    separating power of a fixed cutoff is heuristic.
+    separating power of a fixed cutoff is heuristic.  ``max_len`` above
+    :data:`MAX_WORD_LEN` is refused with ``ValueError``.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if max_len > MAX_WORD_LEN:
+        raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
     letters = {"X": q.X, "Y": q.Y}
     traces: list[tuple[str, object]] = []
     pairings: list[tuple[str, object]] = []
@@ -183,20 +141,9 @@ class HilbertIdeal:
 
 
 def poly_str(poly: dict[tuple[int, int], object]) -> str:
-    parts = []
-    for (a, b), c in sorted(poly.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0])):
-        mono = "".join(
-            [f"x^{a}" if a > 1 else "x" if a == 1 else "",
-             f"y^{b}" if b > 1 else "y" if b == 1 else ""]
-        ) or "1"
-        if c == 1 and mono != "1":
-            parts.append(mono)
-        elif c == -1 and mono != "1":
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}" if mono == "1" else f"{c}{mono}")
-    out = " + ".join(parts).replace("+ -", "- ")
-    return out or "0"
+    """The polynomial sum c x^a y^b, graded by a + b and then by descending a."""
+    terms = sorted(poly.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
+    return format_terms((c, power("x", a) + power("y", b)) for (a, b), c in terms)
 
 
 def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIdeal:

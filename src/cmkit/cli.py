@@ -213,9 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, needs_input: bool, **extra) -> argparse.ArgumentParser:
+    def add(name: str, **extra) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **extra)
-        if needs_input:
+        if _HANDLERS[name][1]:  # the command reads a JSON input
             p.add_argument("--input", help="path to a JSON input (default: stdin)")
             p.add_argument("--batch", action="store_true", help="newline-delimited JSON inputs")
             p.add_argument("--field", choices=["rational", "complex"], default="rational",
@@ -224,22 +224,22 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comparison tolerance (complex field only)")
         return p
 
-    add("verify", True, help="check the CM relation and report both moment conventions")
-    p = add("moment", True, help="evaluate a moment-map convention")
+    add("verify", help="check the CM relation and report both moment conventions")
+    p = add("moment", help="evaluate a moment-map convention")
     p.add_argument("--convention", choices=["std", "cm"], default="std")
-    p = add("invariants", True, help="trace and pairing invariants of words in X, Y")
+    p = add("invariants", help="trace and pairing invariants of words in X, Y")
     p.add_argument("--max-len", type=int, default=3, dest="max_len")
-    p = add("hilbert-ideal", True, help="ideal of the point configuration of a commuting stable pair")
+    p = add("hilbert-ideal", help="ideal of the point configuration of a commuting stable pair")
     p.add_argument("--degree", type=int, default=None)
-    p = add("sample", False, help="reproducible random CM point")
+    p = add("sample", help="reproducible random CM point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add("normalize", True, help="unique CM quadruple homotopic to a Koszul triple")
-    p = add("homotopy", True, help="act on a Koszul triple by a polynomial homotopy")
+    add("normalize", help="unique CM quadruple homotopic to a Koszul triple")
+    p = add("homotopy", help="act on a Koszul triple by a polynomial homotopy")
     p.add_argument("--h", required=True, help="path to a covector JSON file {\"coeffs\": [...]}")
-    add("fiber-solve", True, help="solve the CM fiber over a framed sheaf (X, i)")
-    add("classify", True, help="support, endomorphisms, indecomposability, CM support")
-    p = add("cech", False, help="graded cohomology ranks of the twisted difference complex")
+    add("fiber-solve", help="solve the CM fiber over a framed sheaf (X, i)")
+    add("classify", help="support, endomorphisms, indecomposability, CM support")
+    p = add("cech", help="graded cohomology ranks of the twisted difference complex")
     p.add_argument("--twist", type=int, required=True)
     p.add_argument("--cutoff", type=int, required=True)
     return parser

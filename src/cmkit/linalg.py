@@ -18,12 +18,19 @@ column-major, then F row-major.  Each matrix equation contributes its entries
 as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
 a term +-(Z |-> A Z B) straight into such a system, and ``unvec`` reads a
 solution vector back into its two blocks.
+
+``_closure_rank`` (the dimension of the operator-invariant span of some
+seed columns, for stability and framing surjectivity) also runs on
+``_rref``, which is the one elimination routine of the package.
+``format_terms`` and ``power`` are the one monomial printer, shared by the
+polynomial, factor and Weyl-algebra formatters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -404,6 +411,27 @@ def rank(a: Matrix) -> int:
     return len(pivots)
 
 
+def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
+    """Dimension of the smallest subspace containing the columns of ``seeds`` and invariant under ``operators``.
+
+    Each round puts the frontier after the columns kept so far and keeps the
+    new pivot columns of their RREF, which are the frontier columns
+    independent of all columns before them (the kept columns are
+    independent, so they are the first pivots).  The next frontier is every
+    operator applied to those, ``[op_1 @ new | op_2 @ new | ...]``.
+    """
+    n, field = seeds.rows, seeds.field
+    kept, frontier = Matrix(n, 0, (), field), seeds
+    while frontier.cols and kept.cols < n:
+        block = kept.hstack(frontier)
+        _, pivots = _rref(block.to_rows(), field, write_back=False)
+        cols = pivots[kept.cols :]
+        new = Matrix(n, len(cols), tuple(block.entries[i * block.cols + c] for i in range(n) for c in cols), field)
+        kept = kept.hstack(new)
+        frontier = reduce(Matrix.hstack, [op @ new for op in operators])
+    return kept.cols
+
+
 def _kernel_from_rref(rows: list[list[Scalar]], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -495,6 +523,30 @@ def add_sandwich(
                 flat[idx] -= x * y
             else:
                 flat[idx] += x * y
+
+
+def power(var: str, k: int) -> str:
+    """The monomial ``var^k``: ``""`` for k = 0, ``var`` for k = 1."""
+    return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+
+def format_terms(terms: Iterable[tuple[object, str]], sep: str = "") -> str:
+    """Print a sum of (coefficient, monomial) pairs in the order given; ``""`` is the constant monomial.
+
+    A coefficient of +-1 is dropped before a monomial, any other coefficient
+    is joined to it by ``sep``; "+ -" is printed as "- ", and the empty sum as "0".
+    """
+    parts = []
+    for c, mono in terms:
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}{sep}{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def char_poly(a: Matrix) -> list[Scalar]:

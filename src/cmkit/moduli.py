@@ -21,15 +21,17 @@ from .linalg import (  # solve_affine is unused here but bench/spans.py wraps mo
     Field,
     Matrix,
     ShapeError,
+    _closure_rank,
     add_sandwich,
     char_poly,
+    format_terms,
     kernel_basis,
+    power,
     rank,
     solve_affine,
     unvec,
     vec,
 )
-from .adhm import _closure_rank
 from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
 
 INCONCLUSIVE = "inconclusive"
@@ -105,25 +107,13 @@ def support(fs: FramedTorsionSheaf):
 
 
 def factor_str(coeffs: tuple[Fraction, ...]) -> str:
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mono = f"x^{k}" if k > 1 else "x" if k == 1 else "1"
-        if c == 1 and k > 0:
-            parts.append(mono)
-        elif c == -1 and k > 0:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}" if k == 0 else f"{c}{mono}")
-    return " + ".join(parts).replace("+ -", "- ") or "0"
+    """The polynomial with ascending coefficients ``coeffs``, highest degree first, zero terms left out."""
+    return format_terms(reversed([(c, power("x", k)) for k, c in enumerate(coeffs) if c != 0]))
 
 
 def framing_surjective(fs: FramedTorsionSheaf) -> bool:
     """True iff the columns of i generate the space under X alone."""
-    seeds = [list(fs.i.col(k)) for k in range(fs.r)]
-    return _closure_rank(seeds, [fs.X], fs.n, fs.field) == fs.n
+    return _closure_rank(fs.i, [fs.X]) == fs.n
 
 
 def _end_system(fs: FramedTorsionSheaf) -> Matrix:

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, perm
 from typing import Iterable, Mapping, NamedTuple
 
+from .linalg import format_terms, power
 from .linalg import rank  # noqa: F401  (bench/spans.py wraps weyl.rank)
 
 TermKey = tuple[int, int]  # (x power, d power)
@@ -41,23 +43,8 @@ def _clean(terms: Mapping[TermKey, Fraction]) -> tuple[tuple[TermKey, Fraction],
 
 
 def _gbinom(b: int, k: int) -> int:
-    """Generalized binomial coefficient b(b-1)...(b-k+1)/k!; exact for int b."""
-    num = 1
-    for t in range(k):
-        num *= b - t
-    den = 1
-    for t in range(2, k + 1):
-        den *= t
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
-
-
-def _falling(c: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= c - t
-    return out
+    """Generalized binomial coefficient b(b-1)...(b-k+1)/k!; for b < 0 it is (-1)^k binom(k - b - 1, k)."""
+    return comb(b, k) if b >= 0 else (-1) ** k * comb(k - b - 1, k)
 
 
 def _normal_order_product(
@@ -68,12 +55,18 @@ def _normal_order_product(
         for (a2, b2), c2 in v:
             coeff = c1 * c2
             for k in range(a2 + 1):
-                w = coeff * _gbinom(b1, k) * _falling(a2, k)
+                w = coeff * _gbinom(b1, k) * perm(a2, k)
                 if w == 0:
                     continue
                 key = (a1 + a2 - k, b1 + b2 - k)
                 out[key] = out.get(key, Fraction(0)) + w
     return out
+
+
+def _terms_str(terms: Iterable[tuple[TermKey, Fraction]]) -> str:
+    """Terms c x^a ∂^b printed by descending ∂ power, then descending x power."""
+    ordered = sorted(terms, key=lambda t: (-t[0][1], -t[0][0]))
+    return format_terms(((c, power("x", a) + power("∂", b)) for (a, b), c in ordered), "·")
 
 
 @dataclass(frozen=True)
@@ -117,23 +110,7 @@ class WeylElement:
         return weyl_mul(self, other)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), c in sorted(self.terms, key=lambda t: (-t[0][1], -t[0][0])):
-            mono = "".join(
-                [f"x^{a}" if a not in (0, 1) else "x" if a == 1 else "",
-                 f"∂^{b}" if b not in (0, 1) else "∂" if b == 1 else ""]
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}·{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _terms_str(self.terms)
 
 
 def weyl_element(terms: Mapping[TermKey, object]) -> WeylElement:
@@ -241,8 +218,7 @@ class MicrolocalElement:
         return micro_mul(self, other)
 
     def __str__(self) -> str:
-        body = str(WeylElement(self.terms)) if self.terms else "0"
-        # WeylElement.__str__ tolerates negative d powers; reuse its formatting.
+        body = _terms_str(self.terms)
         if self.floor is not None:
             return f"{body} + O(∂^{self.floor - 1})"
         return body

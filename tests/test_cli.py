@@ -372,3 +372,39 @@ def test_bad_tolerance_flag_is_schema_error(flag, capsys, monkeypatch):
     code, [rep] = _run(["verify", "--field", "complex", "--tolerance", flag],
                        json.dumps({k: v for k, v in FLAGSHIP.items() if k != "field"}), capsys, monkeypatch)
     assert code == 2 and rep["messages"][0].startswith("tolerance:")
+
+
+def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
+    from cmkit.adhm import MAX_WORD_LEN
+
+    argv = ["invariants", "--max-len", str(MAX_WORD_LEN + 1)]
+    code, [rep] = _run(argv, json.dumps(FLAGSHIP), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"max_len must be <= {MAX_WORD_LEN}, got {MAX_WORD_LEN + 1}"]
+
+
+# One small report (n <= 4) per command in the rational field, and one in the
+# complex field for every command that reads an input except classify, whose
+# np.roots digits may differ between numpy versions.  Each line holds the
+# argv, the stdin document, the ``--h`` document of homotopy, and the exit
+# code and stdout recorded before the monomial printers were merged into
+# linalg.format_terms.
+_GOLDEN = [json.loads(line) for line in
+           (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
+
+
+def _golden_id(case) -> str:
+    field = json.loads(case["input"])["field"] if case["input"] else "no-input"
+    return f"{case['argv'][0]}-{field}"
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[_golden_id(c) for c in _GOLDEN])
+def test_golden_reports_byte_identical(case, tmp_path, capsys, monkeypatch):
+    argv = list(case["argv"])
+    if case["h"] is not None:
+        path = tmp_path / "h.json"
+        path.write_text(case["h"])
+        argv += ["--h", str(path)]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((case["input"] or "").encode()), encoding="utf-8"))
+    assert main(argv) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]

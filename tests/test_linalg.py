@@ -17,7 +17,9 @@ from cmkit import (
     rank,
     solve_affine,
 )
-from cmkit.linalg import RATIONAL, _rref
+from cmkit import factor_str, poly_str
+from cmkit.linalg import RATIONAL, _closure_rank, _rref
+from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_matrix
 
 
@@ -330,3 +332,79 @@ def test_complex_rref_unchanged_entry_for_entry():
         got = _rref([list(r) for r in block], field)
         assert repr(got) == repr(expected)
 
+
+
+@st.composite
+def _closure_inputs(draw):
+    """Seeds (n x r) and 1-2 operators, n <= 4 and r <= 3: scalar, nilpotent, sparse or dense."""
+    field = draw(st.sampled_from([RATIONAL, complex_field()]))
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    nonzero = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
+
+    def square(kind):
+        if kind == "scalar":
+            c = draw(nonzero)
+            return [[c if a == b else 0 for b in range(n)] for a in range(n)]
+        entry = sparse if kind == "sparse" else nonzero
+        return [[draw(entry) if kind != "nilpotent" or b > a else 0 for b in range(n)] for a in range(n)]
+
+    kinds = draw(st.lists(st.sampled_from(["scalar", "nilpotent", "sparse", "dense"]), min_size=1, max_size=2))
+    ops = [Matrix.from_rows(square(kind), field) for kind in kinds]
+    seed_entry = draw(st.sampled_from([sparse, nonzero]))
+    seeds = Matrix.from_rows([[draw(seed_entry) for _ in range(r)] for _ in range(n)], field)
+    return seeds, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closure_inputs())
+def test_closure_rank_is_rank_of_word_matrix(inputs):
+    seeds, ops = inputs
+    n = seeds.rows
+    # [w(ops) @ seeds for every word w of length < n]: the invariant span is
+    # reached within n - 1 letters, since each letter must raise its dimension.
+    words, level = [Matrix.identity(n, seeds.field)], [Matrix.identity(n, seeds.field)]
+    for _ in range(n - 1):
+        level = [op @ w for w in level for op in ops]
+        words += level
+    word_matrix = words[0] @ seeds
+    for w in words[1:]:
+        word_matrix = word_matrix.hstack(w @ seeds)
+    assert _closure_rank(seeds, ops) == rank(word_matrix)
+
+
+# Strings printed by the four monomial formatters before they shared
+# linalg.format_terms, recorded on that code.
+_F = Fraction
+PRINTED = [
+    (str, weyl_element({(2, 1): 1, (0, 1): -1, (1, 0): _F(3, 2), (0, 0): -5}), "x^2∂ - ∂ + 3/2·x - 5"),
+    (str, weyl_element({(1, 2): _F(-2, 3), (3, 0): -1, (0, 3): 1}), "∂^3 - 2/3·x∂^2 - x^3"),
+    (str, weyl_element({(0, 0): 7}), "7"),
+    (str, weyl_element({(0, 0): -1}), "-1"),
+    (str, weyl_element({(0, 0): _F(1, 2), (1, 1): 1}), "x∂ + 1/2"),
+    (str, WEYL_ZERO, "0"),
+    (str, micro({(0, -2): 1, (1, -1): -1, (0, 1): _F(1, 2)}), "1/2·∂ - x∂^-1 + ∂^-2"),
+    (str, micro({(1, 0): 1, (0, -1): 2}, floor=-3), "x + 2·∂^-1 + O(∂^-4)"),
+    (str, micro({(2, -1): _F(-3, 4), (0, 0): -1}, floor=-1), "-1 - 3/4·x^2∂^-1 + O(∂^-2)"),
+    (str, micro({}, floor=2), "0 + O(∂^1)"),
+    (str, micro({}), "0"),
+    (str, d_inv(3, -1), "-∂^-3"),
+    (poly_str, {(1, 0): complex(1, 0), (0, 1): complex(-1, 0)}, "x - y"),
+    (poly_str, {(0, 0): complex(1, 0), (2, 0): complex(2, 3), (1, 1): complex(-2, 0), (0, 2): complex(0, -1)},
+     "(1+0j) + (2+3j)x^2 + (-2+0j)xy - 1jy^2"),
+    (poly_str, {(0, 0): complex(-1, 0), (1, 0): complex(0.5, -0.25)}, "(-1+0j) + (0.5-0.25j)x"),
+    (poly_str, {(1, 0): _F(-1, 2), (0, 3): 1, (0, 0): _F(-1), (2, 1): -1}, "-1 - 1/2x - x^2y + y^3"),
+    (poly_str, {}, "0"),
+    (factor_str, (_F(-2), _F(0), _F(1)), "x^2 - 2"),
+    (factor_str, (_F(0), _F(0), _F(0), _F(1)), "x^3"),
+    (factor_str, (_F(1, 2), _F(0), _F(-1), _F(1)), "x^3 - x^2 + 1/2"),
+    (factor_str, (_F(0), _F(-1), _F(0)), "-x"),
+    (factor_str, (_F(0),), "0"),
+    (factor_str, (_F(3), _F(0), _F(0), _F(-5, 7)), "-5/7x^3 + 3"),
+]
+
+
+@pytest.mark.parametrize("printer, value, expected", PRINTED,
+                         ids=[f"{printer.__name__}-{k}" for k, (printer, _, _) in enumerate(PRINTED)])
+def test_printed_strings(printer, value, expected):
+    assert printer(value) == expected

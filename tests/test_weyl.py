@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -289,3 +290,14 @@ def test_window_ranks_match_dense_rank():
     for twist in range(-6, 7):
         for w in range(0, 7):
             assert _window_ranks(twist, w) == _dense_window_ranks(twist, w), (twist, w)
+
+
+def test_gbinom_and_perm_match_product_definitions():
+    from cmkit.weyl import _gbinom
+
+    for k in range(30):
+        for b in range(-30, 31):
+            falling = math.prod(b - t for t in range(k))
+            assert _gbinom(b, k) == Fraction(falling, math.factorial(k))
+            if b >= 0:
+                assert math.perm(b, k) == falling
