@@ -25,8 +25,8 @@ from .linalg import (
     format_terms,
     kernel_basis,
     power,
-    rank,
 )
+from .linalg import rank  # noqa: F401  (bench/spans.py wraps adhm.rank)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     for v in kern:
         poly = {mons[k]: v[k, 0] for k in range(len(mons)) if not q.field.is_zero(v[k, 0])}
         basis.append(poly)
-    return HilbertIdeal(tuple(mons), tuple(basis), rank(eval_matrix), d)
+    return HilbertIdeal(tuple(mons), tuple(basis), len(mons) - len(kern), d)
 
 
 def _draw_fraction(rng: random.Random, span: int) -> Fraction:

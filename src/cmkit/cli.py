@@ -44,7 +44,7 @@ _STATUS = {OK: "ok", INFEASIBLE: "infeasible", ERROR: "error"}
 
 
 def _default_field(args):
-    return field_from_name(getattr(args, "field", "rational"), getattr(args, "tolerance", 1e-9))
+    return field_from_name(args.field, args.tolerance)
 
 
 def _digest(raw: bytes) -> str:
@@ -250,7 +250,7 @@ def _run_single(args, raw: bytes, stream) -> int:
     digest = _digest(raw if needs_input else repr(sorted(vars(args).items())).encode())
     try:
         data = json.loads(raw) if needs_input else None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         _emit(_report(args.command, digest, ERROR, None, [f"invalid JSON: {exc}"]), stream)
         return ERROR
     try:

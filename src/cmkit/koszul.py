@@ -74,8 +74,10 @@ class PolyCovector:
         return self.degree == 0
 
     def coeff(self, k: int) -> Matrix:
-        zero = Matrix.zeros(self.coeffs[0].rows, self.coeffs[0].cols, self.coeffs[0].field)
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else zero
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        c = self.coeffs[0]
+        return Matrix.zeros(c.rows, c.cols, c.field)
 
 
 def framed_poly_action(X: Matrix, i: Matrix, pc: PolyCovector) -> Matrix:
@@ -204,8 +206,8 @@ def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
     ncols = n * n + r * n
     flat = [field.zero] * (n * n * ncols)
     add_sandwich(flat, ncols, X, eye, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, eye, X, eq_row=0, unknown_col=0, square=True, negate=True)
-    add_sandwich(flat, ncols, i, eye, eq_row=0, unknown_col=n * n, square=False, negate=True)
+    add_sandwich(flat, ncols, eye, -X, eq_row=0, unknown_col=0, square=True)
+    add_sandwich(flat, ncols, -i, eye, eq_row=0, unknown_col=n * n, square=False)
     return Matrix(n * n, ncols, tuple(flat), field)
 
 
@@ -220,7 +222,7 @@ def solve_cm_fiber(X: Matrix, i: Matrix) -> FiberSolution | None:
     if X.cols != n or i.rows != n:
         raise ShapeError("need square X and an n x r framing block")
     r = i.cols
-    rhs = Matrix.column([-v for v in Matrix.identity(n, X.field).entries], X.field)
+    rhs = Matrix(n * n, 1, (-Matrix.identity(n, X.field)).entries, X.field)
     sol = solve_affine(_fiber_system(X, i), rhs)
     if sol is None:
         return None

@@ -16,8 +16,12 @@ Linear systems in matrix unknowns use one vectorization convention.  The
 unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
 column-major, then F row-major.  Each matrix equation contributes its entries
 as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
-a term +-(Z |-> A Z B) straight into such a system, and ``unvec`` reads a
+a term Z |-> A Z B straight into such a system, and ``unvec`` reads a
 solution vector back into its two blocks.
+
+``_product`` is the one matrix product loop, shared by both fields:
+complex entries go in as they are, rational ones as integer numerators over
+a common denominator.
 
 ``_closure_rank`` (the dimension of the operator-invariant span of some
 seed columns, for stability and framing surjectivity) also runs on
@@ -161,9 +165,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, k: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i * self.cols + k] for i in range(self.rows))
-
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -199,20 +200,13 @@ class Matrix:
             raise ShapeError("mixed fields")
         n, m, p = self.rows, self.cols, other.cols
         if self.field.is_rational:
-            return Matrix(n, p, _rational_product(self.entries, other.entries, n, m, p), self.field)
-        flat = [self.field.zero] * (n * p)
-        se, oe = self.entries, other.entries
-        for i in range(n):
-            base = i * m
-            for k in range(m):
-                a = se[base + k]
-                if a == 0:
-                    continue
-                ob = k * p
-                rb = i * p
-                for c in range(p):
-                    flat[rb + c] += a * oe[ob + c]
-        return Matrix(n, p, tuple(flat), self.field)
+            a, da = _numerators(self.entries)
+            b, db = _numerators(other.entries)
+            d, zero = da * db, Fraction(0)
+            flat = tuple(Fraction(v, d) if v else zero for v in _product(a, b, n, m, p, 0))
+        else:
+            flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
+        return Matrix(n, p, flat, self.field)
 
     def transpose(self) -> "Matrix":
         flat = tuple(self[i, k] for k in range(self.cols) for i in range(self.rows))
@@ -263,32 +257,33 @@ def _numerators(entries: tuple) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in entries], d
 
 
-def _rational_product(left: tuple, right: tuple, n: int, m: int, p: int) -> tuple[Fraction, ...]:
-    """Entries of the exact product of an n x m and an m x p rational matrix, row-major.
+def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> list:
+    """Entries of the product of an n x m and an m x p matrix, row-major, summed from ``zero``.
 
-    Both operands are scaled to integers over one common denominator each, so
-    the inner loop multiplies plain ints and skips zeros on both sides; each
-    result entry becomes a Fraction once, over the product of the two
-    denominators.  This pays off when the entries of each operand share their
-    denominators, as products of conjugated CM points do.  If both operands
-    have many distinct large coprime denominators, the common ones grow with
-    the sum of their sizes and the products cost more than entrywise Fraction
-    arithmetic would (n = 12, distinct 30-bit primes: about 5x slower).
+    This is the one product loop of :class:`Matrix`.  Zeros are skipped on
+    both sides, and each entry sums its terms in ascending inner index.
+    Complex entries go in as they are; skipping a zero of ``right`` changes
+    no bit of a finite result, since a sum started from +0.0 is never -0.0
+    (only an overflowed ``inf`` times an exact zero would differ).  A
+    rational operand goes in as integer numerators over one common
+    denominator, so the loop multiplies plain ints and each entry becomes a
+    Fraction once.  That pays off when the entries of each operand share
+    their denominators, as products of conjugated CM points do.  If both
+    operands have many distinct large coprime denominators, the common ones
+    grow with the sum of their sizes and the products cost more than
+    entrywise Fraction arithmetic would (n = 12, distinct 30-bit primes:
+    about 5x slower).
     """
-    a, da = _numerators(left)
-    b, db = _numerators(right)
-    b_rows = [[(c, y) for c, y in enumerate(b[k * p : (k + 1) * p]) if y] for k in range(m)]
-    d = da * db
-    zero = Fraction(0)
-    flat: list[Fraction] = []
+    right_rows = [[(c, y) for c, y in enumerate(right[k * p : (k + 1) * p]) if y] for k in range(m)]
+    flat: list = []
     for i in range(n):
-        acc = [0] * p
-        for k, x in enumerate(a[i * m : (i + 1) * m]):
+        acc = [zero] * p
+        for k, x in enumerate(left[i * m : (i + 1) * m]):
             if x:
-                for c, y in b_rows[k]:
+                for c, y in right_rows[k]:
                     acc[c] += x * y
-        flat.extend(Fraction(v, d) if v else zero for v in acc)
-    return tuple(flat)
+        flat.extend(acc)
+    return flat
 
 
 def _rref(
@@ -441,7 +436,7 @@ def _kernel_from_rref(rows: list[list[Scalar]], pivots: list[int], ncols: int, f
         v[f] = field.one
         for k, p in enumerate(pivots):
             v[p] = -rows[k][f]
-        basis.append(Matrix.column(v, field))
+        basis.append(Matrix(ncols, 1, tuple(v), field))
     return basis
 
 
@@ -476,7 +471,7 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
         x[p] = rows[k][a.cols]
     # The A-part of the reduced augmented rows is the RREF of A itself.
     kern = _kernel_from_rref([r[: a.cols] for r in rows], pivots, a.cols, a.field)
-    return AffineSolution(Matrix.column(x, a.field), kern)
+    return AffineSolution(Matrix(a.cols, 1, tuple(x), a.field), kern)
 
 
 def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
@@ -493,24 +488,15 @@ def unvec(v: Matrix, n: int, framing_rows: int, framing_cols: int) -> tuple[Matr
     return Matrix(n, n, square, v.field), Matrix(framing_rows, framing_cols, framing, v.field)
 
 
-def add_sandwich(
-    flat: list,
-    ncols: int,
-    a: Matrix,
-    b: Matrix,
-    *,
-    eq_row: int,
-    unknown_col: int,
-    square: bool,
-    negate: bool = False,
-) -> None:
-    """Add the coefficients of +-(Z |-> A Z B) into a flat row-major system with ncols columns.
+def add_sandwich(flat: list, ncols: int, a: Matrix, b: Matrix, *, eq_row: int, unknown_col: int, square: bool) -> None:
+    """Add the coefficients of Z |-> A Z B into a flat row-major system with ncols columns.
 
     Entry (p, q) of A Z B is equation ``eq_row + p * B.cols + q``.  Unknown
     Z[k, l] is column ``unknown_col + l * A.cols + k`` when Z is the square
     block (column-major) and ``unknown_col + k * B.rows + l`` when it is the
     framing block (row-major).  Its coefficient in equation (p, q) is
-    A[p, k] * B[l, q]; only nonzero entries of A and B are visited.
+    A[p, k] * B[l, q]; only nonzero entries of A and B are visited.  A term
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
     """
     zr, zc, bc = a.cols, b.rows, b.cols
     a_nz = [(*divmod(t, zr), x) for t, x in enumerate(a.entries) if x != 0]
@@ -518,11 +504,7 @@ def add_sandwich(
     for p, k, x in a_nz:
         for l, q, y in b_nz:
             col = unknown_col + (l * zr + k if square else k * zc + l)
-            idx = (eq_row + p * bc + q) * ncols + col
-            if negate:
-                flat[idx] -= x * y
-            else:
-                flat[idx] += x * y
+            flat[(eq_row + p * bc + q) * ncols + col] += x * y
 
 
 def power(var: str, k: int) -> str:
@@ -565,7 +547,7 @@ def char_poly(a: Matrix) -> list[Scalar]:
     for k in range(1, n + 1):
         am = a @ m
         c = -am.trace() / k
-        coeffs[n - k] = field.coerce(c) if field.is_rational else c
+        coeffs[n - k] = c
         m = am + c * Matrix.identity(n, field)
     return coeffs
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (  # solve_affine is unused here but bench/spans.py wraps moduli.solve_affine
+from .linalg import (
     Field,
     Matrix,
     ShapeError,
@@ -124,9 +124,9 @@ def _end_system(fs: FramedTorsionSheaf) -> Matrix:
     neqs = n * n + n * r
     flat = [field.zero] * (neqs * ncols)
     add_sandwich(flat, ncols, eye_n, fs.X, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, fs.X, eye_n, eq_row=0, unknown_col=0, square=True, negate=True)
+    add_sandwich(flat, ncols, -fs.X, eye_n, eq_row=0, unknown_col=0, square=True)
     add_sandwich(flat, ncols, eye_n, fs.i, eq_row=n * n, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, fs.i, eye_r, eq_row=n * n, unknown_col=n * n, square=False, negate=True)
+    add_sandwich(flat, ncols, -fs.i, eye_r, eq_row=n * n, unknown_col=n * n, square=False)
     return Matrix(neqs, ncols, tuple(flat), field)
 
 
@@ -216,16 +216,17 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
 
     Given an End basis ``ends`` = [(s_a, g_a)] with m elements, let S be the
     m x r^2 matrix of the s_a and t the column of tr g_a.  The Z are the
-    combinations with sum c_a s_a = 0, so the fiber is nonempty iff
-    rank(S | t) = rank(S), and its dimension is n r + m - rank(S).
+    combinations with sum c_a s_a = 0, so the fiber is nonempty iff t lies
+    in the column span of S, and its dimension is n r + m - rank(S).  One
+    ``solve_affine(S, t)`` answers both: it is None exactly when t is outside
+    the span, and rank(S) = r^2 - dim ker S.
     ``ends`` is ``endomorphisms(fs)`` when the caller already has it.
     """
     if ends is None:
         ends = endomorphisms(fs)
     m, r2 = len(ends), fs.r * fs.r
     s_part = Matrix(m, r2, tuple(x for s, _ in ends for x in s.entries), fs.field)
-    s_rank = rank(s_part)
-    with_trace = s_part.hstack(Matrix(m, 1, tuple(g.trace() for _, g in ends), fs.field))
-    if rank(with_trace) != s_rank:
+    sol = solve_affine(s_part, Matrix(m, 1, tuple(g.trace() for _, g in ends), fs.field))
+    if sol is None:
         return SupportReport(False, None)
-    return SupportReport(True, fs.n * fs.r + m - s_rank)
+    return SupportReport(True, fs.n * fs.r + m - (r2 - len(sol.kernel_basis)))

@@ -104,7 +104,7 @@ def _dims(data: dict, path: str, default_field: Field | None = None) -> tuple[in
     # an explicit "field" key in the document wins over the caller's default
     field = field_from_name(
         data.get("field", fallback.name),
-        data.get("tolerance", fallback.tolerance if fallback.tolerance else 1e-9),
+        data.get("tolerance", 1e-9 if fallback.is_rational else fallback.tolerance),
     )
     return n, r, field
 

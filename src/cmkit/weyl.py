@@ -290,7 +290,8 @@ def _window_ranks(twist: int, w: int) -> tuple[Fraction, Fraction]:
     e_degrees = range(-w, min(twist, w) + 1)
     nrows = (w + 1) * (2 * w + 1)
     ncols = (w + 1) * (len(d_degrees) + len(e_degrees))
-    r = (w + 1) * len(set(d_degrees) | set(e_degrees))
+    shared = range(max(d_degrees.start, e_degrees.start), min(d_degrees.stop, e_degrees.stop))
+    r = (w + 1) * (len(d_degrees) + len(e_degrees) - len(shared))
     per_x = Fraction(1, w + 1)
     return Fraction(ncols - r) * per_x, Fraction(nrows - r) * per_x
 

@@ -408,3 +408,51 @@ def test_golden_reports_byte_identical(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((case["input"] or "").encode()), encoding="utf-8"))
     assert main(argv) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def _cli_process(argv, stdin: bytes):
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=stdin, env=env,
+                          capture_output=True, timeout=60)
+
+
+# Bytes in no UTF encoding, and nesting deeper than the recursion limit.
+_UNDECODABLE = [b'\xff\xfe{"n":1}', b"[" * 200000]
+
+
+@pytest.mark.parametrize("raw", _UNDECODABLE, ids=["not-utf", "too-deep"])
+def test_undecodable_input_is_one_invalid_json_report(raw):
+    proc = _cli_process(["verify"], raw)
+    [rep] = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"][0].startswith("invalid JSON: ")
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("raw", _UNDECODABLE, ids=["not-utf", "too-deep"])
+def test_undecodable_batch_line_does_not_stop_the_batch(raw):
+    good = json.dumps(FLAGSHIP).encode()
+    proc = _cli_process(["verify", "--batch"], b"\n".join([good, raw, good]) + b"\n")
+    reps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 2
+    assert [r["status"] for r in reps] == ["ok", "error", "ok"]
+    assert reps[1]["messages"][0].startswith("invalid JSON: ")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_tolerance_flag_zero_is_kept(capsys, monkeypatch):
+    # the golden complex verify document passes at 1e-9; its residual entries reach about 1e-14
+    [case] = [c for c in _GOLDEN if c["argv"] == ["verify"] and json.loads(c["input"])["field"] == "complex"]
+    doc = json.loads(case["input"])
+    del doc["field"]
+    code, [rep] = _run(["verify", "--field", "complex", "--tolerance", "0"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 1 and rep["result"]["is_cm_point"] is False
+    inline_code, [inline_rep] = _run(["verify"], json.dumps(dict(doc, field="complex", tolerance=0)), capsys, monkeypatch)
+    assert (inline_code, inline_rep["result"]) == (code, rep["result"])
+
+
+def test_cech_huge_cutoff_is_constant_work(capsys, monkeypatch):
+    code, [rep] = _run(["cech", "--twist", "3", "--cutoff", str(10**12)], "", capsys, monkeypatch)
+    assert code == 0
+    assert rep["result"] == {"twist": 3, "h0_rank": 4, "h1_rank": 0, "certified": True}

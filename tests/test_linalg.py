@@ -183,7 +183,8 @@ def test_rational_matmul_matches_entrywise_definition(operands):
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
-    """Reference oracle: the accumulate-from-zero loop that complex products use."""
+    """Reference oracle: the dense accumulate-from-zero loop complex products ran before
+    they shared the zero-skipping product loop with rational ones."""
     flat = [complex(0)] * (a.rows * b.cols)
     for i in range(a.rows):
         for k in range(a.cols):
@@ -195,18 +196,39 @@ def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, tuple(flat), a.field)
 
 
-def test_complex_matmul_unchanged_entry_for_entry():
+# Finite parts with |x| <= 1e100, so no product of two entries overflows, plus
+# exact and signed zeros; parts of like size make sums that round.
+_COMPLEX_PART = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+    st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _complex_operands(draw):
     field = complex_field(1e-9)
-    a = Matrix.from_rows(
-        [[complex(-0.0, 0.0), 1.5 - 2j, complex(0.0, -0.0)], [1e-300 + 0j, -3.25j, complex(-1.0, -0.0)]], field
-    )
-    b = Matrix.from_rows(
-        [[0.1 + 0.2j, complex(-0.0, -0.0)], [complex(0.0, -1e-17), 7 - 0j], [-2.5 + 1j, 1e300 + 1e-300j]], field
-    )
-    for left, right in ((a, b), (b, a)):
-        assert [repr(x) for x in (left @ right).entries] == [
-            repr(x) for x in _complex_loop_product(left, right).entries
-        ]
+    n, m, p = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.just(complex(0)), st.builds(complex, _COMPLEX_PART, _COMPLEX_PART))
+
+    def operand(rows, cols):
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))), field)
+
+    return operand(n, m), operand(m, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_operands())
+def test_complex_matmul_unchanged_entry_for_entry(operands):
+    """``@`` matches the dense loop repr for repr, signed zeros included.
+
+    Skipping a zero entry of the right operand leaves every sum unchanged
+    while all entries are finite.  An overflowed ``inf`` times an exact zero
+    is the one case where it would not, and it cannot arise here: the parts
+    are bounded by 1e100, and ``serialize`` rejects non-finite input.
+    """
+    a, b = operands
+    assert [repr(x) for x in (a @ b).entries] == [repr(x) for x in _complex_loop_product(a, b).entries]
 
 
 def _reference_rref(rows, field):

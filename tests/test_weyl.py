@@ -292,6 +292,25 @@ def test_window_ranks_match_dense_rank():
             assert _window_ranks(twist, w) == _dense_window_ranks(twist, w), (twist, w)
 
 
+def _set_window_ranks(twist: int, w: int) -> tuple[Fraction, Fraction]:
+    """Reference oracle: ``_window_ranks`` counting the union of d-degrees as a set."""
+    d_degrees = range(0, w + 1)
+    e_degrees = range(-w, min(twist, w) + 1)
+    nrows = (w + 1) * (2 * w + 1)
+    ncols = (w + 1) * (len(d_degrees) + len(e_degrees))
+    r = (w + 1) * len(set(d_degrees) | set(e_degrees))
+    return Fraction(ncols - r, w + 1), Fraction(nrows - r, w + 1)
+
+
+def test_window_ranks_match_set_count():
+    from cmkit.weyl import _window_ranks
+
+    # cech_graded_ranks(twist, cutoff) reads the windows cutoff - 1 and cutoff
+    for twist in range(-40, 41):
+        for w in range(abs(twist) + 1, abs(twist) + 41):
+            assert _window_ranks(twist, w) == _set_window_ranks(twist, w), (twist, w)
+
+
 def test_gbinom_and_perm_match_product_definitions():
     from cmkit.weyl import _gbinom
 
