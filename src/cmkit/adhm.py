@@ -93,6 +93,11 @@ def is_stable(q: CMQuadruple) -> bool:
 # There are 2^(L+1) - 1 words of length <= L, each one n x n product, so the
 # work and the report double with every step of the cutoff.
 MAX_WORD_LEN = 10
+# sample draws and reports n^2 entries; 64 is four times the largest size targeted, 16.
+MAX_SAMPLE_N = 64
+# A degree bound d gives (d+1)(d+2)/2 monomials and about as many kernel
+# vectors; the default bound n is not capped, since the document limits it.
+MAX_HILBERT_DEGREE = 32
 
 
 def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
@@ -150,10 +155,13 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     """Ideal of the length-n quotient of C[x, y] attached to a commuting stable pair.
 
     Requires XY = YX, j = 0, r = 1 and stability (i cyclic).  For
-    degree_bound >= n the quotient dimension is exactly n.
+    degree_bound >= n the quotient dimension is exactly n.  A degree bound
+    above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    if degree_bound is not None and degree_bound > MAX_HILBERT_DEGREE:
+        raise ValueError(f"degree bound must be <= {MAX_HILBERT_DEGREE}, got {degree_bound}")
     if q.r != 1:
         raise ValueError("hilbert_ideal needs framing rank 1")
     if not q.j.is_zero():
@@ -193,10 +201,13 @@ def sample_cm(n: int, seed: int) -> CMQuadruple:
 
     X = diag(x_1..x_n) with distinct entries, i_k j_k = 1, off-diagonal
     Y_kl = i_k j_l / (x_k - x_l), free diagonal of Y.  Collisions in the
-    diagonal draw are rejected and redrawn from the same stream.
+    diagonal draw are rejected and redrawn from the same stream.  ``n`` above
+    :data:`MAX_SAMPLE_N` is refused with ``ValueError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_SAMPLE_N:
+        raise ValueError(f"n must be <= {MAX_SAMPLE_N}, got {n}")
     rng = random.Random(seed)
     span = max(6, 3 * n)
     xs: list[Fraction] = []

@@ -24,7 +24,7 @@ import json
 import sys
 
 from . import adhm, koszul, moduli, weyl
-from .linalg import ShapeError, SingularMatrixError
+from .linalg import DEFAULT_TOLERANCE, ShapeError, SingularMatrixError
 from .serialize import (
     SchemaError,
     field_from_name,
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--batch", action="store_true", help="newline-delimited JSON inputs")
             p.add_argument("--field", choices=["rational", "complex"], default="rational",
                            help="default field for inputs that omit one")
-            p.add_argument("--tolerance", type=float, default=1e-9,
+            p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                            help="comparison tolerance (complex field only)")
         return p
 

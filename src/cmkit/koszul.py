@@ -110,6 +110,9 @@ class KoszulTriple:
             raise ShapeError("framing block must be n x r")
         if self.j.coeffs[0].rows != r or self.j.coeffs[0].cols != n:
             raise ShapeError("covector coefficients must be r x n")
+        fields = {self.X.field, self.i.field, self.Y.field, *(c.field for c in self.j.coeffs)}
+        if len(fields) != 1:
+            raise ShapeError("all blocks must share one field")
 
     @property
     def n(self) -> int:

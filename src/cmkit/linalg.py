@@ -95,8 +95,11 @@ class Field:
 
 RATIONAL = Field("rational")
 
+# The complex field's tolerance wherever neither the document nor the caller gives one.
+DEFAULT_TOLERANCE = 1e-9
 
-def complex_field(tolerance: float = 1e-9) -> Field:
+
+def complex_field(tolerance: float = DEFAULT_TOLERANCE) -> Field:
     return Field("complex", tolerance)
 
 

@@ -4,15 +4,20 @@ Rational scalars travel as strings "p/q" (integers without the "/q"), so
 round trips are lossless; complex scalars travel as [re, im] pairs.  All
 validators raise :class:`SchemaError` carrying the path of the offending
 field.
+
+A document is an object with ``n``, ``r`` (default 1), an optional ``field``
+and ``tolerance``, and one key per block.  :data:`DOCUMENTS` lists each
+kind's blocks once, for the one reader and the one writer.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any
+from functools import partial
+from typing import Any, NamedTuple
 
-from .linalg import Field, Matrix, RATIONAL, complex_field
+from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field
 from .adhm import CMQuadruple
 from .koszul import KoszulTriple, PolyCovector
 from .moduli import FramedTorsionSheaf
@@ -24,7 +29,7 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def field_from_name(name: str, tolerance: float = 1e-9) -> Field:
+def field_from_name(name: str, tolerance: float = DEFAULT_TOLERANCE) -> Field:
     bad = isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
     if bad or (isinstance(tolerance, float) and not math.isfinite(tolerance)) or tolerance < 0:
         raise SchemaError("tolerance", f"expected a finite number >= 0, got {tolerance!r}")
@@ -75,63 +80,15 @@ def matrix_to_json(m: Matrix) -> list[list[Any]]:
 def matrix_from_json(data, field: Field, path: str, shape: tuple[int, int] | None = None) -> Matrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemaError(path, "expected a non-empty list of rows")
-    ncols = len(data[0])
-    rows = []
+    nrows, ncols = len(data), len(data[0])
+    entries = []
     for ridx, row in enumerate(data):
         if len(row) != ncols:
             raise SchemaError(f"{path}[{ridx}]", f"ragged row of length {len(row)} (expected {ncols})")
-        rows.append([scalar_from_json(v, field, f"{path}[{ridx}][{cidx}]") for cidx, v in enumerate(row)])
-    m = Matrix.from_rows(rows, field)
-    if shape is not None and (m.rows, m.cols) != shape:
-        raise SchemaError(path, f"expected a {shape[0]}x{shape[1]} matrix, got {m.rows}x{m.cols}")
-    return m
-
-
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing field")
-    return data[key]
-
-
-def _dims(data: dict, path: str, default_field: Field | None = None) -> tuple[int, int, Field]:
-    n = _require(data, "n", path)
-    r = data.get("r", 1)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SchemaError(f"{path}.n" if path else "n", "expected a positive integer")
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise SchemaError(f"{path}.r" if path else "r", "expected a positive integer")
-    fallback = default_field or RATIONAL
-    # an explicit "field" key in the document wins over the caller's default
-    field = field_from_name(
-        data.get("field", fallback.name),
-        data.get("tolerance", 1e-9 if fallback.is_rational else fallback.tolerance),
-    )
-    return n, r, field
-
-
-def quadruple_to_json(q: CMQuadruple) -> dict:
-    return {
-        "n": q.n,
-        "r": q.r,
-        "field": q.field.name,
-        "X": matrix_to_json(q.X),
-        "Y": matrix_to_json(q.Y),
-        "i": matrix_to_json(q.i),
-        "j": matrix_to_json(q.j),
-    }
-
-
-def quadruple_from_json(data, path: str = "", default_field: Field | None = None) -> CMQuadruple:
-    if not isinstance(data, dict):
-        raise SchemaError(path or ".", "expected an object")
-    n, r, field = _dims(data, path, default_field)
-    pre = f"{path}." if path else ""
-    return CMQuadruple(
-        matrix_from_json(_require(data, "X", path), field, f"{pre}X", (n, n)),
-        matrix_from_json(_require(data, "Y", path), field, f"{pre}Y", (n, n)),
-        matrix_from_json(_require(data, "i", path), field, f"{pre}i", (n, r)),
-        matrix_from_json(_require(data, "j", path), field, f"{pre}j", (r, n)),
-    )
+        entries.extend(scalar_from_json(v, field, f"{path}[{ridx}][{cidx}]") for cidx, v in enumerate(row))
+    if shape is not None and (nrows, ncols) != shape:
+        raise SchemaError(path, f"expected a {shape[0]}x{shape[1]} matrix, got {nrows}x{ncols}")
+    return Matrix(nrows, ncols, tuple(entries), field)
 
 
 def covector_to_json(pc: PolyCovector) -> dict:
@@ -144,53 +101,60 @@ def covector_from_json(data, field: Field, path: str, shape: tuple[int, int]) ->
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise SchemaError(f"{path}.coeffs", "expected a non-empty list of matrices")
-    mats = [
-        matrix_from_json(c, field, f"{path}.coeffs[{k}]", shape) for k, c in enumerate(coeffs)
-    ]
-    return PolyCovector.from_coeffs(mats)
+    return PolyCovector.from_coeffs(
+        [matrix_from_json(c, field, f"{path}.coeffs[{k}]", shape) for k, c in enumerate(coeffs)])
 
 
-def triple_to_json(kt: KoszulTriple) -> dict:
-    return {
-        "n": kt.n,
-        "r": kt.r,
-        "field": kt.field.name,
-        "X": matrix_to_json(kt.X),
-        "i": matrix_to_json(kt.i),
-        "Y": matrix_to_json(kt.Y),
-        "j": covector_to_json(kt.j),
-    }
+class Block(NamedTuple):
+    """One block of a document: its key, its rows and columns named by "n" or "r", and its type."""
+
+    name: str
+    shape: str
+    type: str = "matrix"  # or "covector": a polynomial covector {"coeffs": [matrix, ...]}
 
 
-def triple_from_json(data, path: str = "", default_field: Field | None = None) -> KoszulTriple:
+DOCUMENTS = {
+    CMQuadruple: (Block("X", "nn"), Block("Y", "nn"), Block("i", "nr"), Block("j", "rn")),
+    KoszulTriple: (Block("X", "nn"), Block("i", "nr"), Block("Y", "nn"), Block("j", "rn", "covector")),
+    FramedTorsionSheaf: (Block("X", "nn"), Block("i", "nr")),
+}
+_READERS = {"matrix": matrix_from_json, "covector": covector_from_json}
+_WRITERS = {"matrix": matrix_to_json, "covector": covector_to_json}
+
+
+def _require(data: dict, key: str):
+    if key not in data:
+        raise SchemaError(key, "missing field")
+    return data[key]
+
+
+def read_document(kind: type, data, default_field: Field | None = None):
+    """The ``kind`` object in ``data``, each block checked against its shape in :data:`DOCUMENTS`."""
     if not isinstance(data, dict):
-        raise SchemaError(path or ".", "expected an object")
-    n, r, field = _dims(data, path, default_field)
-    pre = f"{path}." if path else ""
-    return KoszulTriple(
-        matrix_from_json(_require(data, "X", path), field, f"{pre}X", (n, n)),
-        matrix_from_json(_require(data, "i", path), field, f"{pre}i", (n, r)),
-        matrix_from_json(_require(data, "Y", path), field, f"{pre}Y", (n, n)),
-        covector_from_json(_require(data, "j", path), field, f"{pre}j", (r, n)),
+        raise SchemaError(".", "expected an object")
+    size = {"n": _require(data, "n"), "r": data.get("r", 1)}
+    for key, value in size.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise SchemaError(key, "expected a positive integer")
+    fallback = default_field or RATIONAL
+    # an explicit "field" key in the document wins over the caller's default
+    field = field_from_name(
+        data.get("field", fallback.name),
+        data.get("tolerance", DEFAULT_TOLERANCE if fallback.is_rational else fallback.tolerance),
     )
+    return kind(*(
+        _READERS[b.type](_require(data, b.name), field, b.name, (size[b.shape[0]], size[b.shape[1]]))
+        for b in DOCUMENTS[kind]
+    ))
 
 
-def sheaf_to_json(fs: FramedTorsionSheaf) -> dict:
-    return {
-        "n": fs.n,
-        "r": fs.r,
-        "field": fs.field.name,
-        "X": matrix_to_json(fs.X),
-        "i": matrix_to_json(fs.i),
-    }
+def write_document(doc) -> dict:
+    out = {"n": doc.n, "r": doc.r, "field": doc.field.name}
+    out.update((b.name, _WRITERS[b.type](getattr(doc, b.name))) for b in DOCUMENTS[type(doc)])
+    return out
 
 
-def sheaf_from_json(data, path: str = "", default_field: Field | None = None) -> FramedTorsionSheaf:
-    if not isinstance(data, dict):
-        raise SchemaError(path or ".", "expected an object")
-    n, r, field = _dims(data, path, default_field)
-    pre = f"{path}." if path else ""
-    return FramedTorsionSheaf(
-        matrix_from_json(_require(data, "X", path), field, f"{pre}X", (n, n)),
-        matrix_from_json(_require(data, "i", path), field, f"{pre}i", (n, r)),
-    )
+quadruple_from_json = partial(read_document, CMQuadruple)
+triple_from_json = partial(read_document, KoszulTriple)
+sheaf_from_json = partial(read_document, FramedTorsionSheaf)
+quadruple_to_json = triple_to_json = sheaf_to_json = write_document

@@ -286,12 +286,13 @@ def _window_ranks(twist: int, w: int) -> tuple[Fraction, Fraction]:
     # Every column of the window map is a +-unit vector at (a, b): D sends
     # x^a d^b to itself and e sends it to its negative.  So the rank is the
     # number of distinct codomain monomials hit, (w + 1) per d-degree.
-    d_degrees = range(0, w + 1)
-    e_degrees = range(-w, min(twist, w) + 1)
+    # D has d-degrees 0..w and e has -w..top, so they share 0..top.  The
+    # degrees are counted, not len() of ranges, which fails past sys.maxsize.
+    top = min(twist, w)
+    d_count, e_count, shared = w + 1, max(0, top + w + 1), max(0, top + 1)
     nrows = (w + 1) * (2 * w + 1)
-    ncols = (w + 1) * (len(d_degrees) + len(e_degrees))
-    shared = range(max(d_degrees.start, e_degrees.start), min(d_degrees.stop, e_degrees.stop))
-    r = (w + 1) * (len(d_degrees) + len(e_degrees) - len(shared))
+    ncols = (w + 1) * (d_count + e_count)
+    r = (w + 1) * (d_count + e_count - shared)
     per_x = Fraction(1, w + 1)
     return Fraction(ncols - r) * per_x, Fraction(nrows - r) * per_x
 

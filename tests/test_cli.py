@@ -452,7 +452,60 @@ def test_tolerance_flag_zero_is_kept(capsys, monkeypatch):
     assert (inline_code, inline_rep["result"]) == (code, rep["result"])
 
 
+def test_sample_n_above_cap_is_refused(capsys, monkeypatch):
+    from cmkit.adhm import MAX_SAMPLE_N
+
+    code, [rep] = _run(["sample", "--n", str(MAX_SAMPLE_N + 1), "--seed", "1"], "", capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"n must be <= {MAX_SAMPLE_N}, got {MAX_SAMPLE_N + 1}"]
+
+
+def test_hilbert_ideal_degree_above_cap_is_refused(capsys, monkeypatch):
+    from cmkit.adhm import MAX_HILBERT_DEGREE
+
+    argv = ["hilbert-ideal", "--degree", str(MAX_HILBERT_DEGREE + 1)]
+    code, [rep] = _run(argv, json.dumps(COMMUTING_PAIR), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"degree bound must be <= {MAX_HILBERT_DEGREE}, got {MAX_HILBERT_DEGREE + 1}"]
+
+
+_TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["0"]], "j": {"coeffs": [[["1"]]]}}
+
+# One malformed document per kind of schema error, with the message recorded
+# before the three document kinds were described by one table in serialize.
+_MALFORMED = [
+    ("missing-key", ["verify"], {k: v for k, v in FLAGSHIP.items() if k != "Y"}, None, "Y: missing field"),
+    ("block-shape", ["verify"], dict(FLAGSHIP, i=[["1", "0"], ["1", "0"]]), None,
+     "i: expected a 2x1 matrix, got 2x2"),
+    ("ragged-row", ["verify"], dict(FLAGSHIP, X=[["0", "0"], ["0"]]), None,
+     "X[1]: ragged row of length 1 (expected 2)"),
+    ("bad-rational", ["verify"], dict(FLAGSHIP, Y=[["0", "oops"], ["1", "0"]]), None,
+     "Y[0][1]: bad rational literal 'oops': Invalid literal for Fraction: 'oops'"),
+    ("unknown-field", ["verify"], dict(FLAGSHIP, field="octonion"), None, "field: unknown field 'octonion'"),
+    ("bad-tolerance", ["verify"], dict(FLAGSHIP, field="complex", tolerance=-1), None,
+     "tolerance: expected a finite number >= 0, got -1"),
+    ("boolean-n", ["verify"], dict(FLAGSHIP, n=True), None, "n: expected a positive integer"),
+    ("not-an-object", ["verify"], [FLAGSHIP], None, ".: expected an object"),
+    ("covector-shape", ["normalize"], dict(_TRIPLE, j={"coeffs": [[["1", "2"]]]}), None,
+     "j.coeffs[0]: expected a 1x1 matrix, got 1x2"),
+    ("bad-h", ["homotopy"], _TRIPLE, {"coeffs": [[["1"], ["2"]]]}, "h.coeffs[0]: expected a 1x1 matrix, got 2x1"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, h, message", [c[1:] for c in _MALFORMED], ids=[c[0] for c in _MALFORMED])
+def test_malformed_document_reports(argv, doc, h, message, tmp_path, capsys, monkeypatch):
+    if h is not None:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(h))
+        argv = [*argv, "--h", str(path)]
+    code, [rep] = _run(argv, json.dumps(doc), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [message]
+
+
 def test_cech_huge_cutoff_is_constant_work(capsys, monkeypatch):
-    code, [rep] = _run(["cech", "--twist", "3", "--cutoff", str(10**12)], "", capsys, monkeypatch)
-    assert code == 0
-    assert rep["result"] == {"twist": 3, "h0_rank": 4, "h1_rank": 0, "certified": True}
+    # past sys.maxsize too, where len() of a range would raise OverflowError
+    for cutoff in (10**12, sys.maxsize * 4):
+        code, [rep] = _run(["cech", "--twist", "3", "--cutoff", str(cutoff)], "", capsys, monkeypatch)
+        assert code == 0
+        assert rep["result"] == {"twist": 3, "h0_rank": 4, "h1_rank": 0, "certified": True}

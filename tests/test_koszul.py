@@ -259,6 +259,15 @@ def test_apply_homotopy_shape_mismatch(flagship):
         apply_homotopy(kt, wrong)
 
 
+def test_triple_refuses_mixed_fields():
+    from cmkit import ShapeError, complex_field
+
+    # a rational X with a complex i, refused at construction as CMQuadruple and FramedTorsionSheaf refuse it
+    X, Y, j = Matrix.zeros(1, 1), Matrix.zeros(1, 1), PolyCovector.constant(Matrix.row_vector([1]))
+    with pytest.raises(ShapeError, match="one field"):
+        KoszulTriple(X, Matrix.from_rows([[1]], complex_field()), Y, j)
+
+
 def test_torsor_action_length_mismatch():
     from cmkit import ShapeError
 

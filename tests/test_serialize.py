@@ -7,6 +7,7 @@ import pytest
 
 from cmkit import Matrix, PolyCovector, complex_field, from_cm, sample_cm
 from cmkit.serialize import (
+    DOCUMENTS,
     SchemaError,
     covector_from_json,
     covector_to_json,
@@ -14,10 +15,12 @@ from cmkit.serialize import (
     matrix_to_json,
     quadruple_from_json,
     quadruple_to_json,
+    read_document,
     sheaf_from_json,
     sheaf_to_json,
     triple_from_json,
     triple_to_json,
+    write_document,
 )
 from cmkit.moduli import FramedTorsionSheaf
 from conftest import rand_matrix
@@ -69,6 +72,15 @@ def test_covector_round_trip_trims():
 def test_sheaf_round_trip():
     fs = FramedTorsionSheaf(Matrix.from_rows([[0, 1], [0, 0]]), Matrix.column([0, 1]))
     assert sheaf_from_json(sheaf_to_json(fs)) == fs
+
+
+def test_one_table_describes_every_document():
+    q = sample_cm(2, 3)
+    fs = FramedTorsionSheaf(q.X, q.i)
+    for doc in (q, from_cm(q), fs):
+        data = write_document(doc)
+        assert list(data) == ["n", "r", "field", *(b.name for b in DOCUMENTS[type(doc)])]
+        assert read_document(type(doc), data) == doc
 
 
 def test_schema_errors_carry_paths():
