@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    Field,
+    Block,
+    Blocks,
     Matrix,
-    ShapeError,
     _closure_rank,
     commutator,
     format_terms,
@@ -30,7 +30,7 @@ from .linalg import rank  # noqa: F401  (bench/spans.py wraps adhm.rank)
 
 
 @dataclass(frozen=True)
-class CMQuadruple:
+class CMQuadruple(Blocks):
     """Matrices (X, Y, i, j); a point of the linear-algebra model of CM_n."""
 
     X: Matrix
@@ -38,30 +38,7 @@ class CMQuadruple:
     i: Matrix
     j: Matrix
 
-    def __post_init__(self) -> None:
-        n = self.X.rows
-        if self.X.cols != n or self.Y.rows != n or self.Y.cols != n:
-            raise ShapeError("X and Y must be square of equal size")
-        if n < 1:
-            raise ShapeError("need n >= 1")
-        r = self.i.cols
-        if r < 1 or self.i.rows != n or self.j.rows != r or self.j.cols != n:
-            raise ShapeError(f"framing blocks must be {n}x{r} and {r}x{n}")
-        fields = {self.X.field, self.Y.field, self.i.field, self.j.field}
-        if len(fields) != 1:
-            raise ShapeError("all four matrices must share one field")
-
-    @property
-    def n(self) -> int:
-        return self.X.rows
-
-    @property
-    def r(self) -> int:
-        return self.i.cols
-
-    @property
-    def field(self) -> Field:
-        return self.X.field
+    BLOCKS = (Block("X", "nn"), Block("Y", "nn"), Block("i", "nr"), Block("j", "rn"))
 
 
 def moment_std(q: CMQuadruple) -> Matrix:

@@ -26,8 +26,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
+
+from .linalg import _numerators
 
 
 def factor_rational(f: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:
@@ -113,9 +115,7 @@ def _square_free(f: list) -> list[tuple[list, int]]:
 
 def _primitive_integer(a: list) -> list[int]:
     """The primitive integer multiple of a rational polynomial, with positive leading coefficient."""
-    den = lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
-    return _primitive(ints)
+    return _primitive(_numerators(a)[0])
 
 
 def _primitive(a: list[int]) -> list[int]:

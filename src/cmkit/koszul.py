@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Field, Matrix, ShapeError, add_sandwich, commutator, solve_affine, unvec
+from .linalg import Block, Blocks, Matrix, ShapeError, add_sandwich, commutator, solve_affine, unvec
 from .adhm import CMQuadruple, cm_residual
 
 
@@ -93,7 +93,7 @@ def framed_poly_action(X: Matrix, i: Matrix, pc: PolyCovector) -> Matrix:
 
 
 @dataclass(frozen=True)
-class KoszulTriple:
+class KoszulTriple(Blocks):
     """Diagram data (X, i, Y, j(x)); valid iff check_square vanishes."""
 
     X: Matrix
@@ -101,30 +101,7 @@ class KoszulTriple:
     Y: Matrix
     j: PolyCovector
 
-    def __post_init__(self) -> None:
-        n = self.X.rows
-        if self.X.cols != n or self.Y.rows != n or self.Y.cols != n:
-            raise ShapeError("X and Y must be square of equal size")
-        r = self.i.cols
-        if self.i.rows != n:
-            raise ShapeError("framing block must be n x r")
-        if self.j.coeffs[0].rows != r or self.j.coeffs[0].cols != n:
-            raise ShapeError("covector coefficients must be r x n")
-        fields = {self.X.field, self.i.field, self.Y.field, *(c.field for c in self.j.coeffs)}
-        if len(fields) != 1:
-            raise ShapeError("all blocks must share one field")
-
-    @property
-    def n(self) -> int:
-        return self.X.rows
-
-    @property
-    def r(self) -> int:
-        return self.i.cols
-
-    @property
-    def field(self) -> Field:
-        return self.X.field
+    BLOCKS = (Block("X", "nn"), Block("i", "nr"), Block("Y", "nn"), Block("j", "rn", "covector"))
 
 
 def from_cm(q: CMQuadruple) -> KoszulTriple:

@@ -28,6 +28,12 @@ seed columns, for stability and framing surjectivity) also runs on
 ``_rref``, which is the one elimination routine of the package.
 ``format_terms`` and ``power`` are the one monomial printer, shared by the
 polynomial, factor and Weyl-algebra formatters.
+
+The model objects (CM quadruples, Koszul triples, framed torsion sheaves)
+are a few matrix blocks sized by n and r.  Each lists its blocks once, as
+:class:`Block` rows in ``BLOCKS``; the base class :class:`Blocks` checks
+them at construction and ``serialize`` reads and writes documents from the
+same table.
 """
 
 from __future__ import annotations
@@ -252,6 +258,52 @@ class Matrix:
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
         return f"[{body}]"
+
+
+class Block(NamedTuple):
+    """One block of a model object: its name, its rows and columns named by "n" or "r", and its type."""
+
+    name: str
+    shape: str
+    type: str = "matrix"  # or "covector": a polynomial covector, each coefficient of this shape
+
+
+class Blocks:
+    """Base of a frozen dataclass of matrix blocks, listed in constructor order in ``BLOCKS``.
+
+    n is the number of rows of X and r the number of columns of i.  Both
+    must be at least 1, every block (every coefficient of a covector) must
+    have the shape ``BLOCKS`` gives it, and all blocks must share one field.
+    """
+
+    BLOCKS: tuple[Block, ...] = ()
+
+    def __post_init__(self) -> None:
+        size = {"n": self.n, "r": self.r}
+        if size["n"] < 1 or size["r"] < 1:
+            raise ShapeError(f"need n >= 1 and r >= 1, got n = {size['n']} and r = {size['r']}")
+        fields = set()
+        for b in self.BLOCKS:
+            rows, cols = size[b.shape[0]], size[b.shape[1]]
+            value = getattr(self, b.name)
+            for m in value.coeffs if b.type == "covector" else (value,):
+                if (m.rows, m.cols) != (rows, cols):
+                    raise ShapeError(f"block {b.name} must be {rows}x{cols}, got {m.rows}x{m.cols}")
+                fields.add(m.field)
+        if len(fields) != 1:
+            raise ShapeError("all blocks must share one field")
+
+    @property
+    def n(self) -> int:
+        return self.X.rows
+
+    @property
+    def r(self) -> int:
+        return self.i.cols
+
+    @property
+    def field(self) -> Field:
+        return self.X.field
 
 
 def _numerators(entries: tuple) -> tuple[list[int], int]:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    Field,
+    Block,
+    Blocks,
     Matrix,
-    ShapeError,
     _closure_rank,
     add_sandwich,
     char_poly,
@@ -38,31 +38,13 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class FramedTorsionSheaf:
+class FramedTorsionSheaf(Blocks):
     """A point of the perverse symmetric power: matrices (X, i)."""
 
     X: Matrix
     i: Matrix
 
-    def __post_init__(self) -> None:
-        if self.X.rows != self.X.cols:
-            raise ShapeError("X must be square")
-        if self.i.rows != self.X.rows or self.i.cols < 1:
-            raise ShapeError("framing block must be n x r")
-        if self.X.field != self.i.field:
-            raise ShapeError("mixed fields")
-
-    @property
-    def n(self) -> int:
-        return self.X.rows
-
-    @property
-    def r(self) -> int:
-        return self.i.cols
-
-    @property
-    def field(self) -> Field:
-        return self.X.field
+    BLOCKS = (Block("X", "nn"), Block("i", "nr"))
 
 
 def support(fs: FramedTorsionSheaf):

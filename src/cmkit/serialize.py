@@ -7,7 +7,8 @@ field.
 
 A document is an object with ``n``, ``r`` (default 1), an optional ``field``
 and ``tolerance``, and one key per block.  :data:`DOCUMENTS` lists each
-kind's blocks once, for the one reader and the one writer.
+kind's blocks: the ``BLOCKS`` table its constructor checks, read here by the
+one reader and the one writer.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any
 
 from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field
 from .adhm import CMQuadruple
@@ -46,31 +47,32 @@ def scalar_to_json(value, field: Field):
     return [value.real, value.imag]
 
 
-def scalar_from_json(data, field: Field, path: str):
+def scalar_from_json(data, field: Field):
+    """One entry in ``field``; raises ``ValueError``, to which :func:`matrix_from_json` adds the path."""
     if isinstance(data, bool):
-        raise SchemaError(path, "expected a number, got a boolean")
+        raise ValueError("expected a number, got a boolean")
     if field.is_rational:
         if isinstance(data, str):
             try:
                 return Fraction(data)
             except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(path, f"bad rational literal {data!r}: {exc}") from None
+                raise ValueError(f"bad rational literal {data!r}: {exc}") from None
         if isinstance(data, int):
             return Fraction(data)
-        raise SchemaError(path, f"expected a rational string, got {type(data).__name__}")
+        raise ValueError(f"expected a rational string, got {type(data).__name__}")
     if isinstance(data, (list, tuple)) and len(data) == 2:
         try:
             z = complex(float(data[0]), float(data[1]))
         except (TypeError, ValueError):
-            raise SchemaError(path, "expected [re, im] numbers") from None
+            raise ValueError("expected [re, im] numbers") from None
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise SchemaError(path, "non-finite complex entry")
+            raise ValueError("non-finite complex entry")
         return z
     if isinstance(data, (int, float)):
         if not math.isfinite(data):
-            raise SchemaError(path, "non-finite entry")
+            raise ValueError("non-finite entry")
         return complex(data)
-    raise SchemaError(path, f"expected [re, im], got {type(data).__name__}")
+    raise ValueError(f"expected [re, im], got {type(data).__name__}")
 
 
 def matrix_to_json(m: Matrix) -> list[list[Any]]:
@@ -85,7 +87,11 @@ def matrix_from_json(data, field: Field, path: str, shape: tuple[int, int] | Non
     for ridx, row in enumerate(data):
         if len(row) != ncols:
             raise SchemaError(f"{path}[{ridx}]", f"ragged row of length {len(row)} (expected {ncols})")
-        entries.extend(scalar_from_json(v, field, f"{path}[{ridx}][{cidx}]") for cidx, v in enumerate(row))
+        for cidx, v in enumerate(row):
+            try:
+                entries.append(scalar_from_json(v, field))
+            except ValueError as exc:
+                raise SchemaError(f"{path}[{ridx}][{cidx}]", str(exc)) from None
     if shape is not None and (nrows, ncols) != shape:
         raise SchemaError(path, f"expected a {shape[0]}x{shape[1]} matrix, got {nrows}x{ncols}")
     return Matrix(nrows, ncols, tuple(entries), field)
@@ -105,19 +111,7 @@ def covector_from_json(data, field: Field, path: str, shape: tuple[int, int]) ->
         [matrix_from_json(c, field, f"{path}.coeffs[{k}]", shape) for k, c in enumerate(coeffs)])
 
 
-class Block(NamedTuple):
-    """One block of a document: its key, its rows and columns named by "n" or "r", and its type."""
-
-    name: str
-    shape: str
-    type: str = "matrix"  # or "covector": a polynomial covector {"coeffs": [matrix, ...]}
-
-
-DOCUMENTS = {
-    CMQuadruple: (Block("X", "nn"), Block("Y", "nn"), Block("i", "nr"), Block("j", "rn")),
-    KoszulTriple: (Block("X", "nn"), Block("i", "nr"), Block("Y", "nn"), Block("j", "rn", "covector")),
-    FramedTorsionSheaf: (Block("X", "nn"), Block("i", "nr")),
-}
+DOCUMENTS = {kind: kind.BLOCKS for kind in (CMQuadruple, KoszulTriple, FramedTorsionSheaf)}
 _READERS = {"matrix": matrix_from_json, "covector": covector_from_json}
 _WRITERS = {"matrix": matrix_to_json, "covector": covector_to_json}
 

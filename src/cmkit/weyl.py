@@ -84,9 +84,6 @@ class WeylElement:
             frac[(a, b)] = Fraction(c)
         return WeylElement(_clean(frac))
 
-    def as_dict(self) -> dict[TermKey, Fraction]:
-        return dict(self.terms)
-
     def coeff(self, a: int, b: int) -> Fraction:
         return dict(self.terms).get((a, b), Fraction(0))
 
@@ -125,7 +122,6 @@ def d_pow(b: int, coeff=1) -> WeylElement:
     return WeylElement.from_terms({(0, b): coeff})
 
 
-WEYL_ONE = WeylElement.from_terms({(0, 0): 1})
 WEYL_ZERO = WeylElement(())
 
 
@@ -177,15 +173,6 @@ class MicrolocalElement:
         if not self.terms:
             raise ZeroElementError("order of a zero truncation is undefined")
         return max(b for (_, b), _ in self.terms)
-
-    @property
-    def min_order(self) -> int:
-        """Lowest trusted d-degree: the floor if truncated, else the support minimum."""
-        if self.floor is not None:
-            return self.floor
-        if not self.terms:
-            raise ZeroElementError("the exact zero element has no support")
-        return min(b for (_, b), _ in self.terms)
 
     def coeff(self, a: int, b: int) -> Fraction:
         if self.floor is not None and b < self.floor:
