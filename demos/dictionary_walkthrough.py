@@ -45,15 +45,15 @@ print("square still zero:", check_square(kt2).is_zero())
 back = normalize(kt2)
 print("normalize recovers the original quadruple:", back == q)
 
-# ... and the CM fiber over (X, i) is an affine space.
-sol = solve_cm_fiber(q.X, q.i)
+# ... and the CM fiber over the framed sheaf (X, i) is an affine space.
+fs = FramedTorsionSheaf(q.X, q.i)
+sol = solve_cm_fiber(fs)
 print("\nfiber over (X, i): dimension", sol.dimension)
 y, j = torsor_action(sol, [2] * sol.dimension)
 print("a second fiber point still satisfies the relation:",
       cm_residual(CMQuadruple(q.X, y, q.i, j)).is_zero())
 
 # The sheaf-side view of the same (X, i).
-fs = FramedTorsionSheaf(q.X, q.i)
 print("\nendomorphism algebra dimension:", len(endomorphisms(fs)))
 print("indecomposable:", is_indecomposable(fs))
 print("CM support check:", cm_support_check(fs))

@@ -59,6 +59,7 @@ from .adhm import (
 )
 from .koszul import (
     FiberSolution,
+    FramedTorsionSheaf,
     InvalidKoszulTriple,
     KoszulTriple,
     NotCMPoint,
@@ -74,7 +75,6 @@ from .koszul import (
 )
 from .moduli import (
     INCONCLUSIVE,
-    FramedTorsionSheaf,
     SupportReport,
     cm_support_check,
     endomorphisms,

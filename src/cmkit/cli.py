@@ -61,6 +61,14 @@ def _report(command: str, digest: str, code: int, result, messages: list[str]) -
     }
 
 
+def _load_json(raw: bytes):
+    """Parse a JSON document; every way it can fail to decode is one ValueError."""
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def _emit(report: dict, stream) -> None:
     stream.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -131,7 +139,7 @@ def _cmd_normalize(data, args):
 def _cmd_homotopy(data, args):
     kt = triple_from_json(data, default_field=_default_field(args))
     with open(args.h, "rb") as fh:
-        hdata = json.loads(fh.read())
+        hdata = _load_json(fh.read())
     h = covector_from_json(hdata, kt.field, "h", (kt.r, kt.n))
     out = koszul.apply_homotopy(kt, h)
     return {"triple": triple_to_json(out)}, OK, []
@@ -139,7 +147,7 @@ def _cmd_homotopy(data, args):
 
 def _cmd_fiber_solve(data, args):
     fs = sheaf_from_json(data, default_field=_default_field(args))
-    sol = koszul.solve_cm_fiber(fs.X, fs.i)
+    sol = koszul.solve_cm_fiber(fs)
     if sol is None:
         return {"feasible": False}, INFEASIBLE, ["empty CM fiber: (X, i) lies outside the support"]
     result = {
@@ -249,11 +257,7 @@ def _run_single(args, raw: bytes, stream) -> int:
     handler, needs_input = _HANDLERS[args.command]
     digest = _digest(raw if needs_input else repr(sorted(vars(args).items())).encode())
     try:
-        data = json.loads(raw) if needs_input else None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        _emit(_report(args.command, digest, ERROR, None, [f"invalid JSON: {exc}"]), stream)
-        return ERROR
-    try:
+        data = _load_json(raw) if needs_input else None
         result, code, msgs = handler(data, args)
     except (SchemaError, ShapeError, SingularMatrixError, ValueError, ArithmeticError, OSError) as exc:
         _emit(_report(args.command, digest, ERROR, None, [str(exc)]), stream)

@@ -165,6 +165,16 @@ def normalize(kt: KoszulTriple) -> CMQuadruple:
 
 
 @dataclass(frozen=True)
+class FramedTorsionSheaf(Blocks):
+    """A point of the perverse symmetric power: matrices (X, i)."""
+
+    X: Matrix
+    i: Matrix
+
+    BLOCKS = (Block("X", "nn"), Block("i", "nr"))
+
+
+@dataclass(frozen=True)
 class FiberSolution:
     """The CM fiber over (X, i) as an affine space: particular + span(kernel)."""
 
@@ -191,18 +201,15 @@ def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
     return Matrix(n * n, ncols, tuple(flat), field)
 
 
-def solve_cm_fiber(X: Matrix, i: Matrix) -> FiberSolution | None:
-    """Solve [X, Y] - i j + I = 0 for (Y, j); None when the fiber is empty.
+def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
+    """Solve [X, Y] - i j + I = 0 for (Y, j) over the sheaf (X, i); None when the fiber is empty.
 
     Emptiness is a meaningful answer: the framed sheaf then lies outside the
     support of the CM family.  The kernel basis spans the homogeneous
     solutions [X, Y'] = i j'.
     """
-    n = X.rows
-    if X.cols != n or i.rows != n:
-        raise ShapeError("need square X and an n x r framing block")
-    r = i.cols
-    rhs = Matrix(n * n, 1, (-Matrix.identity(n, X.field)).entries, X.field)
+    X, i, n, r = fs.X, fs.i, fs.n, fs.r
+    rhs = Matrix(n * n, 1, (-Matrix.identity(n, fs.field)).entries, fs.field)
     sol = solve_affine(_fiber_system(X, i), rhs)
     if sol is None:
         return None

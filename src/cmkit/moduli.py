@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (
-    Block,
-    Blocks,
     Matrix,
     _closure_rank,
     add_sandwich,
@@ -32,19 +30,10 @@ from .linalg import (
     unvec,
     vec,
 )
+from .koszul import FramedTorsionSheaf
 from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
 
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class FramedTorsionSheaf(Blocks):
-    """A point of the perverse symmetric power: matrices (X, i)."""
-
-    X: Matrix
-    i: Matrix
-
-    BLOCKS = (Block("X", "nn"), Block("i", "nr"))
 
 
 def support(fs: FramedTorsionSheaf):

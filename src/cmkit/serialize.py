@@ -20,8 +20,7 @@ from typing import Any
 
 from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field
 from .adhm import CMQuadruple
-from .koszul import KoszulTriple, PolyCovector
-from .moduli import FramedTorsionSheaf
+from .koszul import FramedTorsionSheaf, KoszulTriple, PolyCovector
 
 
 class SchemaError(ValueError):

@@ -7,6 +7,14 @@ truncations of formal series that may extend infinitely in negative
 d-degree, so arithmetic tracks an explicit trust floor below which
 coefficients are unknown.
 
+The Weyl algebra sits inside the microlocal ring, and the types say so:
+``WeylElement`` is the exact, nonnegative-d case of ``MicrolocalElement``
+(no floor, every d power >= 0), and all arithmetic is written once, on the
+latter.  A sum, difference or product of two Weyl elements, and a scalar
+times a Weyl element, is a ``WeylElement``; anything that involves a
+``MicrolocalElement`` is a ``MicrolocalElement`` carrying the propagated
+floor.
+
 The single rewriting fact everything rests on is the finite expansion
 
     d^b * x^c = sum_{k=0}^{c} binom(b, k) * c!/(c-k)! * x^(c-k) d^(b-k)
@@ -70,73 +78,6 @@ def _terms_str(terms: Iterable[tuple[TermKey, Fraction]]) -> str:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """Finite sum of c_{a,b} x^a d^b in normal order (all x left of all d)."""
-
-    terms: tuple[tuple[TermKey, Fraction], ...]
-
-    @staticmethod
-    def from_terms(terms: Mapping[TermKey, object]) -> "WeylElement":
-        frac = {}
-        for (a, b), c in terms.items():
-            if a < 0 or b < 0:
-                raise ValueError(f"Weyl monomial powers must be nonnegative, got {(a, b)}")
-            frac[(a, b)] = Fraction(c)
-        return WeylElement(_clean(frac))
-
-    def coeff(self, a: int, b: int) -> Fraction:
-        return dict(self.terms).get((a, b), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return WeylElement(_clean(acc))
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "WeylElement":
-        s = Fraction(scalar)
-        return WeylElement(_clean({k: s * c for k, c in self.terms}))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return weyl_mul(self, other)
-
-    def __str__(self) -> str:
-        return _terms_str(self.terms)
-
-
-def weyl_element(terms: Mapping[TermKey, object]) -> WeylElement:
-    return WeylElement.from_terms(terms)
-
-
-def x_pow(a: int, coeff=1) -> WeylElement:
-    return WeylElement.from_terms({(a, 0): coeff})
-
-
-def d_pow(b: int, coeff=1) -> WeylElement:
-    return WeylElement.from_terms({(0, b): coeff})
-
-
-WEYL_ZERO = WeylElement(())
-
-
-def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
-    return WeylElement(_clean(_normal_order_product(u.terms, v.terms)))
-
-
-def order(u: WeylElement) -> int:
-    """Maximal d-degree over the stored terms; the zero element has none."""
-    if u.is_zero():
-        raise ZeroElementError("order of the zero element is undefined")
-    return max(b for (_, b), _ in u.terms)
-
-
-@dataclass(frozen=True)
 class MicrolocalElement:
     """Truncated element of the microlocal ring C[x]((d^-1)).
 
@@ -149,8 +90,8 @@ class MicrolocalElement:
     terms: tuple[tuple[TermKey, Fraction], ...]
     floor: int | None = None
 
-    @staticmethod
-    def from_terms(terms: Mapping[TermKey, object], floor: int | None = None) -> "MicrolocalElement":
+    @classmethod
+    def from_terms(cls, terms: Mapping[TermKey, object], floor: int | None = None) -> "MicrolocalElement":
         frac = {}
         for (a, b), c in terms.items():
             if a < 0:
@@ -158,7 +99,7 @@ class MicrolocalElement:
             if floor is not None and b < floor:
                 raise ValueError(f"stored term {(a, b)} lies below the floor {floor}")
             frac[(a, b)] = Fraction(c)
-        return MicrolocalElement(_clean(frac), floor)
+        return cls(_clean(frac), floor)
 
     @property
     def truncated(self) -> bool:
@@ -170,8 +111,9 @@ class MicrolocalElement:
 
     @property
     def max_order(self) -> int:
+        """Maximal d-degree over the stored terms; the zero element has none."""
         if not self.terms:
-            raise ZeroElementError("order of a zero truncation is undefined")
+            raise ZeroElementError("order of the zero element is undefined")
         return max(b for (_, b), _ in self.terms)
 
     def coeff(self, a: int, b: int) -> Fraction:
@@ -192,14 +134,14 @@ class MicrolocalElement:
         floor = max(floors) if floors else None
         if floor is not None:
             acc = {k: c for k, c in acc.items() if k[1] >= floor}
-        return MicrolocalElement(_clean(acc), floor)
+        return _kind(self, other)(_clean(acc), floor)
 
     def __sub__(self, other: "MicrolocalElement") -> "MicrolocalElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "MicrolocalElement":
         s = Fraction(scalar)
-        return MicrolocalElement(_clean({k: s * c for k, c in self.terms}), self.floor)
+        return type(self)(_clean({k: s * c for k, c in self.terms}), self.floor)
 
     def __mul__(self, other: "MicrolocalElement") -> "MicrolocalElement":
         return micro_mul(self, other)
@@ -209,6 +151,43 @@ class MicrolocalElement:
         if self.floor is not None:
             return f"{body} + O(∂^{self.floor - 1})"
         return body
+
+
+@dataclass(frozen=True)
+class WeylElement(MicrolocalElement):
+    """Finite sum of c_{a,b} x^a d^b in normal order: no floor and every b >= 0."""
+
+    def __post_init__(self) -> None:
+        if self.floor is not None:
+            raise ValueError(f"a Weyl element is exact and has no floor, got {self.floor}")
+        for (a, b), _ in self.terms:
+            if b < 0:
+                raise ValueError(f"Weyl monomial powers must be nonnegative, got {(a, b)}")
+
+
+def _kind(u: MicrolocalElement, v: MicrolocalElement) -> type[MicrolocalElement]:
+    """Two Weyl elements give a Weyl element; anything else is microlocal."""
+    return WeylElement if isinstance(u, WeylElement) and isinstance(v, WeylElement) else MicrolocalElement
+
+
+def weyl_element(terms: Mapping[TermKey, object]) -> WeylElement:
+    return WeylElement.from_terms(terms)
+
+
+def x_pow(a: int, coeff=1) -> WeylElement:
+    return WeylElement.from_terms({(a, 0): coeff})
+
+
+def d_pow(b: int, coeff=1) -> WeylElement:
+    return WeylElement.from_terms({(0, b): coeff})
+
+
+WEYL_ZERO = WeylElement(())
+
+
+def order(u: WeylElement) -> int:
+    """Maximal d-degree over the stored terms; the zero element has none."""
+    return u.max_order
 
 
 def embed(u: WeylElement) -> MicrolocalElement:
@@ -244,7 +223,7 @@ def micro_mul(u: MicrolocalElement, v: MicrolocalElement) -> MicrolocalElement:
     if v.floor is not None and u.terms:
         ceilings.append(v.floor - 1 + u.max_order)
     if not ceilings:
-        return MicrolocalElement(_clean(prod), None)
+        return _kind(u, v)(_clean(prod), None)
     floor = max(ceilings) + 1
     kept = {k: c for k, c in prod.items() if k[1] >= floor and c != 0}
     if not kept and any(c != 0 for c in prod.values()):
@@ -253,6 +232,11 @@ def micro_mul(u: MicrolocalElement, v: MicrolocalElement) -> MicrolocalElement:
             "widen the input truncations"
         )
     return MicrolocalElement(_clean(kept), floor)
+
+
+# The product of two Weyl elements is a Weyl element, so the Weyl algebra
+# needs no product of its own.
+weyl_mul = micro_mul
 
 
 class CechRanks(NamedTuple):

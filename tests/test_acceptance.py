@@ -106,7 +106,7 @@ def test_criterion_4_pseudotorsor():
         while checked < 100:
             n = rng.randint(1, 4)
             q = sample_cm(n, rng.randint(0, 10**7))
-            sol = solve_cm_fiber(q.X, q.i)
+            sol = solve_cm_fiber(FramedTorsionSheaf(q.X, q.i))
             assert sol is not None
             # random points of the affine fiber satisfy the relation exactly
             for _ in range(3):
@@ -137,9 +137,9 @@ def test_criterion_5_rank_one_obstruction():
     with criterion(5, "(I_n, i) infeasible for n >= 2; rank([X,Y] + I) <= 1 on CM points"):
         rng = random.Random(31337)
         for n in range(2, 7):
-            assert solve_cm_fiber(Matrix.identity(n), Matrix.column([1] + [0] * (n - 1))) is None
+            assert solve_cm_fiber(FramedTorsionSheaf(Matrix.identity(n), Matrix.column([1] + [0] * (n - 1)))) is None
             i_rand = rand_matrix(rng, n, 1)
-            assert solve_cm_fiber(Matrix.identity(n), i_rand) is None
+            assert solve_cm_fiber(FramedTorsionSheaf(Matrix.identity(n), i_rand)) is None
         for q in _cm_pool(8, 8):
             assert rank(commutator(q.X, q.Y) + Matrix.identity(q.n)) <= 1
 

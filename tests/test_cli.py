@@ -441,6 +441,17 @@ def test_undecodable_batch_line_does_not_stop_the_batch(raw):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("raw", _UNDECODABLE, ids=["not-utf", "too-deep"])
+def test_undecodable_h_file_is_one_invalid_json_report(raw, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_bytes(raw)
+    proc = _cli_process(["homotopy", "--h", str(path)], json.dumps(_TRIPLE).encode())
+    [rep] = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert proc.returncode == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"][0].startswith("invalid JSON: ")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_tolerance_flag_zero_is_kept(capsys, monkeypatch):
     # the golden complex verify document passes at 1e-9; its residual entries reach about 1e-14
     [case] = [c for c in _GOLDEN if c["argv"] == ["verify"] and json.loads(c["input"])["field"] == "complex"]

@@ -7,6 +7,7 @@ import pytest
 
 from cmkit import (
     CMQuadruple,
+    FramedTorsionSheaf,
     InvalidKoszulTriple,
     KoszulTriple,
     Matrix,
@@ -160,7 +161,7 @@ def test_shifting_y_by_commutant_stays_valid(flagship):
 
 
 def test_fiber_scalar():
-    sol = solve_cm_fiber(Matrix.zeros(1, 1), Matrix.column([1]))
+    sol = solve_cm_fiber(FramedTorsionSheaf(Matrix.zeros(1, 1), Matrix.column([1])))
     assert sol.particular_j == Matrix.row_vector([1])
     assert sol.dimension == 1
     y, j = sol.kernel_basis[0]
@@ -168,16 +169,16 @@ def test_fiber_scalar():
 
 
 def test_fiber_identity_obstruction():
-    assert solve_cm_fiber(Matrix.identity(2), Matrix.column([1, 0])) is None
+    assert solve_cm_fiber(FramedTorsionSheaf(Matrix.identity(2), Matrix.column([1, 0]))) is None
     for n in (2, 3, 4):
         i = Matrix.column([1] + [0] * (n - 1))
-        assert solve_cm_fiber(Matrix.identity(n), i) is None
+        assert solve_cm_fiber(FramedTorsionSheaf(Matrix.identity(n), i)) is None
 
 
 def test_fiber_jordan_block():
     X = Matrix.from_rows([[0, 1], [0, 0]])
     i = Matrix.column([0, 1])
-    sol = solve_cm_fiber(X, i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
     assert sol is not None and sol.dimension == 2
     res = X @ sol.particular_Y - sol.particular_Y @ X - i @ sol.particular_j + Matrix.identity(2)
     assert res.is_zero()
@@ -189,7 +190,7 @@ def test_torsor_action_lands_on_fiber():
     rng = random.Random(67)
     X = Matrix.from_rows([[0, 1], [0, 0]])
     i = Matrix.column([0, 1])
-    sol = solve_cm_fiber(X, i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
     assert torsor_action(sol, [0] * sol.dimension) == (sol.particular_Y, sol.particular_j)
     for _ in range(10):
         t = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(sol.dimension)]
@@ -204,7 +205,7 @@ def test_fiber_solutions_differ_by_kernel():
     for _ in range(10):
         n = rng.randint(1, 4)
         q = sample_cm(n, rng.randint(0, 10**6))
-        sol = solve_cm_fiber(q.X, q.i)
+        sol = solve_cm_fiber(FramedTorsionSheaf(q.X, q.i))
         assert sol is not None
         # (q.Y, q.j) is another solution; its difference must decompose exactly
         diff_cols = []
@@ -232,10 +233,10 @@ def test_fiber_feasibility_conjugation_invariant():
         (Matrix.from_rows([[0, 0], [0, 1]]), Matrix.column([1, 0])),
     ]
     for X, i in cases:
-        feasible = solve_cm_fiber(X, i) is not None
+        feasible = solve_cm_fiber(FramedTorsionSheaf(X, i)) is not None
         for _ in range(5):
             g = rand_invertible(rng, 2)
-            conj = solve_cm_fiber(g @ X @ g.inverse(), g @ i) is not None
+            conj = solve_cm_fiber(FramedTorsionSheaf(g @ X @ g.inverse(), g @ i)) is not None
             assert conj == feasible
 
 
@@ -243,7 +244,7 @@ def test_fiber_higher_rank_framing():
     # r = 2 framing: X = I2 is feasible since i j can reach rank 2
     X = Matrix.identity(2)
     i = Matrix.identity(2)
-    sol = solve_cm_fiber(X, i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
     assert sol is not None
     res = X @ sol.particular_Y - sol.particular_Y @ X - i @ sol.particular_j + Matrix.identity(2)
     assert res.is_zero()
@@ -268,10 +269,25 @@ def test_triple_refuses_mixed_fields():
         KoszulTriple(X, Matrix.from_rows([[1]], complex_field()), Y, j)
 
 
+def test_fiber_refuses_empty_sheaf():
+    from cmkit import ShapeError
+
+    # n = 0 is refused by the sheaf's one rule before any system is built
+    with pytest.raises(ShapeError):
+        solve_cm_fiber(FramedTorsionSheaf(Matrix(0, 0, ()), Matrix(0, 1, ())))
+
+
+def test_fiber_refuses_mixed_fields():
+    from cmkit import ShapeError, complex_field
+
+    with pytest.raises(ShapeError, match="one field"):
+        solve_cm_fiber(FramedTorsionSheaf(Matrix.zeros(1, 1), Matrix.from_rows([[1]], complex_field())))
+
+
 def test_torsor_action_length_mismatch():
     from cmkit import ShapeError
 
-    sol = solve_cm_fiber(Matrix.zeros(1, 1), Matrix.column([1]))
+    sol = solve_cm_fiber(FramedTorsionSheaf(Matrix.zeros(1, 1), Matrix.column([1])))
     with pytest.raises(ShapeError):
         torsor_action(sol, [1, 2, 3])
 
@@ -281,7 +297,7 @@ def test_fiber_jordan_kernel_spans_expected_elements():
     # the Jordan block itself, and has dimension exactly two
     X = Matrix.from_rows([[0, 1], [0, 0]])
     i = Matrix.column([0, 1])
-    sol = solve_cm_fiber(X, i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
     cols = []
     for yk, jk in sol.kernel_basis:
         cols.append([yk[r, c] for c in range(2) for r in range(2)] + [jk[0, c] for c in range(2)])
@@ -385,7 +401,7 @@ def test_fiber_solve_float_mode():
     field = complex_field(1e-9)
     X = Matrix.from_rows([[0j, 1 + 0j], [0j, 0j]], field)
     i = Matrix.from_rows([[0j], [1 + 0j]], field)
-    sol = solve_cm_fiber(X, i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
     assert sol is not None and sol.dimension == 2
     res = X @ sol.particular_Y - sol.particular_Y @ X - i @ sol.particular_j + Matrix.identity(2, field)
     assert res.is_zero()
@@ -428,7 +444,7 @@ def test_normalize_round_trip_high_degree():
 
 def test_fiber_solve_scales_to_n8():
     q = sample_cm(8, 99)
-    sol = solve_cm_fiber(q.X, q.i)
+    sol = solve_cm_fiber(FramedTorsionSheaf(q.X, q.i))
     assert sol is not None
     res = (
         q.X @ sol.particular_Y
@@ -445,7 +461,7 @@ def test_fiber_dimension_over_diagonal_cyclic_data_is_n():
     # homogeneous solutions are exactly the diagonal shifts of Y: dimension n
     for n in range(1, 7):
         q = sample_cm(n, 300 + n)
-        sol = solve_cm_fiber(q.X, q.i)
+        sol = solve_cm_fiber(FramedTorsionSheaf(q.X, q.i))
         assert sol is not None and sol.dimension == n
         for y, j in sol.kernel_basis:
             assert j.is_zero()

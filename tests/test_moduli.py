@@ -467,7 +467,7 @@ def _sheaves(draw, field_name: str) -> FramedTorsionSheaf:
 @given(data=st.data())
 def test_cm_support_by_duality_matches_fiber_solve(field_name, data):
     fs = data.draw(_sheaves(field_name))
-    sol = solve_cm_fiber(fs.X, fs.i)
+    sol = solve_cm_fiber(fs)
     expected = SupportReport(False, None) if sol is None else SupportReport(True, sol.dimension)
     assert cm_support_check(fs) == expected
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmkit import (
     CutoffExhausted,
@@ -212,6 +213,100 @@ def test_micro_agreement_above_cutoff_on_truncations():
         for (a, b), c in exact.terms:
             if b >= prod.floor:
                 assert prod.coeff(a, b) == c
+
+
+# --- the Weyl algebra inside the microlocal ring: one element type ---
+
+_V = micro({(0, -1): 1}, floor=-2)  # d^-1 + O(d^-3)
+_X = x_pow(1)
+
+# Every way of mixing a Weyl element with a truncated one gives the truncated
+# answer, never an exact WeylElement and never an exception.
+_MIXED = [
+    ("x+v", lambda: _X + _V, {(1, 0): 1, (0, -1): 1}),
+    ("x-v", lambda: _X - _V, {(1, 0): 1, (0, -1): -1}),
+    ("x*v", lambda: _X * _V, {(1, -1): 1}),
+    ("v+x", lambda: _V + _X, {(1, 0): 1, (0, -1): 1}),
+    ("v*x", lambda: _V * _X, {(1, -1): 1, (0, -2): -1}),
+    ("micro_mul(v,x)", lambda: micro_mul(_V, _X), {(1, -1): 1, (0, -2): -1}),
+    ("micro_mul(x,v)", lambda: micro_mul(_X, _V), {(1, -1): 1}),
+]
+
+
+@pytest.mark.parametrize("op, terms", [c[1:] for c in _MIXED], ids=[c[0] for c in _MIXED])
+def test_mixed_arithmetic_is_truncated(op, terms):
+    got = op()
+    assert type(got) is MicrolocalElement
+    assert got == micro(terms, floor=-2)
+
+
+def test_weyl_element_refuses_floor_and_negative_powers():
+    with pytest.raises(ValueError):
+        WeylElement((), -1)
+    with pytest.raises(ValueError):
+        WeylElement((((0, -1), Fraction(1)),))
+    with pytest.raises(ValueError):
+        weyl_element({(2, -3): 1})
+    with pytest.raises(ValueError):
+        WeylElement.from_terms({(0, 1): 1}, floor=0)
+
+
+_KEYS = st.tuples(st.integers(0, 3), st.integers(-3, 3))
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _elements(draw):
+    """A Weyl element, an exact Laurent element or a truncation, with up to four terms."""
+    kind = draw(st.sampled_from(["weyl", "laurent", "truncated"]))
+    terms = draw(st.dictionaries(_KEYS, _COEFFS, max_size=4))
+    if kind == "weyl":
+        return weyl_element({(a, abs(b)): c for (a, b), c in terms.items()})
+    floor = draw(st.integers(-3, 1)) if kind == "truncated" else None
+    return micro({k: c for k, c in terms.items() if floor is None or k[1] >= floor}, floor)
+
+
+def _as_micro(u):
+    return embed(u) if isinstance(u, WeylElement) else u
+
+
+def _product_floor(u, v):
+    """The floor a product must carry: the top of the unknown tails, or None when it is exact."""
+    tails = []
+    if u.floor is not None and v.terms:
+        tails.append(u.floor + v.max_order)
+    if v.floor is not None and u.terms:
+        tails.append(v.floor + u.max_order)
+    if u.floor is not None and v.floor is not None:
+        tails.append(u.floor + v.floor - 1)
+    return max(tails, default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elements(), _elements(), _COEFFS)
+def test_arithmetic_matches_embedded_operands(u, v, c):
+    both_weyl = isinstance(u, WeylElement) and isinstance(v, WeylElement)
+    kind = WeylElement if both_weyl else MicrolocalElement
+    floors = [f for f in (u.floor, v.floor) if f is not None]
+    mu, mv = _as_micro(u), _as_micro(v)
+    for got, ref in ((u + v, mu + mv), (u - v, mu - mv)):
+        assert type(got) is kind
+        assert (got.terms, got.floor) == (ref.terms, ref.floor)
+        assert got.floor == max(floors, default=None)
+    scaled = c * u
+    assert type(scaled) is type(u) and (scaled.terms, scaled.floor) == ((c * mu).terms, u.floor)
+    try:
+        ref = micro_mul(mu, mv)
+    except CutoffExhausted:
+        with pytest.raises(CutoffExhausted):
+            u * v
+        return
+    for got in (u * v, micro_mul(u, v)):
+        assert type(got) is kind
+        assert (got.terms, got.floor) == (ref.terms, ref.floor)
+        assert got.floor == _product_floor(u, v)
+    if both_weyl:
+        assert weyl_mul(u, v) == u * v
 
 
 # --- graded cohomology ranks of the difference complex ---
