@@ -515,8 +515,9 @@ def test_malformed_document_reports(argv, doc, h, message, tmp_path, capsys, mon
 
 
 def test_cech_huge_cutoff_is_constant_work(capsys, monkeypatch):
-    # past sys.maxsize too, where len() of a range would raise OverflowError
-    for cutoff in (10**12, sys.maxsize * 4):
-        code, [rep] = _run(["cech", "--twist", "3", "--cutoff", str(cutoff)], "", capsys, monkeypatch)
-        assert code == 0
-        assert rep["result"] == {"twist": 3, "h0_rank": 4, "h1_rank": 0, "certified": True}
+    # past sys.maxsize too: the answer is the closed form at any size
+    cases = [(3, 10**12, 4, 0), (3, sys.maxsize * 4, 4, 0), (-(10**20), 10**20 + 2, 0, 10**20 - 1)]
+    for twist, cutoff, h0, h1 in cases:
+        code, [rep] = _run(["cech", "--twist", str(twist), "--cutoff", str(cutoff)], "", capsys, monkeypatch)
+        assert code == 0 and rep["messages"] == []
+        assert rep["result"] == {"twist": twist, "h0_rank": h0, "h1_rank": h1, "certified": True}
