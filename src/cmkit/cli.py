@@ -13,6 +13,9 @@ message starts with ``internal error:``, never a traceback.  ``--batch``
 processes newline-delimited JSON, one report per line, preserving input
 order, and goes on after any failed line; the exit code is the worst
 per-line status.
+
+Each handler imports the modules it calls, so a cold process loads only what
+its one command runs (``cech`` never loads ``moduli``, ``koszul`` or ``adhm``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import hashlib
 import json
 import sys
 
-from . import adhm, koszul, moduli, weyl
 from .linalg import DEFAULT_TOLERANCE
 from .serialize import (
     field_from_name,
@@ -36,7 +38,6 @@ from .serialize import (
     triple_from_json,
     triple_to_json,
 )
-from .moduli import INCONCLUSIVE, factor_str
 
 OK, INFEASIBLE, ERROR = 0, 1, 2
 _STATUS = {OK: "ok", INFEASIBLE: "infeasible", ERROR: "error"}
@@ -73,6 +74,8 @@ def _emit(report: dict, stream) -> None:
 
 
 def _cmd_verify(data, args):
+    from . import adhm
+
     q = quadruple_from_json(data, default_field=_default_field(args))
     res = adhm.cm_residual(q)
     ok = res.is_zero()
@@ -86,6 +89,8 @@ def _cmd_verify(data, args):
 
 
 def _cmd_moment(data, args):
+    from . import adhm
+
     q = quadruple_from_json(data, default_field=_default_field(args))
     value = adhm.moment_std(q) if args.convention == "std" else adhm.cm_residual(q)
     return (
@@ -96,6 +101,8 @@ def _cmd_moment(data, args):
 
 
 def _cmd_invariants(data, args):
+    from . import adhm
+
     q = quadruple_from_json(data, default_field=_default_field(args))
     inv = adhm.word_invariants(q, args.max_len)
     return (
@@ -106,6 +113,8 @@ def _cmd_invariants(data, args):
 
 
 def _cmd_hilbert_ideal(data, args):
+    from . import adhm
+
     q = quadruple_from_json(data, default_field=_default_field(args))
     ideal = adhm.hilbert_ideal(q, args.degree)
     basis = []
@@ -125,17 +134,23 @@ def _cmd_hilbert_ideal(data, args):
 
 
 def _cmd_sample(data, args):
+    from . import adhm
+
     q = adhm.sample_cm(args.n, args.seed)
     return {"quadruple": quadruple_to_json(q)}, OK, []
 
 
 def _cmd_normalize(data, args):
+    from . import koszul
+
     kt = triple_from_json(data, default_field=_default_field(args))
     q = koszul.normalize(kt)
     return {"quadruple": quadruple_to_json(q)}, OK, []
 
 
 def _cmd_homotopy(data, args):
+    from . import koszul
+
     kt = triple_from_json(data, default_field=_default_field(args))
     with open(args.h, "rb") as fh:
         hdata = _load_json(fh.read())
@@ -145,6 +160,8 @@ def _cmd_homotopy(data, args):
 
 
 def _cmd_fiber_solve(data, args):
+    from . import koszul
+
     fs = sheaf_from_json(data, default_field=_default_field(args))
     sol = koszul.solve_cm_fiber(fs)
     if sol is None:
@@ -161,17 +178,19 @@ def _cmd_fiber_solve(data, args):
 
 
 def _cmd_classify(data, args):
+    from . import moduli
+
     fs = sheaf_from_json(data, default_field=_default_field(args))
     ends = moduli.endomorphisms(fs)
     report = moduli.cm_support_check(fs, ends)
     if fs.field.is_rational:
         factors = moduli.support(fs)
-        sup = [{"factor": factor_str(coeffs), "coeffs": [str(c) for c in coeffs], "multiplicity": m}
+        sup = [{"factor": moduli.factor_str(coeffs), "coeffs": [str(c) for c in coeffs], "multiplicity": m}
                for coeffs, m in factors]
         indec = moduli.is_indecomposable(fs, factors, ends)
     else:
         sup = [{"root": [z.real, z.imag], "multiplicity": m} for z, m in moduli.support(fs)]
-        indec = INCONCLUSIVE
+        indec = moduli.INCONCLUSIVE
     result = {
         "support": sup,
         "framing_surjective": moduli.framing_surjective(fs),
@@ -185,6 +204,8 @@ def _cmd_classify(data, args):
 
 
 def _cmd_cech(data, args):
+    from . import weyl
+
     ranks = weyl.cech_graded_ranks(args.twist, args.cutoff)
     result = {
         "twist": args.twist,

@@ -6,21 +6,22 @@ validators raise :class:`SchemaError` carrying the path of the offending
 field.
 
 A document is an object with ``n``, ``r`` (default 1), an optional ``field``
-and ``tolerance``, and one key per block.  :data:`DOCUMENTS` lists each
-kind's blocks: the ``BLOCKS`` table its constructor checks, read here by the
-one reader and the one writer.
+and ``tolerance``, and one key per block.  The one reader and the one writer
+take the blocks of each kind from its ``BLOCKS``, the table its constructor
+checks.  The model classes are imported only by the readers that build them,
+so loading this module loads nothing of cmkit but ``linalg``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field
-from .adhm import CMQuadruple
-from .koszul import FramedTorsionSheaf, KoszulTriple, PolyCovector
+
+if TYPE_CHECKING:
+    from .koszul import PolyCovector
 
 
 class SchemaError(ValueError):
@@ -106,11 +107,12 @@ def covector_from_json(data, field: Field, path: str, shape: tuple[int, int]) ->
     coeffs = data["coeffs"]
     if not isinstance(coeffs, list) or not coeffs:
         raise SchemaError(f"{path}.coeffs", "expected a non-empty list of matrices")
+    from .koszul import PolyCovector
+
     return PolyCovector.from_coeffs(
         [matrix_from_json(c, field, f"{path}.coeffs[{k}]", shape) for k, c in enumerate(coeffs)])
 
 
-DOCUMENTS = {kind: kind.BLOCKS for kind in (CMQuadruple, KoszulTriple, FramedTorsionSheaf)}
 _READERS = {"matrix": matrix_from_json, "covector": covector_from_json}
 _WRITERS = {"matrix": matrix_to_json, "covector": covector_to_json}
 
@@ -122,7 +124,7 @@ def _require(data: dict, key: str):
 
 
 def read_document(kind: type, data, default_field: Field | None = None):
-    """The ``kind`` object in ``data``, each block checked against its shape in :data:`DOCUMENTS`."""
+    """The ``kind`` object in ``data``, each block checked against its shape in ``kind.BLOCKS``."""
     if not isinstance(data, dict):
         raise SchemaError(".", "expected an object")
     size = {"n": _require(data, "n"), "r": data.get("r", 1)}
@@ -137,17 +139,32 @@ def read_document(kind: type, data, default_field: Field | None = None):
     )
     return kind(*(
         _READERS[b.type](_require(data, b.name), field, b.name, (size[b.shape[0]], size[b.shape[1]]))
-        for b in DOCUMENTS[kind]
+        for b in kind.BLOCKS
     ))
 
 
 def write_document(doc) -> dict:
     out = {"n": doc.n, "r": doc.r, "field": doc.field.name}
-    out.update((b.name, _WRITERS[b.type](getattr(doc, b.name))) for b in DOCUMENTS[type(doc)])
+    out.update((b.name, _WRITERS[b.type](getattr(doc, b.name))) for b in type(doc).BLOCKS)
     return out
 
 
-quadruple_from_json = partial(read_document, CMQuadruple)
-triple_from_json = partial(read_document, KoszulTriple)
-sheaf_from_json = partial(read_document, FramedTorsionSheaf)
+def quadruple_from_json(data, default_field: Field | None = None):
+    from .adhm import CMQuadruple
+
+    return read_document(CMQuadruple, data, default_field)
+
+
+def triple_from_json(data, default_field: Field | None = None):
+    from .koszul import KoszulTriple
+
+    return read_document(KoszulTriple, data, default_field)
+
+
+def sheaf_from_json(data, default_field: Field | None = None):
+    from .koszul import FramedTorsionSheaf
+
+    return read_document(FramedTorsionSheaf, data, default_field)
+
+
 quadruple_to_json = triple_to_json = sheaf_to_json = write_document

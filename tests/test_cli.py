@@ -174,6 +174,50 @@ def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
     ]
 
 
+# The cmkit modules a cold process loads for each command.  The CLI module
+# itself runs as __main__, as under ``python -m cmkit.cli``, so it is not one of them.
+_CECH_MODULES = {"cmkit", "cmkit.linalg", "cmkit.serialize", "cmkit.weyl"}
+_ADHM_MODULES = _CECH_MODULES - {"cmkit.weyl"} | {"cmkit.adhm"}
+_KOSZUL_MODULES = _ADHM_MODULES | {"cmkit.koszul"}
+_MODULI_MODULES = _KOSZUL_MODULES | {"cmkit.moduli", "cmkit.factor"}
+_SMALL_TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["3"]],
+                 "j": {"coeffs": [[["1"]], [["3"]]]}}
+_SMALL_SHEAF = {"n": 2, "r": 1, "field": "rational", "X": [["0", "1"], ["0", "0"]], "i": [["1"], ["0"]]}
+_COLD_COMMANDS = [
+    (["verify"], FLAGSHIP, _ADHM_MODULES),
+    (["moment"], FLAGSHIP, _ADHM_MODULES),
+    (["invariants"], FLAGSHIP, _ADHM_MODULES),
+    (["hilbert-ideal"], COMMUTING_PAIR, _ADHM_MODULES),
+    (["sample", "--n", "3", "--seed", "1"], None, _ADHM_MODULES),
+    (["normalize"], _SMALL_TRIPLE, _KOSZUL_MODULES),
+    (["homotopy", "--h", "H_FILE"], _SMALL_TRIPLE, _KOSZUL_MODULES),
+    (["fiber-solve"], _SMALL_SHEAF, _KOSZUL_MODULES),
+    (["classify"], _SMALL_SHEAF, _MODULI_MODULES),
+    (["cech", "--twist", "2", "--cutoff", "6"], None, _CECH_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, doc, modules", _COLD_COMMANDS, ids=[c[0][0] for c in _COLD_COMMANDS])
+def test_cold_command_loads_only_its_modules(argv, doc, modules, tmp_path):
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"coeffs": [[["3"]]]}))
+    script = (
+        "import json, runpy, sys\n"
+        "sys.argv = ['cmkit', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('cmkit.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'cmkit')), file=sys.stderr)\n"
+    )
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [str(hfile) if a == "H_FILE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", script, *args], input=json.dumps(doc) if doc else "", env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == modules
+
+
 # X = 2 I_3 with r = 1: End has a semisimple part of dimension > 1 and the CM fiber is empty (exit 1)
 SCALAR_SHEAF = {"n": 3, "r": 1, "field": "rational",
                 "X": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]], "i": [["1"], ["0"], ["0"]]}

@@ -7,7 +7,6 @@ import pytest
 
 from cmkit import Matrix, PolyCovector, complex_field, from_cm, sample_cm
 from cmkit.serialize import (
-    DOCUMENTS,
     SchemaError,
     covector_from_json,
     covector_to_json,
@@ -79,7 +78,7 @@ def test_one_table_describes_every_document():
     fs = FramedTorsionSheaf(q.X, q.i)
     for doc in (q, from_cm(q), fs):
         data = write_document(doc)
-        assert list(data) == ["n", "r", "field", *(b.name for b in DOCUMENTS[type(doc)])]
+        assert list(data) == ["n", "r", "field", *(b.name for b in type(doc).BLOCKS)]
         assert read_document(type(doc), data) == doc
 
 
