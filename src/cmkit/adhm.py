@@ -13,8 +13,8 @@ and both are exposed:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
     Block,
@@ -29,14 +29,8 @@ from .linalg import (
 from .linalg import rank  # noqa: F401  (bench/spans.py wraps adhm.rank)
 
 
-@dataclass(frozen=True)
 class CMQuadruple(Blocks):
     """Matrices (X, Y, i, j); a point of the linear-algebra model of CM_n."""
-
-    X: Matrix
-    Y: Matrix
-    i: Matrix
-    j: Matrix
 
     BLOCKS = (Block("X", "nn"), Block("Y", "nn"), Block("i", "nr"), Block("j", "rn"))
 
@@ -112,8 +106,7 @@ def _monomials(degree_bound: int) -> list[tuple[int, int]]:
     return mons
 
 
-@dataclass(frozen=True)
-class HilbertIdeal:
+class HilbertIdeal(NamedTuple):
     """Kernel of the evaluation map f |-> f(X, Y) i on bounded-degree polynomials."""
 
     monomials: tuple[tuple[int, int], ...]

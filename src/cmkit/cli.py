@@ -152,8 +152,12 @@ def _cmd_homotopy(data, args):
     from . import koszul
 
     kt = triple_from_json(data, default_field=_default_field(args))
-    with open(args.h, "rb") as fh:
-        hdata = _load_json(fh.read())
+    try:
+        with open(args.h, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read --h file: {exc}") from None
+    hdata = _load_json(raw)
     h = covector_from_json(hdata, kt.field, "h", (kt.r, kt.n))
     out = koszul.apply_homotopy(kt, h)
     return {"triple": triple_to_json(out)}, OK, []

@@ -21,9 +21,21 @@ the span of the homogeneous solutions [X, Y'] = i j'.  It may be empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .linalg import Block, Blocks, Matrix, ShapeError, add_sandwich, commutator, solve_affine, unvec
+from .linalg import (
+    Block,
+    Blocks,
+    Matrix,
+    ShapeError,
+    _field_repr,
+    _frozen,
+    _set,
+    add_sandwich,
+    commutator,
+    solve_affine,
+    unvec,
+)
 from .adhm import CMQuadruple, cm_residual
 
 
@@ -39,20 +51,36 @@ class InvalidKoszulTriple(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
 class PolyCovector:
-    """j(x) = sum_k x^k j_k with r x n matrix coefficients, trailing zeros trimmed."""
+    """j(x) = sum_k x^k j_k with r x n matrix coefficients, trailing zeros trimmed.
 
-    coeffs: tuple[Matrix, ...]
+    Immutable; two covectors are equal when their coefficients are.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, coeffs: tuple[Matrix, ...]) -> None:
+        if not coeffs:
             raise ShapeError("need at least one coefficient")
-        shape = (self.coeffs[0].rows, self.coeffs[0].cols)
-        if any((c.rows, c.cols) != shape for c in self.coeffs):
+        shape = (coeffs[0].rows, coeffs[0].cols)
+        if any((c.rows, c.cols) != shape for c in coeffs):
             raise ShapeError("all coefficients must share one shape")
-        if len(self.coeffs) > 1 and self.coeffs[-1].is_zero():
+        if len(coeffs) > 1 and coeffs[-1].is_zero():
             raise ShapeError("leading coefficient must be nonzero (trim first)")
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return _field_repr(self, PolyCovector.__slots__)
+
+    def __reduce__(self):
+        return PolyCovector, (self.coeffs,)
 
     @staticmethod
     def from_coeffs(coeffs: list[Matrix]) -> "PolyCovector":
@@ -92,14 +120,8 @@ def framed_poly_action(X: Matrix, i: Matrix, pc: PolyCovector) -> Matrix:
     return acc
 
 
-@dataclass(frozen=True)
 class KoszulTriple(Blocks):
     """Diagram data (X, i, Y, j(x)); valid iff check_square vanishes."""
-
-    X: Matrix
-    i: Matrix
-    Y: Matrix
-    j: PolyCovector
 
     BLOCKS = (Block("X", "nn"), Block("i", "nr"), Block("Y", "nn"), Block("j", "rn", "covector"))
 
@@ -153,7 +175,11 @@ def normalizing_homotopy(kt: KoszulTriple) -> PolyCovector:
 
 
 def normalize(kt: KoszulTriple) -> CMQuadruple:
-    """The unique CM quadruple homotopic to a valid triple."""
+    """The unique CM quadruple homotopic to a valid triple.
+
+    In the rational field the result is certified: it must satisfy the CM
+    relation exactly, or ``AssertionError`` reports a defect.
+    """
     res = check_square(kt)
     if not res.is_zero():
         raise InvalidKoszulTriple(res)
@@ -161,21 +187,19 @@ def normalize(kt: KoszulTriple) -> CMQuadruple:
     flat = apply_homotopy(kt, h)
     if not flat.j.is_constant:
         raise AssertionError("normalizing homotopy failed to flatten j(x)")
-    return CMQuadruple(flat.X, flat.Y, flat.i, flat.j.coeff(0))
+    q = CMQuadruple(flat.X, flat.Y, flat.i, flat.j.coeff(0))
+    if kt.field.is_rational and not cm_residual(q).is_zero():
+        raise AssertionError("normalized quadruple fails the CM relation")
+    return q
 
 
-@dataclass(frozen=True)
 class FramedTorsionSheaf(Blocks):
     """A point of the perverse symmetric power: matrices (X, i)."""
-
-    X: Matrix
-    i: Matrix
 
     BLOCKS = (Block("X", "nn"), Block("i", "nr"))
 
 
-@dataclass(frozen=True)
-class FiberSolution:
+class FiberSolution(NamedTuple):
     """The CM fiber over (X, i) as an affine space: particular + span(kernel)."""
 
     X: Matrix

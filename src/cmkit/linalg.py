@@ -31,20 +31,27 @@ polynomial, factor and Weyl-algebra formatters.
 
 The model objects (CM quadruples, Koszul triples, framed torsion sheaves)
 are a few matrix blocks sized by n and r.  Each lists its blocks once, as
-:class:`Block` rows in ``BLOCKS``; the base class :class:`Blocks` checks
-them at construction and ``serialize`` reads and writes documents from the
-same table.
+:class:`Block` rows in ``BLOCKS``; the base class :class:`Blocks` builds
+the object from that table (constructor, checks, equality, hash, repr) and
+``serialize`` reads and writes documents from the same table.
+
+The value classes of the package are plain immutable classes (with
+``__slots__``, except :class:`Blocks`) or ``NamedTuple`` records rather than
+dataclasses: importing ``dataclasses`` loads ``inspect`` and ``ast``, which
+is a large share of a cold command's start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[Fraction, complex]
+
+# Immutable classes set their fields once, in __init__, past their own __setattr__.
+_set = object.__setattr__
 
 
 class ShapeError(ValueError):
@@ -55,8 +62,7 @@ class SingularMatrixError(ValueError):
     """A matrix required to be invertible is not."""
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """Arithmetic policy: ``rational`` (exact) or ``complex`` (tolerance-based).
 
     Pivoting follows the policy of the field: first nonzero entry in column
@@ -109,27 +115,50 @@ def complex_field(tolerance: float = DEFAULT_TOLERANCE) -> Field:
     return Field("complex", tolerance)
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
+def _field_repr(self, names: Iterable[str]) -> str:
+    """``Kind(a=..., b=...)`` over ``names`` in order, as a dataclass prints itself."""
+    return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in names)})"
+
+
 class Matrix:
     """Immutable dense matrix with entries in a fixed :class:`Field`.
 
     Entries are stored row-major in a flat tuple.  All operations return new
-    matrices; values are safe to share across threads.
+    matrices; values are safe to share across threads.  Two matrices are
+    equal when their shapes, entries and fields are.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[Scalar, ...]
-    field: Field = RATIONAL
+    __slots__ = ("rows", "cols", "entries", "field")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...], field: Field = RATIONAL) -> None:
+        if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        _set(self, "field", field)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.entries, self.field
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return _field_repr(self, Matrix.__slots__)
+
+    def __reduce__(self):
+        return Matrix, self._key()
 
     # -- construction -----------------------------------------------------
 
@@ -269,16 +298,24 @@ class Block(NamedTuple):
 
 
 class Blocks:
-    """Base of a frozen dataclass of matrix blocks, listed in constructor order in ``BLOCKS``.
+    """Base of an immutable value made of matrix blocks, listed in constructor order in ``BLOCKS``.
 
-    n is the number of rows of X and r the number of columns of i.  Both
-    must be at least 1, every block (every coefficient of a covector) must
-    have the shape ``BLOCKS`` gives it, and all blocks must share one field.
+    The constructor takes the blocks positionally and stores each under its
+    ``BLOCKS`` name.  n is the number of rows of X and r the number of
+    columns of i.  Both must be at least 1, every block (every coefficient of
+    a covector) must have the shape ``BLOCKS`` gives it, and all blocks must
+    share one field.  Two objects are equal when they are of one kind and
+    their blocks are equal.
     """
 
     BLOCKS: tuple[Block, ...] = ()
 
-    def __post_init__(self) -> None:
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, *blocks) -> None:
+        if len(blocks) != len(self.BLOCKS):
+            raise TypeError(f"{type(self).__name__} takes {len(self.BLOCKS)} blocks, got {len(blocks)}")
+        self.__dict__.update(zip((b.name for b in self.BLOCKS), blocks))
         size = {"n": self.n, "r": self.r}
         if size["n"] < 1 or size["r"] < 1:
             raise ShapeError(f"need n >= 1 and r >= 1, got n = {size['n']} and r = {size['r']}")
@@ -292,6 +329,18 @@ class Blocks:
                 fields.add(m.field)
         if len(fields) != 1:
             raise ShapeError("all blocks must share one field")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, b.name) for b in self.BLOCKS)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return _field_repr(self, (b.name for b in self.BLOCKS))
 
     @property
     def n(self) -> int:

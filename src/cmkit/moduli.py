@@ -14,8 +14,8 @@ representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
     Matrix,
@@ -182,8 +182,7 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     in_support: bool
     fiber_dim: int | None
 

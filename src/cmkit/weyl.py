@@ -29,12 +29,11 @@ in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 from typing import Iterable, Mapping, NamedTuple
 
-from .linalg import format_terms, power
+from .linalg import _field_repr, _frozen, _set, format_terms, power
 from .linalg import rank  # noqa: F401  (bench/spans.py wraps weyl.rank)
 
 TermKey = tuple[int, int]  # (x power, d power)
@@ -79,18 +78,21 @@ def _terms_str(terms: Iterable[tuple[TermKey, Fraction]]) -> str:
     return format_terms(((c, power("x", a) + power("∂", b)) for (a, b), c in ordered), "·")
 
 
-@dataclass(frozen=True)
 class MicrolocalElement:
     """Truncated element of the microlocal ring C[x]((d^-1)).
 
     ``floor=None`` marks an exact finite Laurent element: absent coefficients
     are exactly zero.  ``floor=f`` marks a truncation: coefficients with
     d-degree < f are unknown, and arithmetic propagates the floor so that
-    stored terms are always correct.
+    stored terms are always correct.  Elements are immutable.
     """
 
-    terms: tuple[tuple[TermKey, Fraction], ...]
-    floor: int | None = None
+    __slots__ = ("terms", "floor")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
+        _set(self, "terms", terms)
+        _set(self, "floor", floor)
 
     @classmethod
     def from_terms(cls, terms: Mapping[TermKey, object], floor: int | None = None) -> "MicrolocalElement":
@@ -136,6 +138,12 @@ class MicrolocalElement:
     def __hash__(self) -> int:
         return hash((self.terms, self.floor))
 
+    def __repr__(self) -> str:
+        return _field_repr(self, MicrolocalElement.__slots__)
+
+    def __reduce__(self):
+        return type(self), (self.terms, self.floor)
+
     def __add__(self, other: "MicrolocalElement") -> "MicrolocalElement":
         if not isinstance(other, MicrolocalElement):
             return NotImplemented
@@ -170,16 +178,21 @@ class MicrolocalElement:
         return body
 
 
-@dataclass(frozen=True, eq=False)  # equality and hash are the parent's: by value
 class WeylElement(MicrolocalElement):
-    """Finite sum of c_{a,b} x^a d^b in normal order: no floor and every b >= 0."""
+    """Finite sum of c_{a,b} x^a d^b in normal order: no floor and every b >= 0.
 
-    def __post_init__(self) -> None:
-        if self.floor is not None:
-            raise ValueError(f"a Weyl element is exact and has no floor, got {self.floor}")
-        for (a, b), _ in self.terms:
+    Equality and hash are the parent's, by value.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
+        if floor is not None:
+            raise ValueError(f"a Weyl element is exact and has no floor, got {floor}")
+        for (a, b), _ in terms:
             if b < 0:
                 raise ValueError(f"Weyl monomial powers must be nonnegative, got {(a, b)}")
+        super().__init__(terms, floor)
 
 
 def _kind(u: MicrolocalElement, v: MicrolocalElement) -> type[MicrolocalElement]:

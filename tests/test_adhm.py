@@ -226,9 +226,11 @@ def test_sample_cm_distinct_diagonal():
 
 def _block_cm_pair(seed_a: int, seed_b: int) -> CMQuadruple:
     """Rank-2 framed CM point assembled from two rank-1 points on disjoint blocks."""
-    qa, qb = sample_cm(2, seed_a), sample_cm(1, seed_b)
-    na, nb = qa.n, qb.n
-    n = na + nb
+    return _block_sum(sample_cm(2, seed_a), sample_cm(1, seed_b))
+
+
+def _block_sum(qa: CMQuadruple, qb: CMQuadruple) -> CMQuadruple:
+    """The direct sum of two CM points: each block diagonal, framings side by side."""
     z = Fraction(0)
 
     def block_diag(a: Matrix, b: Matrix) -> Matrix:

@@ -174,8 +174,9 @@ def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
     ]
 
 
-# The cmkit modules a cold process loads for each command.  The CLI module
-# itself runs as __main__, as under ``python -m cmkit.cli``, so it is not one of them.
+# The cmkit modules a cold process loads for each command; none of them loads
+# ``dataclasses``.  The CLI module itself runs as __main__, as under
+# ``python -m cmkit.cli``, so it is not one of them.
 _CECH_MODULES = {"cmkit", "cmkit.linalg", "cmkit.serialize", "cmkit.weyl"}
 _ADHM_MODULES = _CECH_MODULES - {"cmkit.weyl"} | {"cmkit.adhm"}
 _KOSZUL_MODULES = _ADHM_MODULES | {"cmkit.koszul"}
@@ -207,7 +208,8 @@ def test_cold_command_loads_only_its_modules(argv, doc, modules, tmp_path):
         "try:\n"
         "    runpy.run_module('cmkit.cli', run_name='__main__')\n"
         "finally:\n"
-        "    print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'cmkit')), file=sys.stderr)\n"
+        "    print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] == 'cmkit'),\n"
+        "                      'dataclasses' in sys.modules]), file=sys.stderr)\n"
     )
     src = str(Path(cmkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -215,7 +217,9 @@ def test_cold_command_loads_only_its_modules(argv, doc, modules, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *args], input=json.dumps(doc) if doc else "", env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert set(json.loads(proc.stderr.splitlines()[-1])) == modules
+    loaded, dataclasses_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert set(loaded) == modules
+    assert not dataclasses_loaded
 
 
 # X = 2 I_3 with r = 1: End has a semisimple part of dimension > 1 and the CM fiber is empty (exit 1)
@@ -383,6 +387,33 @@ def test_missing_input_file_is_error(tmp_path, capsys, monkeypatch):
     code, [rep] = _run(["classify", "--input", str(tmp_path / "missing.json")], "", capsys, monkeypatch)
     assert code == 2 and rep["status"] == "error" and rep["result"] is None
     assert rep["command"] == "classify" and rep["messages"][0].startswith("cannot read input:")
+
+
+def test_missing_h_file_is_named_in_the_report(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    code, [rep] = _run(["homotopy", "--h", str(missing)], json.dumps(_SMALL_TRIPLE), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    [message] = rep["messages"]
+    assert message.startswith("cannot read --h file: ") and str(missing) in message
+
+
+def test_uncertified_normal_form_is_internal_error(capsys, monkeypatch):
+    from cmkit import koszul
+
+    def wrong_y(kt, h):
+        # j comes back constant, as normalize checks, but Y is off the CM locus: [X, E12] = -E12 here
+        shift = cmkit.Matrix.from_rows([[0, 1], [0, 0]])
+        return koszul.KoszulTriple(kt.X, kt.i, kt.Y + shift, koszul.PolyCovector.constant(kt.j.coeff(0)))
+
+    monkeypatch.setattr(koszul, "apply_homotopy", wrong_y)
+    triple = dict(FLAGSHIP, j={"coeffs": [FLAGSHIP["j"]]})
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(triple).encode()), encoding="utf-8"))
+    code = main(["normalize"])
+    captured = capsys.readouterr()
+    [rep] = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == ["internal error: AssertionError: normalized quadruple fails the CM relation"]
+    assert "Traceback" not in captured.err
 
 
 def test_batch_from_file(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmkit import (
     CMQuadruple,
@@ -16,6 +17,7 @@ from cmkit import (
     apply_homotopy,
     check_square,
     cm_residual,
+    conjugate,
     from_cm,
     normalize,
     normalizing_homotopy,
@@ -512,3 +514,73 @@ def test_fiber_system_matches_unit_probing(field_name, conjugated, r):
         X = Matrix.from_rows(X.to_rows(), field)
         i = Matrix.from_rows([[v * (1 + 1j) for v in row] for row in i.to_rows()], field)
     assert _fiber_system(X, i) == _probed_fiber_system(X, i)
+
+
+# --- the Koszul laws as properties, n <= 4 and r <= 2 ---
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _invertible(draw, n: int) -> Matrix:
+    """g = L D U with unit triangular integer L, U and a diagonal D of units +-1, +-2."""
+    entry = st.integers(-2, 2)
+    lower = Matrix.from_rows([[1 if k == l else draw(entry) if l < k else 0 for l in range(n)] for k in range(n)])
+    upper = Matrix.from_rows([[1 if k == l else draw(entry) if l > k else 0 for l in range(n)] for k in range(n)])
+    diag = Matrix.from_rows([[draw(st.sampled_from([1, -1, 2, -2])) if k == l else 0 for l in range(n)]
+                             for k in range(n)])
+    return lower @ diag @ upper
+
+
+@st.composite
+def _cm_points(draw) -> CMQuadruple:
+    """A sampled CM point (r = 1, n <= 4) or two on disjoint blocks (r = 2, n <= 4), conjugated by a random g."""
+    sizes = draw(st.sampled_from([[1], [2], [3], [4], [1, 1], [1, 2], [2, 1], [2, 2]]))
+    from test_adhm import _block_sum
+
+    points = [sample_cm(n, draw(st.integers(0, 10**6))) for n in sizes]
+    q = points[0] if len(points) == 1 else _block_sum(*points)
+    return conjugate(q, draw(_invertible(q.n)))
+
+
+@st.composite
+def _homotopies(draw, r: int, n: int) -> PolyCovector:
+    coeffs = [Matrix.from_rows([[draw(_small) for _ in range(n)] for _ in range(r)])
+              for _ in range(draw(st.integers(1, 3)))]
+    return PolyCovector.from_coeffs(coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_normalize_is_constant_on_homotopy_classes(data):
+    q = data.draw(_cm_points())
+    kt = apply_homotopy(from_cm(q), data.draw(_homotopies(q.r, q.n)))
+    assert normalize(apply_homotopy(kt, data.draw(_homotopies(q.r, q.n)))) == normalize(kt) == q
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_torsor_action_lands_on_the_fiber(data):
+    q = data.draw(_cm_points())
+    sol = solve_cm_fiber(FramedTorsionSheaf(q.X, q.i))
+    y, j = torsor_action(sol, [data.draw(_small) for _ in range(sol.dimension)])
+    assert cm_residual(CMQuadruple(q.X, y, q.i, j)).is_zero()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_fiber_feasibility_and_dimension_are_conjugation_invariant(data):
+    if data.draw(st.booleans()):  # a sheaf in the CM support, or random small integer data
+        q = data.draw(_cm_points())
+        X, i = q.X, q.i
+    else:
+        n, r = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+        entry = st.sampled_from([0, 0, 1, -1, 2])
+        X = Matrix.from_rows([[data.draw(entry) for _ in range(n)] for _ in range(n)])
+        i = Matrix.from_rows([[data.draw(entry) for _ in range(r)] for _ in range(n)])
+    g = data.draw(_invertible(X.rows))
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
+    moved = solve_cm_fiber(FramedTorsionSheaf(g @ X @ g.inverse(), g @ i))
+    assert (sol is None) == (moved is None)
+    if sol is not None:
+        assert moved.dimension == sol.dimension
