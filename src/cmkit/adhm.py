@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .linalg import (
     Block,
@@ -98,7 +98,7 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
 
 
 def _monomials(degree_bound: int) -> list[tuple[int, int]]:
-    """Bivariate monomial exponents (a, b) with a+b <= bound, graded, x first."""
+    """Bivariate monomial exponents (a, b) with a+b <= bound, graded, x first (the order of :func:`poly_str`)."""
     mons = []
     for total in range(degree_bound + 1):
         for a in range(total, -1, -1):
@@ -106,18 +106,25 @@ def _monomials(degree_bound: int) -> list[tuple[int, int]]:
     return mons
 
 
+# A polynomial in x and y: its nonzero terms c x^a y^b as ((a, b), c) pairs.
+Poly = tuple[tuple[tuple[int, int], object], ...]
+
+
 class HilbertIdeal(NamedTuple):
-    """Kernel of the evaluation map f |-> f(X, Y) i on bounded-degree polynomials."""
+    """Kernel of the evaluation map f |-> f(X, Y) i on bounded-degree polynomials.
+
+    Each basis polynomial lists its terms in :func:`poly_str` order.
+    """
 
     monomials: tuple[tuple[int, int], ...]
-    basis: tuple[dict[tuple[int, int], object], ...]
+    basis: tuple[Poly, ...]
     quotient_dim: int
     degree_bound: int
 
 
-def poly_str(poly: dict[tuple[int, int], object]) -> str:
-    """The polynomial sum c x^a y^b, graded by a + b and then by descending a."""
-    terms = sorted(poly.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
+def poly_str(poly: Iterable[tuple[tuple[int, int], object]]) -> str:
+    """The polynomial sum of c x^a y^b over the ((a, b), c) pairs, graded by a + b and then by descending a."""
+    terms = sorted(poly, key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
     return format_terms((c, power("x", a) + power("y", b)) for (a, b), c in terms)
 
 
@@ -155,11 +162,9 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
             flat.append(col[row_idx, 0])
     eval_matrix = Matrix(q.n, len(mons), tuple(flat), q.field)
     kern = kernel_basis(eval_matrix)
-    basis = []
-    for v in kern:
-        poly = {mons[k]: v[k, 0] for k in range(len(mons)) if not q.field.is_zero(v[k, 0])}
-        basis.append(poly)
-    return HilbertIdeal(tuple(mons), tuple(basis), len(mons) - len(kern), d)
+    # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
+    basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
+    return HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
 
 
 def _draw_fraction(rng: random.Random, span: int) -> Fraction:

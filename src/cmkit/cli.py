@@ -121,7 +121,7 @@ def _cmd_hilbert_ideal(data, args):
     for poly in ideal.basis:
         basis.append(
             {
-                "terms": [[a, b, scalar_to_json(c, q.field)] for (a, b), c in sorted(poly.items())],
+                "terms": [[a, b, scalar_to_json(c, q.field)] for (a, b), c in sorted(poly)],
                 "pretty": adhm.poly_str(poly),
             }
         )

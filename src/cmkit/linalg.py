@@ -21,7 +21,9 @@ solution vector back into its two blocks.
 
 ``_product`` is the one matrix product loop, shared by both fields:
 complex entries go in as they are, rational ones as integer numerators over
-a common denominator.
+a common denominator.  A rational matrix keeps that integer form, and a
+product is made from it, so chains of products build Fractions only for
+the entries that are read.
 
 ``_closure_rank`` (the dimension of the operator-invariant span of some
 seed columns, for stability and framing surjectivity) also runs on
@@ -130,9 +132,23 @@ class Matrix:
     Entries are stored row-major in a flat tuple.  All operations return new
     matrices; values are safe to share across threads.  Two matrices are
     equal when their shapes, entries and fields are.
+
+    A rational matrix also carries its integer form, the pair (numerators,
+    d) that ``_numerators(entries)`` returns: integer numerators over the
+    lcm d of the denominators.  ``@`` reads it from both operands; it is
+    computed on first use and kept.  A product is made from its integer form
+    alone (see :func:`_product`), and its Fraction entries are built the
+    first time something reads ``entries``: ``==``, ``hash``, ``repr``,
+    pickling, ``row``, ``[]``, ``+``, ``-`` or a writer.  ``trace`` of a
+    product whose entries are not built sums its integer diagonal into one
+    Fraction, so a chain of products ending in a trace builds no entry.
+    ``entries`` is a property over the slot ``_entries``, not a slot with a
+    ``__getattr__`` fallback: on CPython 3.11 defining ``__getattr__`` slows
+    every attribute read of the class, ``rows``, ``cols`` and methods too.
     """
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    _FIELDS = ("rows", "cols", "entries", "field")
+    __slots__ = ("rows", "cols", "_entries", "field", "_ints")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...], field: Field = RATIONAL) -> None:
@@ -142,8 +158,38 @@ class Matrix:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        _set(self, "_entries", entries)
         _set(self, "field", field)
+        _set(self, "_ints", None)
+
+    @staticmethod
+    def _from_ints(rows: int, cols: int, ints: tuple[list[int], int], field: Field) -> "Matrix":
+        """The rational matrix with integer form ``ints``; its entries are built when first read."""
+        m = object.__new__(Matrix)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "_entries", None)
+        _set(m, "field", field)
+        _set(m, "_ints", ints)
+        return m
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        entries = self._entries
+        if entries is None:
+            nums, d = self._ints
+            zero = Fraction(0)
+            entries = tuple(Fraction(v, d) if v else zero for v in nums)
+            _set(self, "_entries", entries)
+        return entries
+
+    def _integer_form(self) -> tuple[list[int], int]:
+        """(numerators, d) of a rational matrix, as ``_numerators(self.entries)`` gives it."""
+        ints = self._ints
+        if ints is None:
+            ints = _numerators(self._entries)
+            _set(self, "_ints", ints)
+        return ints
 
     def _key(self) -> tuple:
         return self.rows, self.cols, self.entries, self.field
@@ -155,7 +201,7 @@ class Matrix:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return _field_repr(self, Matrix.__slots__)
+        return _field_repr(self, Matrix._FIELDS)
 
     def __reduce__(self):
         return Matrix, self._key()
@@ -238,12 +284,15 @@ class Matrix:
             raise ShapeError("mixed fields")
         n, m, p = self.rows, self.cols, other.cols
         if self.field.is_rational:
-            a, da = _numerators(self.entries)
-            b, db = _numerators(other.entries)
-            d, zero = da * db, Fraction(0)
-            flat = tuple(Fraction(v, d) if v else zero for v in _product(a, b, n, m, p, 0))
-        else:
-            flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
+            a, da = self._integer_form()
+            b, db = other._integer_form()
+            acc = _product(a, b, n, m, p, 0)
+            d = da * db
+            g = gcd(d, *acc)
+            if g > 1:
+                acc, d = [v // g for v in acc], d // g
+            return Matrix._from_ints(n, p, (acc, d), self.field)
+        flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
         return Matrix(n, p, flat, self.field)
 
     def transpose(self) -> "Matrix":
@@ -253,6 +302,9 @@ class Matrix:
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ShapeError("trace of non-square matrix")
+        if self._entries is None:
+            nums, d = self._ints
+            return Fraction(sum(nums[:: self.rows + 1]), d)
         return sum((self[k, k] for k in range(self.rows)), self.field.zero)
 
     def is_zero(self) -> bool:
@@ -369,14 +421,19 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
     Complex entries go in as they are; skipping a zero of ``right`` changes
     no bit of a finite result, since a sum started from +0.0 is never -0.0
     (only an overflowed ``inf`` times an exact zero would differ).  A
-    rational operand goes in as integer numerators over one common
-    denominator, so the loop multiplies plain ints and each entry becomes a
-    Fraction once.  That pays off when the entries of each operand share
-    their denominators, as products of conjugated CM points do.  If both
-    operands have many distinct large coprime denominators, the common ones
-    grow with the sum of their sizes and the products cost more than
-    entrywise Fraction arithmetic would (n = 12, distinct 30-bit primes:
-    about 5x slower).
+    rational operand goes in as its integer form (see :class:`Matrix`), so
+    the loop multiplies plain ints: with numerators over d and d', the sums
+    v_k over D = d d' are the product.  ``@`` divides them and D by
+    g = gcd(D, v_1, v_2, ...), which gives the product its own integer form
+    bit for bit as ``_numerators`` would compute it from the entries: entry
+    k in lowest terms has denominator D / gcd(D, v_k), and
+    lcm_k(D / gcd(D, v_k)) = D / gcd(D, v_1, v_2, ...).  The product's
+    Fractions are built only when its entries are read.  That pays off when
+    the entries of each operand share their denominators, as products of
+    conjugated CM points do.  If both operands have many distinct large
+    coprime denominators, the common ones grow with the sum of their sizes
+    and the products cost more than entrywise Fraction arithmetic would
+    (n = 12, distinct 30-bit primes: about 5x slower).
     """
     right_rows = [[(c, y) for c, y in enumerate(right[k * p : (k + 1) * p]) if y] for k in range(m)]
     flat: list = []
@@ -647,12 +704,12 @@ def char_poly(a: Matrix) -> list[Scalar]:
     field = a.field
     coeffs = [field.zero] * (n + 1)
     coeffs[n] = field.one
-    m = Matrix.identity(n, field)
+    eye = m = Matrix.identity(n, field)
     for k in range(1, n + 1):
         am = a @ m
         c = -am.trace() / k
         coeffs[n - k] = c
-        m = am + c * Matrix.identity(n, field)
+        m = am + c * eye
     return coeffs
 
 
@@ -663,9 +720,10 @@ def eval_matrix_poly(coeffs: Iterable, x: Matrix) -> Matrix:
     cs = [x.field.coerce(c) for c in coeffs]
     if not cs:
         return Matrix.zeros(x.rows, x.cols, x.field)
-    acc = cs[-1] * Matrix.identity(x.rows, x.field)
+    eye = Matrix.identity(x.rows, x.field)
+    acc = cs[-1] * eye
     for c in reversed(cs[:-1]):
-        acc = acc @ x + c * Matrix.identity(x.rows, x.field)
+        acc = acc @ x + c * eye
     return acc
 
 

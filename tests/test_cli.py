@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cmkit
 from cmkit.cli import main
@@ -596,3 +598,70 @@ def test_cech_huge_cutoff_is_constant_work(capsys, monkeypatch):
         code, [rep] = _run(["cech", "--twist", str(twist), "--cutoff", str(cutoff)], "", capsys, monkeypatch)
         assert code == 0 and rep["messages"] == []
         assert rep["result"] == {"twist": twist, "h0_rank": h0, "h1_rank": h1, "certified": True}
+
+
+# --- fuzz: every command that reads a document answers with one report ---
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_RATIONAL_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3)),
+)
+_COMPLEX_ENTRY = st.one_of(st.integers(-3, 3), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+
+
+@st.composite
+def _documents(draw):
+    """A small well-formed document with n, r <= 3 (j a matrix or a covector, so quadruple, triple
+    and sheaf commands all read it), sometimes with one block replaced by arbitrary JSON."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["rational", "complex"]))
+    entry = _RATIONAL_ENTRY if field == "rational" else _COMPLEX_ENTRY
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    doc = {"n": n, "r": r, "field": field, "X": block(n, n), "Y": block(n, n), "i": block(n, r)}
+    if draw(st.booleans()):
+        doc["j"] = block(r, n)
+    else:
+        doc["j"] = {"coeffs": [block(r, n) for _ in range(draw(st.integers(1, 2)))]}
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
+    h = {"coeffs": [block(r, n) for _ in range(draw(st.integers(1, 2)))]}
+    return doc, h
+
+
+_DOCUMENT_COMMANDS = [
+    ["verify"], ["moment", "--convention", "cm"], ["invariants", "--max-len", "2"], ["hilbert-ideal"],
+    ["normalize"], ["homotopy", "--h", "H_FILE"], ["fiber-solve"], ["classify"],
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(_DOCUMENT_COMMANDS),
+    st.one_of(_documents(), st.tuples(_JSON_VALUES, _JSON_VALUES)),
+)
+def test_fuzzed_documents_get_one_report_and_a_documented_exit(tmp_path_factory, argv, inputs):
+    doc, h = inputs
+    hfile = tmp_path_factory.getbasetemp() / "fuzz-h.json"
+    hfile.write_text(json.dumps(h))
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(hfile) if a == "H_FILE" else a for a in argv])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    [line] = out.getvalue().splitlines()
+    report = json.loads(line)
+    assert report["command"] == argv[0]
+    assert report["status"] == {0: "ok", 1: "infeasible", 2: "error"}[code]
+    assert "Traceback" not in err.getvalue()

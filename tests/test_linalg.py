@@ -18,7 +18,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _rref
+from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rref
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_matrix
 
@@ -147,19 +147,21 @@ def test_float_mode_partial_pivoting():
 _DENOMINATORS = [1, 2, 3, 6, 7, 12, 2**61 - 1, 10**18 + 9, 3**40]
 
 
+# Entries of one operand: all zero, signed integers, or zeros and signed fractions over _DENOMINATORS.
+_RATIONAL_ENTRIES = {
+    "zero": st.just(Fraction(0)),
+    "integer": st.integers(-(10**12), 10**12).map(Fraction),
+    "mixed": st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from(_DENOMINATORS)),
+    ),
+}
+
+
 @st.composite
 def _rational_operands(draw):
     n, m, p = (draw(st.integers(0, 4)) for _ in range(3))
-    kind = draw(st.sampled_from(["mixed", "integer", "zero"]))
-    if kind == "zero":
-        entry = st.just(Fraction(0))
-    elif kind == "integer":
-        entry = st.integers(-(10**12), 10**12).map(Fraction)
-    else:
-        entry = st.one_of(
-            st.just(Fraction(0)),
-            st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from(_DENOMINATORS)),
-        )
+    entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
 
     def operand(rows, cols):
         return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
@@ -180,6 +182,64 @@ def test_rational_matmul_matches_entrywise_definition(operands):
     )
     assert product.entries == expected
     assert all(type(x) is Fraction for x in product.entries)
+
+
+def _entrywise_product(a: list, b: list, n: int, m: int, p: int) -> list:
+    """Reference oracle: the n x p product of row-major Fraction lists, entry by entry."""
+    return [sum((a[i * m + k] * b[k * p + c] for k in range(m)), Fraction(0)) for i in range(n) for c in range(p)]
+
+
+@st.composite
+def _rational_chains(draw, square=False):
+    """Three to five rational operands of chained shapes (0 to 4, so 0 x k and k x 0 occur), each
+    with its own kind of entries; ``square`` gives them all one shape n x n."""
+    count = draw(st.integers(3, 5))
+    if square:
+        dims = [draw(st.integers(0, 4))] * (count + 1)
+    else:
+        dims = draw(st.lists(st.integers(0, 4), min_size=count + 1, max_size=count + 1))
+    operands = []
+    for rows, cols in zip(dims, dims[1:]):
+        entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
+        operands.append(Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))))
+    return operands
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_chains())
+def test_rational_product_chains_keep_their_integer_form(operands):
+    """Each product of a chain of two to four is the entrywise Fraction product, and the
+    integer form it is made from is exactly ``_numerators`` of those entries."""
+    product, expected = operands[0], list(operands[0].entries)
+    for b in operands[1:]:
+        n, m, p = product.rows, product.cols, b.cols
+        product, expected = product @ b, _entrywise_product(expected, list(b.entries), n, m, p)
+        assert product._entries is None
+        nums, d = product._integer_form()
+        assert product.entries == tuple(expected)
+        assert all(type(x) is Fraction for x in product.entries)
+        assert (nums, d) == _numerators(product.entries)
+        assert type(nums) is list and all(type(v) is int for v in nums) and type(d) is int
+    left = operands[0]
+    for b in operands[1:]:
+        left = left @ b
+    right = operands[-1]
+    for a in reversed(operands[:-1]):
+        right = a @ right
+    assert left._integer_form() == right._integer_form() and left == right
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_chains(square=True))
+def test_trace_of_unbuilt_product_equals_trace_of_its_entries(operands):
+    product = operands[0]
+    for b in operands[1:]:
+        product = product @ b
+    assert product._entries is None
+    lazy = product.trace()
+    assert product._entries is None
+    built = sum(product.entries[:: product.rows + 1], Fraction(0))
+    assert type(lazy) is Fraction and lazy == built == product.trace()
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
@@ -280,16 +340,7 @@ def _reference_rref(rows, field):
 @st.composite
 def _rational_rows(draw):
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["mixed", "integer", "zero"]))
-    if kind == "zero":
-        entry = st.just(Fraction(0))
-    elif kind == "integer":
-        entry = st.integers(-(10**12), 10**12).map(Fraction)
-    else:
-        entry = st.one_of(
-            st.just(Fraction(0)),
-            st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from(_DENOMINATORS)),
-        )
+    entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
     rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     if nrows >= 3 and draw(st.booleans()):  # rank-deficient: a combination of two other rows
         c = draw(entry)
@@ -411,12 +462,13 @@ PRINTED = [
     (str, micro({}, floor=2), "0 + O(∂^1)"),
     (str, micro({}), "0"),
     (str, d_inv(3, -1), "-∂^-3"),
-    (poly_str, {(1, 0): complex(1, 0), (0, 1): complex(-1, 0)}, "x - y"),
-    (poly_str, {(0, 0): complex(1, 0), (2, 0): complex(2, 3), (1, 1): complex(-2, 0), (0, 2): complex(0, -1)},
+    (poly_str, (((1, 0), complex(1, 0)), ((0, 1), complex(-1, 0))), "x - y"),
+    (poly_str,
+     (((0, 0), complex(1, 0)), ((2, 0), complex(2, 3)), ((1, 1), complex(-2, 0)), ((0, 2), complex(0, -1))),
      "(1+0j) + (2+3j)x^2 + (-2+0j)xy - 1jy^2"),
-    (poly_str, {(0, 0): complex(-1, 0), (1, 0): complex(0.5, -0.25)}, "(-1+0j) + (0.5-0.25j)x"),
-    (poly_str, {(1, 0): _F(-1, 2), (0, 3): 1, (0, 0): _F(-1), (2, 1): -1}, "-1 - 1/2x - x^2y + y^3"),
-    (poly_str, {}, "0"),
+    (poly_str, (((0, 0), complex(-1, 0)), ((1, 0), complex(0.5, -0.25))), "(-1+0j) + (0.5-0.25j)x"),
+    (poly_str, (((1, 0), _F(-1, 2)), ((0, 3), 1), ((0, 0), _F(-1)), ((2, 1), -1)), "-1 - 1/2x - x^2y + y^3"),
+    (poly_str, (), "0"),
     (factor_str, (_F(-2), _F(0), _F(1)), "x^2 - 2"),
     (factor_str, (_F(0), _F(0), _F(0), _F(1)), "x^3"),
     (factor_str, (_F(1, 2), _F(0), _F(-1), _F(1)), "x^3 - x^2 + 1/2"),

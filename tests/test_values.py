@@ -29,6 +29,7 @@ from cmkit import (
     SupportReport,
     WeylElement,
     complex_field,
+    hilbert_ideal,
 )
 
 F = Fraction
@@ -61,8 +62,9 @@ VALUES = [
     (KoszulTriple, (A, A, A, PA), {0: B, 1: B, 2: B, 3: PB}),
     (FramedTorsionSheaf, (A, A), {0: B, 1: B}),
     (FiberSolution, (A, A, A, A, ((A, A),)), {0: B, 1: B, 2: B, 3: B, 4: ()}),
-    (HilbertIdeal, (((0, 0),), (), 1, 0), {0: ((1, 0),), 1: ({(0, 0): F(1)},), 2: 2, 3: 1}),
+    (HilbertIdeal, (((0, 0),), (), 1, 0), {0: ((1, 0),), 1: ((((0, 0), F(1)),),), 2: 2, 3: 1}),
     (SupportReport, (True, 2), {0: False, 1: None}),
+    (HilbertIdeal, (((0, 0), (1, 0)), ((((1, 0), F(1)),),), 1, 1), {1: ((((1, 0), F(2)),),)}),
 ]
 IDS = [f"{cls.__name__}-{k}" for k, (cls, _, _) in enumerate(VALUES)]
 # These define + or * or [], so they must not be tuples: m * 2 would repeat the entries.
@@ -166,3 +168,57 @@ def test_wrong_number_of_blocks_is_a_type_error(kind, count):
 def test_weyl_element_refuses_floor_and_negative_powers(args):
     with pytest.raises(ValueError):
         WeylElement(*args)
+
+
+def test_hilbert_ideal_is_a_value():
+    # two points (0, 0) and (1, 0): the basis is nonempty
+    q = CMQuadruple(Matrix.from_rows([[0, 0], [0, 1]]), Matrix.zeros(2, 2), Matrix.column([1, 1]), Matrix.zeros(1, 2))
+    ideal = hilbert_ideal(q, 2)
+    assert ideal.basis and ideal == hilbert_ideal(q, 2) and hash(ideal) == hash(hilbert_ideal(q, 2))
+    assert ideal.basis[0] == (((0, 1), F(1)),)  # y, as ((a, b), c) pairs in poly_str order
+    with pytest.raises(TypeError):
+        ideal.basis[0][0] = ((0, 1), F(2))
+    assert ideal == hilbert_ideal(q, 2)
+
+
+# A 2 x 1 times a 1 x 2 product, and the same matrix built from its entries.
+FACTORS = (Matrix(2, 1, (F(1, 2), F(-3)), RATIONAL), Matrix(1, 2, (F(2, 3), F(5, 7)), RATIONAL))
+BUILT = Matrix(2, 2, (F(1, 3), F(5, 14), F(-2), F(-15, 7)), RATIONAL)
+TWINS = {
+    "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _product() -> Matrix:
+    """A fresh product of FACTORS, whose entries are not built yet."""
+    m = FACTORS[0] @ FACTORS[1]
+    assert m._entries is None
+    return m
+
+
+def test_product_is_the_matrix_of_its_entries():
+    assert _product() == BUILT and BUILT == _product() and not _product() != BUILT
+    assert hash(_product()) == hash(BUILT)
+    assert repr(_product()) == repr(BUILT)
+    assert str(_product()) == str(BUILT)
+    assert _product() != Matrix(2, 2, (F(1, 3), F(5, 14), F(-2), F(15, 7)), RATIONAL)
+
+
+@pytest.mark.parametrize("twin", TWINS.values(), ids=TWINS)
+def test_product_survives_pickle_and_copy(twin):
+    got = twin(_product())
+    assert type(got) is Matrix and got == BUILT and hash(got) == hash(BUILT)
+
+
+def test_product_fields_cannot_be_assigned_or_deleted():
+    m = _product()
+    for name in NAMES[Matrix]:
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(BUILT, name))
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m == BUILT

@@ -311,6 +311,44 @@ def test_arithmetic_matches_embedded_operands(u, v, c):
         assert weyl_mul(u, v) == u * v
 
 
+@st.composite
+def _completed(draw):
+    """An element to multiply and an exact completion of it: an exact Weyl or Laurent element
+    with up to four terms, and either that element itself or a truncation of it."""
+    terms = draw(st.dictionaries(_KEYS, _COEFFS, max_size=4))
+    if draw(st.booleans()):
+        exact = weyl_element({(a, abs(b)): c for (a, b), c in terms.items()})
+    else:
+        exact = micro(terms)
+    floor = draw(st.one_of(st.none(), st.integers(-3, 1)))
+    return (exact if floor is None else exact.truncate(floor)), exact
+
+
+def _trusted_terms_agree(got, exact) -> None:
+    """Every coefficient ``got`` trusts (d-degree at or above its floor) is the exact one."""
+    for a, b in {k for k, _ in got.terms} | {k for k, _ in exact.terms}:
+        if got.floor is None or b >= got.floor:
+            assert got.coeff(a, b) == exact.coeff(a, b), (a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_completed(), _completed(), _completed())
+def test_micro_mul_associative_above_the_floors(u, v, w):
+    """(uv)w and u(vw) are exact above their propagated floors, so both agree with the product
+    of any exact completions there; with no truncated factor they are one exact element."""
+    (u, ue), (v, ve), (w, we) = u, v, w
+    exact = micro_mul(micro_mul(ue, ve), we)
+    assert exact == micro_mul(ue, micro_mul(ve, we)) and exact.floor is None
+    for bracketing in (lambda: micro_mul(micro_mul(u, v), w), lambda: micro_mul(u, micro_mul(v, w))):
+        try:
+            got = bracketing()
+        except CutoffExhausted:  # every computed term fell below a floor
+            continue
+        _trusted_terms_agree(got, exact)
+        if not (u.truncated or v.truncated or w.truncated):
+            assert got == exact and got.floor is None
+
+
 def test_elements_compare_by_value():
     x = x_pow(1)
     assert x == embed(x) and embed(x) == x and hash(x) == hash(embed(x))
