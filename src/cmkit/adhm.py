@@ -155,12 +155,7 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     for _ in range(d):
         x_pows.append(x_pows[-1] @ q.X)
         y_pows.append(y_pows[-1] @ q.Y)
-    columns = [x_pows[a] @ y_pows[b] @ q.i for a, b in mons]
-    flat = []
-    for row_idx in range(q.n):
-        for col in columns:
-            flat.append(col[row_idx, 0])
-    eval_matrix = Matrix(q.n, len(mons), tuple(flat), q.field)
+    eval_matrix = Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons])
     kern = kernel_basis(eval_matrix)
     # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
     basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)

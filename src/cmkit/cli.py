@@ -272,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", help="support, endomorphisms, indecomposability, CM support")
     p = add("cech", help="graded cohomology ranks of the twisted difference complex")
     p.add_argument("--twist", type=int, required=True)
-    p.add_argument("--cutoff", type=int, required=True)
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="window size, at least |twist| + 2 (optional: the ranks do not depend on it)")
     return parser
 
 

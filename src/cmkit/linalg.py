@@ -6,11 +6,12 @@ form, affine solving with an explicit kernel basis, characteristic
 polynomials, and matrix polynomial evaluation.
 
 The default field is ``Fraction`` arithmetic, where every comparison is
-exact.  Rational elimination runs fraction-free on primitive integer rows
-and turns only the reduced rows back into Fractions; a matrix has one RREF,
-so the result is the one Gauss-Jordan on Fractions gives.  The complex mode
-carries an explicit tolerance; zero tests and pivot selection are the only
-places the tolerance enters.
+exact.  Rational elimination runs fraction-free on integer rows sliced out
+of a matrix's integer form and leaves them primitive; :func:`_read` takes
+every answer from the pivot rows, a Fraction per nonzero entry.  A matrix
+has one RREF, so the answers are the ones Gauss-Jordan on Fractions gives.
+The complex mode carries an explicit tolerance; zero tests and pivot
+selection are the only places the tolerance enters.
 
 Linear systems in matrix unknowns use one vectorization convention.  The
 unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
@@ -46,7 +47,7 @@ is a large share of a cold command's start-up.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -135,9 +136,9 @@ class Matrix:
 
     A rational matrix also carries its integer form, the pair (numerators,
     d) that ``_numerators(entries)`` returns: integer numerators over the
-    lcm d of the denominators.  ``@`` reads it from both operands; it is
-    computed on first use and kept.  A product is made from its integer form
-    alone (see :func:`_product`), and its Fraction entries are built the
+    lcm d of the denominators.  ``@``, ``hstack`` and the elimination read
+    it; it is computed on first use and kept.  A product or an ``hstack`` is
+    made from integer forms alone, and its Fraction entries are built the
     first time something reads ``entries``: ``==``, ``hash``, ``repr``,
     pickling, ``row``, ``[]``, ``+``, ``-`` or a writer.  ``trace`` of a
     product whose entries are not built sums its integer diagonal into one
@@ -286,12 +287,7 @@ class Matrix:
         if self.field.is_rational:
             a, da = self._integer_form()
             b, db = other._integer_form()
-            acc = _product(a, b, n, m, p, 0)
-            d = da * db
-            g = gcd(d, *acc)
-            if g > 1:
-                acc, d = [v // g for v in acc], d // g
-            return Matrix._from_ints(n, p, (acc, d), self.field)
+            return Matrix._from_ints(n, p, _reduced(_product(a, b, n, m, p, 0), da * db), self.field)
         flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
         return Matrix(n, p, flat, self.field)
 
@@ -319,22 +315,33 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        eye = Matrix.identity(n, self.field)
-        aug = [list(self.row(i)) + list(eye.row(i)) for i in range(n)]
-        _, pivots = _rref(aug, self.field)
+        rows, pivots = _rref(_rows(self.hstack(Matrix.identity(n, self.field))), self.field)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        flat = tuple(aug[i][n + k] for i in range(n) for k in range(n))
-        return Matrix(n, n, flat, self.field)
+        cols = [_read(rows, pivots, n + k, n, self.field) for k in range(n)]
+        return Matrix(n, n, tuple(col[i] for i in range(n) for col in cols), self.field)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.field != other.field:
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        """[self | others[0] | ...]; a rational one is made from the integer forms, over their lcm."""
+        blocks, rows, cols = (self, *others), self.rows, self.cols + sum(m.cols for m in others)
+        if any(m.rows != rows or m.field != self.field for m in others):
             raise ShapeError("hstack mismatch")
-        flat: list[Scalar] = []
-        for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, tuple(flat), self.field)
+        if self.field.is_rational:
+            forms = [(m._integer_form(), m.cols) for m in blocks]
+            d = lcm(*(e for (_, e), _ in forms))
+            forms = [(nums if e == d else [v * (d // e) for v in nums], c) for (nums, e), c in forms]
+            flat = list(chain.from_iterable(nums[i * c : (i + 1) * c] for i in range(rows) for nums, c in forms))
+            return Matrix._from_ints(rows, cols, (flat, d), self.field)
+        flat = [x for i in range(rows) for m in blocks for x in m.row(i)]
+        return Matrix(rows, cols, tuple(flat), self.field)
+
+    def _columns(self, cols: list[int]) -> "Matrix":
+        """The columns ``cols`` of this matrix, in that order."""
+        at = [i * self.cols + c for i in range(self.rows) for c in cols]
+        if self.field.is_rational:
+            nums, d = self._integer_form()
+            return Matrix._from_ints(self.rows, len(cols), _reduced([nums[t] for t in at], d), self.field)
+        return Matrix(self.rows, len(cols), tuple(self.entries[t] for t in at), self.field)
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
@@ -413,6 +420,12 @@ def _numerators(entries: tuple) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in entries], d
 
 
+def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
+    """nums and d divided by g = gcd(d, *nums): the form ``_numerators`` gives, as lcm_k(d / gcd(d, v_k)) = d / g."""
+    g = gcd(d, *nums)
+    return ([v // g for v in nums], d // g) if g > 1 else (nums, d)
+
+
 def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> list:
     """Entries of the product of an n x m and an m x p matrix, row-major, summed from ``zero``.
 
@@ -423,16 +436,11 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
     (only an overflowed ``inf`` times an exact zero would differ).  A
     rational operand goes in as its integer form (see :class:`Matrix`), so
     the loop multiplies plain ints: with numerators over d and d', the sums
-    v_k over D = d d' are the product.  ``@`` divides them and D by
-    g = gcd(D, v_1, v_2, ...), which gives the product its own integer form
-    bit for bit as ``_numerators`` would compute it from the entries: entry
-    k in lowest terms has denominator D / gcd(D, v_k), and
-    lcm_k(D / gcd(D, v_k)) = D / gcd(D, v_1, v_2, ...).  The product's
-    Fractions are built only when its entries are read.  That pays off when
-    the entries of each operand share their denominators, as products of
-    conjugated CM points do.  If both operands have many distinct large
-    coprime denominators, the common ones grow with the sum of their sizes
-    and the products cost more than entrywise Fraction arithmetic would
+    over d d' are the product, which ``@`` reduces with :func:`_reduced`.  That
+    pays off when the entries of each operand share their denominators, as
+    products of conjugated CM points do.  If both operands have many distinct
+    large coprime denominators, the common ones grow with the sum of their
+    sizes and the products cost more than entrywise Fraction arithmetic would
     (n = 12, distinct 30-bit primes: about 5x slower).
     """
     right_rows = [[(c, y) for c, y in enumerate(right[k * p : (k + 1) * p]) if y] for k in range(m)]
@@ -447,23 +455,26 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
     return flat
 
 
-def _rref(
-    rows: list[list[Scalar]], field: Field, *, write_back: bool = True
-) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form, in place.  Returns (rows, pivot columns).
+def _rows(a: Matrix) -> list[list]:
+    """The rows :func:`_rref` takes: integer rows sliced out of a rational matrix's integer form, else the entries."""
+    if not a.field.is_rational:
+        return a.to_rows()
+    nums, c = a._integer_form()[0], a.cols
+    return [nums[i * c : (i + 1) * c] for i in range(a.rows)]
 
-    Rational mode pivots on the first nonzero entry at or below the current
-    row and eliminates fraction-free on primitive integer rows (see
-    :func:`_integer_rref` for the method and its worst case); the RREF of a
-    matrix is unique, so rows and pivots are the ones Gauss-Jordan on
-    Fractions gives.
-    ``write_back=False`` only finds the pivots and leaves ``rows`` as they
-    are.  Complex mode pivots on the entry of maximal absolute value above
-    tolerance.  Zero entries are skipped in the elimination inner loops, so
-    sparse inputs stay cheap.
+
+def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form, in place, of the rows :func:`_rows` gives.  Returns (rows, pivot columns).
+
+    Rational mode takes integer rows and leaves pivot row k a nonzero
+    multiple of row k of the RREF, as primitive integers, and the rows after
+    the pivot rows zero (see :func:`_integer_rref`); :func:`_read` reads
+    answers from them.  Complex mode pivots on the entry of maximal absolute
+    value above tolerance and leaves the RREF itself, pivots 1.  Zero entries
+    are skipped in the elimination inner loops, so sparse inputs stay cheap.
     """
     if field.is_rational:
-        return rows, _integer_rref(rows, write_back)
+        return rows, _integer_rref(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -506,27 +517,25 @@ def _rref(
     return rows, pivots
 
 
-def _integer_rref(rows: list[list[Fraction]], write_back: bool) -> list[int]:
-    """Pivot columns of the rational RREF of ``rows``; with ``write_back``, the RREF itself in place.
+def _integer_rref(ints: list[list[int]]) -> list[int]:
+    """Pivot columns of the rational RREF of the integer rows ``ints``, which it reduces in place.
 
-    Each row is scaled to primitive integer numerators over the lcm of its
-    denominators.  A pivot row p with entry a clears f = r[pc] from every
-    other row r by r <- (a/g) r - (f/g) p, g = gcd(a, f), and r is divided
-    by its content, so rows stay primitive and no entry is normalized as a
-    Fraction during elimination.  Every row remains a nonzero multiple of
-    the row Fraction Gauss-Jordan would hold, so the same pivots are chosen;
-    at the end each pivot row is divided by its pivot entry.  The worst case
+    The rows are lists of their own, never a cached integer form, and are
+    first divided by their content.  A pivot row p with entry a clears
+    f = r[pc] from every other row r by r <- (a/g) r - (f/g) p, g = gcd(a, f),
+    and r is divided by its content, so rows stay primitive and no Fraction
+    is built.  Every row stays a nonzero multiple of the row Fraction
+    Gauss-Jordan would hold, so the pivots are the same.  The worst case
     is rows with many distinct coprime denominators, which start from large
     numerators; it is still faster than Fraction elimination: ``solve_affine``
     over distinct 30-bit primes, 12 x 12, took 32 ms instead of 47 ms, and
     over 16-bit primes, 20 x 20, 219 ms instead of 353 ms (Xeon 2.1 GHz,
     Python 3.11).
     """
-    ints = []
-    for row in rows:
-        nums = _numerators(row)[0]
-        g = gcd(*nums)
-        ints.append([x // g for x in nums] if g > 1 else nums)
+    for k, row in enumerate(ints):
+        g = gcd(*row)
+        if g > 1:
+            ints[k] = [x // g for x in row]
     nrows = len(ints)
     ncols = len(ints[0]) if nrows else 0
     pivots: list[int] = []
@@ -554,17 +563,25 @@ def _integer_rref(rows: list[list[Fraction]], write_back: bool) -> list[int]:
             g = gcd(*rr)
             ints[r] = [x // g for x in rr] if g > 1 else rr
         pivots.append(pc)
-    if write_back:
-        zero = Fraction(0)
-        for k, row in enumerate(ints):
-            p = row[pivots[k]] if k < len(pivots) else 1
-            rows[k] = [Fraction(x, p) if x else zero for x in row]
     return pivots
 
 
+def _read(rows: list[list], pivots: list[int], col: int, size: int, field: Field, negate: bool = False) -> list:
+    """The vector of length ``size`` with entry p_k = r_k[col] / r_k[p_k] for pivot row k, else zero.
+
+    The entries are negated with ``negate``.  A rational entry is a Fraction
+    only when r_k[col] is nonzero, and every zero is one shared zero.
+    Complex rows have pivots 1 and are read as they are, signed zeros too."""
+    v, rational = [field.zero] * size, field.is_rational
+    for r, p in zip(rows, pivots):
+        x = -r[col] if negate else r[col]
+        if x or not rational:
+            v[p] = Fraction(x, r[p]) if rational else x
+    return v
+
+
 def rank(a: Matrix) -> int:
-    _, pivots = _rref(a.to_rows(), a.field, write_back=False)
-    return len(pivots)
+    return len(_rref(_rows(a), a.field)[1])
 
 
 def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
@@ -580,31 +597,27 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     kept, frontier = Matrix(n, 0, (), field), seeds
     while frontier.cols and kept.cols < n:
         block = kept.hstack(frontier)
-        _, pivots = _rref(block.to_rows(), field, write_back=False)
-        cols = pivots[kept.cols :]
-        new = Matrix(n, len(cols), tuple(block.entries[i * block.cols + c] for i in range(n) for c in cols), field)
+        _, pivots = _rref(_rows(block), field)
+        new = block._columns(pivots[kept.cols :])
         kept = kept.hstack(new)
-        frontier = reduce(Matrix.hstack, [op @ new for op in operators])
+        frontier = Matrix.hstack(*[op @ new for op in operators])
     return kept.cols
 
 
-def _kernel_from_rref(rows: list[list[Scalar]], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
+    """The kernel basis of the first ``ncols`` columns of the reduced rows, which are their own RREF."""
     basis = []
-    for f in free_cols:
-        v = [field.zero] * ncols
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = _read(rows, pivots, f, ncols, field, negate=True)
         v[f] = field.one
-        for k, p in enumerate(pivots):
-            v[p] = -rows[k][f]
         basis.append(Matrix(ncols, 1, tuple(v), field))
     return basis
 
 
 def kernel_basis(a: Matrix) -> list[Matrix]:
     """Basis of {v : Av = 0}, one column per free variable, ascending."""
-    rows, pivots = _rref(a.to_rows(), a.field)
-    return _kernel_from_rref(rows, pivots, a.cols, a.field)
+    rows, pivots = _rref(_rows(a), a.field)
+    return _kernel(rows, pivots, a.cols, a.field)
 
 
 class AffineSolution(NamedTuple):
@@ -623,16 +636,11 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
         raise ShapeError(f"rhs must be a {a.rows}x1 column, got {b.rows}x{b.cols}")
     if a.field != b.field:
         raise ShapeError("mixed fields")
-    aug = [list(a.row(i)) + [b[i, 0]] for i in range(a.rows)]
-    rows, pivots = _rref(aug, a.field)
+    rows, pivots = _rref(_rows(a.hstack(b)), a.field)
     if any(p == a.cols for p in pivots):
         return None
-    x = [a.field.zero] * a.cols
-    for k, p in enumerate(pivots):
-        x[p] = rows[k][a.cols]
-    # The A-part of the reduced augmented rows is the RREF of A itself.
-    kern = _kernel_from_rref([r[: a.cols] for r in rows], pivots, a.cols, a.field)
-    return AffineSolution(Matrix(a.cols, 1, tuple(x), a.field), kern)
+    x = _read(rows, pivots, a.cols, a.cols, a.field)
+    return AffineSolution(Matrix(a.cols, 1, tuple(x), a.field), _kernel(rows, pivots, a.cols, a.field))
 
 
 def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
@@ -696,7 +704,9 @@ def char_poly(a: Matrix) -> list[Scalar]:
     """Coefficients of det(tI - A), ascending in t; monic of degree n.
 
     Computed by the Faddeev-LeVerrier recurrence, which stays in the field
-    (the only divisions are by 1..n).
+    (the only divisions are by 1..n).  A rational AM + cI is made on the
+    integer form of AM; a complex one entrywise, since adding c only on the
+    diagonal could flip the sign of a float zero.
     """
     if a.rows != a.cols:
         raise ShapeError("char_poly needs a square matrix")
@@ -709,7 +719,12 @@ def char_poly(a: Matrix) -> list[Scalar]:
         am = a @ m
         c = -am.trace() / k
         coeffs[n - k] = c
-        m = am + c * eye
+        if field.is_rational:  # nums / d + p / q on the diagonal is (q nums + p d on the diagonal) / (q d)
+            (nums, d), p, q = am._integer_form(), c.numerator, c.denominator
+            nums = [v * q + p * d if t % (n + 1) == 0 else v * q for t, v in enumerate(nums)]
+            m = Matrix._from_ints(n, n, _reduced(nums, d * q), field)
+        else:
+            m = am + c * eye
     return coeffs
 
 

@@ -282,17 +282,18 @@ class CechRanks(NamedTuple):
     certified: bool
 
 
-def cech_graded_ranks(twist: int, cutoff: int) -> CechRanks:
+def cech_graded_ranks(twist: int, cutoff: int | None = None) -> CechRanks:
     """Degree-zero cohomology ranks of the two-term complex D + E^twist -> E.
 
     The map sends (D, e), D a differential operator and e a microlocal element
     of d-degree <= ``twist``, to D - e.  Its kernel is the operators of order
     at most ``twist``, of rank max(0, twist + 1) over the polynomial
     coefficients, and its cokernel the gap of negative orders between twist
-    and -1, of rank max(0, -1 - twist); the ranks are that closed form.  A
-    ``cutoff`` below |twist| + 2 is refused: the windows w = cutoff - 1 and
-    w = cutoff that it names must both exceed |twist|.
+    and -1, of rank max(0, -1 - twist); the ranks are that closed form and
+    need no cutoff.  A ``cutoff`` below |twist| + 2 is refused: the windows
+    w = cutoff - 1 and w = cutoff that it names must both exceed |twist|.
     """
-    if cutoff < abs(twist) + 2:
-        raise ValueError(f"cutoff {cutoff} is too small to certify stabilization; need >= {abs(twist) + 2}")
+    need = abs(twist) + 2
+    if cutoff is not None and cutoff < need:
+        raise ValueError(f"cutoff {cutoff} names a window no wider than |twist| = {abs(twist)}; need >= {need}")
     return CechRanks(max(0, twist + 1), max(0, -1 - twist), True)

@@ -301,11 +301,22 @@ def test_cech_command_known_value(capsys, monkeypatch):
     code, [rep] = _run(["cech", "--twist", "-2", "--cutoff", "6"], "", capsys, monkeypatch)
     assert code == 0
     assert rep["result"] == {"twist": -2, "h0_rank": 0, "h1_rank": 1, "certified": True}
+    # the digest of a command line that gives --cutoff, recorded while --cutoff was required
+    assert rep["input_digest"] == "sha256:6bc8d6fb4f962268dd0a6fcb93c32c0e34d2f06f584f3b3939ffd753ee4967ae"
+
+
+def test_cech_without_cutoff_gives_the_ranks_of_any_valid_cutoff(capsys, monkeypatch):
+    for twist in (-3, -1, 0, 2):
+        code, [rep] = _run(["cech", "--twist", str(twist)], "", capsys, monkeypatch)
+        _, [given] = _run(["cech", "--twist", str(twist), "--cutoff", str(abs(twist) + 2)], "", capsys, monkeypatch)
+        assert code == 0 and rep["status"] == "ok" and rep["messages"] == []
+        assert rep["result"] == given["result"]
 
 
 def test_cech_cutoff_too_small_is_error(capsys, monkeypatch):
     code, [rep] = _run(["cech", "--twist", "-4", "--cutoff", "3"], "", capsys, monkeypatch)
     assert code == 2 and rep["status"] == "error"
+    assert rep["messages"] == ["cutoff 3 names a window no wider than |twist| = 4; need >= 6"]
 
 
 def test_malformed_json_exit_two(capsys, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rref
+from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_matrix
 
@@ -357,15 +358,21 @@ def _rational_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(_rational_rows())
 def test_integer_rref_matches_fraction_gauss_jordan(shaped):
+    """Pivot row k of the integer RREF is a primitive integer multiple of row k of the
+    Fraction RREF, the rows after the pivot rows are zero, and the answers read from
+    them are the ones the Fraction RREF gives; no cached integer form is mutated."""
     nrows, ncols, rows = shaped
     expected, expected_pivots = _reference_rref([list(r) for r in rows], RATIONAL)
-    got, pivots = _rref([list(r) for r in rows], RATIONAL)
-    assert (got, pivots) == (expected, expected_pivots)
-    assert all(type(x) is Fraction for row in got for x in row)
-    untouched = [list(r) for r in rows]
-    assert _rref(untouched, RATIONAL, write_back=False)[1] == expected_pivots and untouched == rows
-
     a = Matrix(nrows, ncols, tuple(x for row in rows for x in row))
+    got, pivots = _rref(_rows(a), RATIONAL)
+    assert pivots == expected_pivots and len(got) == nrows
+    for k, row in enumerate(got):
+        assert all(type(x) is int for x in row)
+        if k < len(pivots):
+            assert gcd(*row) == 1 and [Fraction(x, row[pivots[k]]) for x in row] == expected[k]
+        else:
+            assert not any(row) and not any(expected[k])
+
     assert rank(a) == len(expected_pivots)
     assert len(kernel_basis(a)) == ncols - len(expected_pivots)
     if ncols:  # the last column as the right-hand side of the other columns
@@ -390,6 +397,62 @@ def test_integer_rref_matches_fraction_gauss_jordan(shaped):
         else:
             with pytest.raises(SingularMatrixError):
                 a.inverse()
+    assert a._integer_form() == _numerators(a.entries)
+
+
+def _assert_answer(m: Matrix) -> None:
+    """Entries in lowest terms, each a Fraction; the integer form of the matrix is ``_numerators`` of them."""
+    assert all(type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+               for x in m.entries)
+    assert m._integer_form() == _numerators(m.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rows())
+def test_answers_read_from_integer_rows_are_fractions_in_lowest_terms(shaped):
+    nrows, ncols, rows = shaped
+    a = Matrix(nrows, ncols, tuple(x for row in rows for x in row))
+    kern = kernel_basis(a)
+    for v in kern:
+        _assert_answer(v)
+        assert (a @ v).is_zero()
+    if kern:
+        _assert_answer(Matrix.hstack(*kern))
+    if ncols:
+        b = Matrix(nrows, 1, tuple(row[-1] for row in rows))
+        sol = solve_affine(a, b)  # the last column of a is b, so (0, ..., 0, 1) solves it
+        _assert_answer(sol.particular)
+        assert a @ sol.particular == b
+    if nrows == ncols:
+        try:
+            inv = a.inverse()
+        except SingularMatrixError:
+            return
+        _assert_answer(inv)
+        assert a @ inv == Matrix.identity(nrows)
+
+
+def _reference_char_poly(a: Matrix) -> list[Fraction]:
+    """Reference oracle: Faddeev-LeVerrier on Fraction entries, M = AM + cI entrywise."""
+    n = a.rows
+    rows = a.to_rows()
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum((rows[i][t] * m[t][c] for t in range(n)), Fraction(0)) for c in range(n)] for i in range(n)]
+        c = -sum((am[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = c
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.sampled_from(sorted(_RATIONAL_ENTRIES)), st.data())
+def test_char_poly_on_integer_form_matches_fraction_faddeev_leverrier(n, kind, data):
+    entries = data.draw(st.lists(_RATIONAL_ENTRIES[kind], min_size=n * n, max_size=n * n))
+    a = Matrix(n, n, tuple(entries))
+    got = char_poly(a)
+    assert got == _reference_char_poly(a) and all(type(c) is Fraction for c in got)
 
 
 def test_complex_rref_unchanged_entry_for_entry():
