@@ -185,7 +185,8 @@ def _cmd_classify(data, args):
     from . import moduli
 
     fs = sheaf_from_json(data, default_field=_default_field(args))
-    ends = moduli.endomorphisms(fs)
+    surjective = moduli.framing_surjective(fs)
+    ends = moduli.endomorphisms(fs, surjective=surjective)
     report = moduli.cm_support_check(fs, ends)
     if fs.field.is_rational:
         factors = moduli.support(fs)
@@ -197,7 +198,7 @@ def _cmd_classify(data, args):
         indec = moduli.INCONCLUSIVE
     result = {
         "support": sup,
-        "framing_surjective": moduli.framing_surjective(fs),
+        "framing_surjective": surjective,
         "end_dim": len(ends),
         "indecomposable": indec,
         "in_cm_support": report.in_support,

@@ -315,7 +315,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        rows, pivots = _rref(_rows(self.hstack(Matrix.identity(n, self.field))), self.field)
+        rows, pivots = _rref(_rows(self, Matrix.identity(n, self.field)), self.field)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
         cols = [_read(rows, pivots, n + k, n, self.field) for k in range(n)]
@@ -326,13 +326,9 @@ class Matrix:
         blocks, rows, cols = (self, *others), self.rows, self.cols + sum(m.cols for m in others)
         if any(m.rows != rows or m.field != self.field for m in others):
             raise ShapeError("hstack mismatch")
+        flat = list(chain.from_iterable(_rows(*blocks)))
         if self.field.is_rational:
-            forms = [(m._integer_form(), m.cols) for m in blocks]
-            d = lcm(*(e for (_, e), _ in forms))
-            forms = [(nums if e == d else [v * (d // e) for v in nums], c) for (nums, e), c in forms]
-            flat = list(chain.from_iterable(nums[i * c : (i + 1) * c] for i in range(rows) for nums, c in forms))
-            return Matrix._from_ints(rows, cols, (flat, d), self.field)
-        flat = [x for i in range(rows) for m in blocks for x in m.row(i)]
+            return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
         return Matrix(rows, cols, tuple(flat), self.field)
 
     def _columns(self, cols: list[int]) -> "Matrix":
@@ -455,12 +451,18 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
     return flat
 
 
-def _rows(a: Matrix) -> list[list]:
-    """The rows :func:`_rref` takes: integer rows sliced out of a rational matrix's integer form, else the entries."""
-    if not a.field.is_rational:
-        return a.to_rows()
-    nums, c = a._integer_form()[0], a.cols
-    return [nums[i * c : (i + 1) * c] for i in range(a.rows)]
+def _rows(*blocks: Matrix) -> list[list]:
+    """The rows of [blocks[0] | ...] for :func:`_rref`, each a list of its own: complex entries, or integer rows
+    sliced out of the blocks' integer forms and scaled to their common lcm, the form a rational ``hstack`` keeps."""
+    if not blocks[0].field.is_rational:
+        return [[x for m in blocks for x in m.row(i)] for i in range(blocks[0].rows)]
+    forms = [(m._integer_form(), m.cols) for m in blocks]
+    d = lcm(*(e for (_, e), _ in forms))
+    rows: list[list] = [[] for _ in range(blocks[0].rows)]
+    for (nums, e), c in forms:
+        for i, row in enumerate(rows):
+            row += nums[i * c : (i + 1) * c] if e == d else [v * (d // e) for v in nums[i * c : (i + 1) * c]]
+    return rows
 
 
 def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
@@ -596,9 +598,8 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     n, field = seeds.rows, seeds.field
     kept, frontier = Matrix(n, 0, (), field), seeds
     while frontier.cols and kept.cols < n:
-        block = kept.hstack(frontier)
-        _, pivots = _rref(_rows(block), field)
-        new = block._columns(pivots[kept.cols :])
+        _, pivots = _rref(_rows(kept, frontier), field)
+        new = frontier._columns([p - kept.cols for p in pivots[kept.cols :]])
         kept = kept.hstack(new)
         frontier = Matrix.hstack(*[op @ new for op in operators])
     return kept.cols
@@ -616,8 +617,7 @@ def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> li
 
 def kernel_basis(a: Matrix) -> list[Matrix]:
     """Basis of {v : Av = 0}, one column per free variable, ascending."""
-    rows, pivots = _rref(_rows(a), a.field)
-    return _kernel(rows, pivots, a.cols, a.field)
+    return _kernel(*_rref(_rows(a), a.field), a.cols, a.field)
 
 
 class AffineSolution(NamedTuple):
@@ -636,7 +636,7 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
         raise ShapeError(f"rhs must be a {a.rows}x1 column, got {b.rows}x{b.cols}")
     if a.field != b.field:
         raise ShapeError("mixed fields")
-    rows, pivots = _rref(_rows(a.hstack(b)), a.field)
+    rows, pivots = _rref(_rows(a, b), a.field)
     if any(p == a.cols for p in pivots):
         return None
     x = _read(rows, pivots, a.cols, a.cols, a.field)

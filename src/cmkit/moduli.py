@@ -10,6 +10,14 @@ CM fiber over (X, i) is a torsor whose only obstruction is a trace, and the
 obstruction space is the part of End with s = 0 (:func:`cm_support_check`).
 The radical of End is the kernel of the trace form of the faithful
 representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).
+
+In rank one with a cyclic framing (i generates the space under X, which is
+what :func:`framing_surjective` tests) End is the scalars: gX = Xg and
+gi = is give g X^k i = X^k g i = X^k i s, so g K = K s for the invertible
+K = [i, Xi, ..., X^(n-1) i], and g = s I.  The framed sheaf then has no
+endomorphism but the scalars, as in Wilson's rank-one picture (Collisions
+of Calogero-Moser particles and an adelic Grassmannian, Invent. Math. 133,
+1998), and :func:`endomorphisms` answers without the End system.
 """
 
 from __future__ import annotations
@@ -101,7 +109,7 @@ def _end_system(fs: FramedTorsionSheaf) -> Matrix:
     return Matrix(neqs, ncols, tuple(flat), field)
 
 
-def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
+def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix, Matrix]]:
     """Basis of the algebra {(s, g) : g X = X g, g i = i s}.
 
     Unknowns are vectorized g column-major then s row-major, so the returned
@@ -110,7 +118,19 @@ def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
     mode every basis element is checked against both defining equations, all
     at once: [g_1; ...; g_m] X against X [g_1 | ... | g_m], and the same for
     i and the s_a, four products in all.
+
+    A rational sheaf of rank one whose framing is surjective has End = Q (1, I)
+    (see the module docstring: g K = K s for the invertible Krylov matrix K,
+    after Wilson), so the basis is [(1, I)] and no system is built.  That is
+    the basis the elimination gives too: its one kernel vector (vec I, 1) is
+    normalized at its last column, s.  ``surjective`` is
+    ``framing_surjective(fs)`` when the caller already has it.
     """
+    if fs.r == 1 and fs.field.is_rational:
+        if surjective is None:
+            surjective = framing_surjective(fs)
+        if surjective:
+            return [(Matrix.identity(1, fs.field), Matrix.identity(fs.n, fs.field))]
     out = []
     for v in kernel_basis(_end_system(fs)):
         g, s = unvec(v, fs.n, fs.r, fs.r)

@@ -243,6 +243,43 @@ def test_classify_factors_support_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# The companion matrix of x^3 - 2 and its cyclic vector e_1, conjugated by a unit upper triangular matrix.
+CYCLIC_SHEAF = {"n": 3, "r": 1, "field": "rational",
+                "X": [["1", "-1", "1"], ["1", "-2", "-2"], ["0", "1", "1"]], "i": [["1"], ["0"], ["0"]]}
+
+
+def test_classify_rank_one_closes_the_framing_once(capsys, monkeypatch):
+    calls = []
+    closure_rank = moduli._closure_rank
+
+    def counted(seeds, operators):
+        calls.append(seeds)
+        return closure_rank(seeds, operators)
+
+    monkeypatch.setattr(moduli, "_closure_rank", counted)
+    code, [rep] = _run(["classify"], json.dumps(CYCLIC_SHEAF), capsys, monkeypatch)
+    assert code == 0 and rep["result"]["framing_surjective"] is True
+    assert rep["result"]["end_dim"] == 1 and rep["result"]["fiber_dim"] == 3
+    assert len(calls) == 1
+
+
+def test_classify_dense_n16_budget(capsys, monkeypatch):
+    import random
+    import time
+
+    from conftest import rand_invertible
+    from cmkit import FramedTorsionSheaf, conjugate
+    from cmkit.serialize import write_document
+
+    q = conjugate(sample_cm(16, 16), rand_invertible(random.Random(1016), 16))
+    doc = json.dumps(write_document(FramedTorsionSheaf(q.X, q.i)))
+    t0 = time.monotonic()
+    code, [rep] = _run(["classify"], doc, capsys, monkeypatch)
+    elapsed = time.monotonic() - t0
+    assert code == 0 and rep["result"]["end_dim"] == 1 and rep["result"]["fiber_dim"] == 16
+    assert elapsed < 5.0, f"runtime budget exceeded: {elapsed:.2f}s"
+
+
 def test_unexpected_exception_is_one_error_report_per_line(capsys, monkeypatch):
     def broken(fs):
         raise AssertionError("support factors do not multiply back to char_poly(X)")
@@ -472,16 +509,21 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 
 
 # One small report (n <= 4) per command in the rational field, and one in the
-# complex field for every command that reads an input except classify, whose
-# np.roots digits may differ between numpy versions.  Each line holds the
+# complex field for every command that reads an input.  Each line holds the
 # argv, the stdin document, the ``--h`` document of homotopy, and the exit
 # code and stdout recorded before the monomial printers were merged into
-# linalg.format_terms.
+# linalg.format_terms.  Lines with an "id" were recorded later, before
+# endomorphisms answered cyclic rank-one framings without the End system:
+# classify on dense conjugated cyclic sheaves (n = 6, 8), a scalar-X sheaf
+# (exit 1), a surjective rank-two sheaf and a complex cyclic sheaf.  That one
+# has a nilpotent X, whose roots np.roots gives exactly, in any numpy version.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 
 
 def _golden_id(case) -> str:
+    if "id" in case:
+        return case["id"]
     field = json.loads(case["input"])["field"] if case["input"] else "no-input"
     return f"{case['argv'][0]}-{field}"
 

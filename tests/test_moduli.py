@@ -478,3 +478,72 @@ def test_faithful_trace_form_rank_matches_regular(fs):
     from cmkit.moduli import _faithful_trace_form
 
     assert rank(_faithful_trace_form(fs, endomorphisms(fs))) == rank(_trace_form(fs))
+
+
+def _direct_end_basis(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
+    """Reference oracle: the End basis read from the kernel of the End system, as (s, g) pairs."""
+    from cmkit.linalg import kernel_basis, unvec
+    from cmkit.moduli import _end_system
+
+    return [(s, g) for g, s in (unvec(v, fs.n, fs.r, fs.r) for v in kernel_basis(_end_system(fs)))]
+
+
+@st.composite
+def _rank_one_sheaves(draw) -> FramedTorsionSheaf:
+    """Rational rank-one sheaves with n <= 6, cyclic (sampled, conjugated, random) or not."""
+    from cmkit import conjugate, sample_cm
+
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["sampled", "conjugated", "random", "repeated", "zero-coordinate", "zero"]))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    if kind in ("sampled", "conjugated"):
+        q = sample_cm(n, seed)
+        if kind == "conjugated":
+            q = conjugate(q, rand_invertible(rng, n))
+        return FramedTorsionSheaf(q.X, q.i)
+    if kind == "random":
+        return FramedTorsionSheaf(rand_matrix(rng, n, n), rand_matrix(rng, n, 1))
+    # Diagonal X: a repeated eigenvalue, or a framing with a zero coordinate, is not cyclic.
+    eigen = [Fraction(k - 2, k % 3 + 1) for k in range(n)]
+    i = rand_matrix(rng, n, 1).to_rows()
+    if kind == "repeated" and n > 1:
+        eigen[draw(st.integers(1, n - 1))] = eigen[0]
+    elif kind == "zero-coordinate":
+        i[draw(st.integers(0, n - 1))] = [0]
+    elif kind == "zero":
+        i = [[0]] * n
+    X = Matrix.from_rows([[eigen[k] if k == l else 0 for l in range(n)] for k in range(n)])
+    if draw(st.booleans()):
+        g = rand_invertible(rng, n)
+        return FramedTorsionSheaf(g @ X @ g.inverse(), g @ Matrix.from_rows(i))
+    return FramedTorsionSheaf(X, Matrix.from_rows(i))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_one_sheaves())
+def test_endomorphisms_match_the_end_system_basis(fs):
+    direct = _direct_end_basis(fs)
+    assert endomorphisms(fs) == direct
+    assert endomorphisms(fs, surjective=framing_surjective(fs)) == direct
+    assert (len(direct) == 1) == framing_surjective(fs)
+
+
+def test_endomorphisms_of_cyclic_rank_one_build_no_end_system(monkeypatch):
+    from cmkit import moduli
+
+    built = []
+    end_system = moduli._end_system
+    monkeypatch.setattr(moduli, "_end_system", lambda fs: built.append(fs) or end_system(fs))
+    cyclic = _diagonal_cyclic_sheaf(4)
+    assert endomorphisms(cyclic) == [(Matrix.identity(1), Matrix.identity(4))] and built == []
+    assert endomorphisms(cyclic, surjective=True) == endomorphisms(cyclic) and built == []
+    # the direct path: a framing that is not surjective, rank two, the complex field
+    field = complex_field()
+    others = [
+        _scalar_sheaf(3, 2),
+        FramedTorsionSheaf(DIAG01, Matrix.from_rows([[1, 0], [0, 1]])),
+        FramedTorsionSheaf(Matrix.from_rows(DIAG01.to_rows(), field), Matrix.column([1, 1], field)),
+    ]
+    assert [len(endomorphisms(fs)) for fs in others] == [7, 2, 1]
+    assert built == others
