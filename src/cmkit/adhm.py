@@ -21,6 +21,7 @@ from .linalg import (
     Blocks,
     Matrix,
     _closure_rank,
+    _trace_product,
     commutator,
     format_terms,
     kernel_basis,
@@ -61,8 +62,10 @@ def is_stable(q: CMQuadruple) -> bool:
     return _closure_rank(q.i, [q.X, q.Y]) == q.n
 
 
-# There are 2^(L+1) - 1 words of length <= L, each one n x n product, so the
-# work and the report double with every step of the cutoff.
+# There are 2^(L+1) - 1 words of length <= L, so the report doubles with every
+# step of the cutoff.  Each rational word costs O(n^2) beyond the 2^(h+1) - 2
+# n x n products of the words up to h = ceil(L/2) (62 at L = 10); the complex
+# field forms every word as one n x n product, so its work doubles too.
 MAX_WORD_LEN = 10
 # sample draws and reports n^2 entries; 64 is four times the largest size targeted, 16.
 MAX_SAMPLE_N = 64
@@ -78,22 +81,39 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
     (the empty word gives tr(j i)).  Labels are ``tr(W)`` and ``j·W·i``; the
     separating power of a fixed cutoff is heuristic.  ``max_len`` above
     :data:`MAX_WORD_LEN` is refused with ``ValueError``.
+
+    Only the words of length <= h are formed as matrices, by prefix
+    products, h = ceil(max_len / 2) in the rational field.  A longer word is
+    split as W = U V with |U| = h, and tr(W) = tr(U V) and j W i =
+    tr((j U)(V i)) are summed without forming W, O(n^2) each.  The complex
+    field takes h = max_len, forming every word, so its float sums keep the
+    association of the prefix products.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
+    h = -(-max_len // 2) if q.field.is_rational else max_len
     letters = {"X": q.X, "Y": q.Y}
     traces: list[tuple[str, object]] = []
     pairings: list[tuple[str, object]] = []
+    tails: dict[int, list] = {}  # by length, the words V of length 1..max_len - h with V i
     # Words of one length in lexicographic order, each product I @ a @ b ...
-    # extended from its prefix's.
-    level = [("", Matrix.identity(q.n, q.field))]
-    for length in range(max_len + 1):
+    # extended from its prefix's, with j W beside it.
+    words = [("", Matrix.identity(q.n, q.field))]
+    for length in range(h + 1):
         if length:
-            level = [(word + ch, w @ letters[ch]) for word, w in level for ch in "XY"]
-            traces.extend((f"tr({word})", w.trace()) for word, w in level)
-        pairings.extend((f"j·{word}·i" if word else "j·i", (q.j @ w @ q.i).trace()) for word, w in level)
+            words = [(word + ch, w @ letters[ch]) for word, w in words for ch in "XY"]
+            traces.extend((f"tr({word})", w.trace()) for word, w in words)
+        heads = [(word, w, q.j @ w) for word, w in words]
+        pairings.extend((f"j·{word}·i" if word else "j·i", _trace_product(jw, q.i)) for word, _, jw in heads)
+        if 0 < length <= max_len - h:
+            tails[length] = [(word, w, w @ q.i) for word, w in words]
+    # heads now holds the words U of length h; each longer word is U V.
+    for length in range(h + 1, max_len + 1):
+        for u, uw, ju in heads:
+            traces.extend((f"tr({u}{v})", _trace_product(uw, vw)) for v, vw, _ in tails[length - h])
+            pairings.extend((f"j·{u}{v}·i", _trace_product(ju, vi)) for v, _, vi in tails[length - h])
     return traces + pairings
 
 
@@ -134,6 +154,11 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     Requires XY = YX, j = 0, r = 1 and stability (i cyclic).  For
     degree_bound >= n the quotient dimension is exactly n.  A degree bound
     above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
+
+    A bound d gives (d+1)(d+2)/2 columns X^a Y^b i.  In the rational field
+    each is X or Y applied to an earlier column, n^2 work; the complex field
+    keeps its d powers of X and of Y and makes each column from them, n^3
+    work per column.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
@@ -149,13 +174,21 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
         raise ValueError("hilbert_ideal needs a stable quadruple (cyclic framing)")
     d = q.n if degree_bound is None else degree_bound
     mons = _monomials(d)
-    # Powers X^a Y^b i, built incrementally along x then y.
-    x_pows = [Matrix.identity(q.n, q.field)]
-    y_pows = [Matrix.identity(q.n, q.field)]
-    for _ in range(d):
-        x_pows.append(x_pows[-1] @ q.X)
-        y_pows.append(y_pows[-1] @ q.Y)
-    eval_matrix = Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons])
+    if q.field.is_rational:
+        # The columns X^a Y^b i, each one matrix-vector product from an earlier one.
+        cols: dict[tuple[int, int], Matrix] = {}
+        for a, b in mons:
+            cols[a, b] = q.X @ cols[a - 1, b] if a else q.Y @ cols[0, b - 1] if b else q.i
+        columns = list(cols.values())
+    else:
+        # (X^a Y^b) i from the powers, the association the complex reports were recorded with.
+        x_pows = [Matrix.identity(q.n, q.field)]
+        y_pows = [Matrix.identity(q.n, q.field)]
+        for _ in range(d):
+            x_pows.append(x_pows[-1] @ q.X)
+            y_pows.append(y_pows[-1] @ q.Y)
+        columns = [x_pows[a] @ y_pows[b] @ q.i for a, b in mons]
+    eval_matrix = Matrix.hstack(*columns)
     kern = kernel_basis(eval_matrix)
     # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
     basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)

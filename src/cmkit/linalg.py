@@ -24,7 +24,8 @@ solution vector back into its two blocks.
 complex entries go in as they are, rational ones as integer numerators over
 a common denominator.  A rational matrix keeps that integer form, and a
 product is made from it, so chains of products build Fractions only for
-the entries that are read.
+the entries that are read.  ``_trace_product`` sums tr(AB) from the two
+integer forms, for a product that would only be traced.
 
 ``_closure_rank`` (the dimension of the operator-invariant span of some
 seed columns, for stability and framing surjectivity) also runs on
@@ -49,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[Fraction, complex]
@@ -449,6 +451,23 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
                     acc[c] += x * y
         flat.extend(acc)
     return flat
+
+
+def _trace_product(a: Matrix, b: Matrix) -> Scalar:
+    """tr(a @ b), the sum of a_kl b_lk; a rational one is summed from the two integer forms, with no product built.
+
+    That is n m multiplications for an n x m by m x n pair, where the product
+    takes n^2 m.  A complex one is the trace of the product, so its float
+    sums keep their order.
+    """
+    if a.cols != b.rows or a.rows != b.cols:
+        raise ShapeError(f"tr({a.rows}x{a.cols} @ {b.rows}x{b.cols})")
+    if a.field != b.field:
+        raise ShapeError("mixed fields")
+    if not a.field.is_rational:
+        return (a @ b).trace()
+    (x, dx), (y, dy), n, m = a._integer_form(), b._integer_form(), a.rows, a.cols
+    return Fraction(sum(sum(map(mul, x[k * m : (k + 1) * m], y[k::n])) for k in range(n)), dx * dy)
 
 
 def _rows(*blocks: Matrix) -> list[list]:

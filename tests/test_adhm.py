@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmkit import (
     CMQuadruple,
@@ -19,6 +20,8 @@ from cmkit import (
     sample_cm,
     word_invariants,
 )
+from cmkit import adhm, complex_field, eval_matrix_poly, linalg
+from cmkit.adhm import MAX_WORD_LEN
 from conftest import rand_invertible, rand_matrix, rand_quadruple
 
 
@@ -434,3 +437,149 @@ def test_stability_kills_j_randomized_n4():
             stable_hits += 1
             assert q.j.is_zero()
     assert stable_hits > 0
+
+
+# --- word invariants and Hilbert columns against the prefix- and power-product oracles ---
+
+
+def _prefix_product_invariants(q: CMQuadruple, max_len: int) -> list:
+    """Reference oracle: every word formed as a matrix by prefix products, each traced and paired
+    as (j W) i, the loop word_invariants ran before long words were split."""
+    letters = {"X": q.X, "Y": q.Y}
+    traces, pairings = [], []
+    level = [("", Matrix.identity(q.n, q.field))]
+    for length in range(max_len + 1):
+        if length:
+            level = [(word + ch, w @ letters[ch]) for word, w in level for ch in "XY"]
+            traces.extend((f"tr({word})", w.trace()) for word, w in level)
+        pairings.extend((f"j·{word}·i" if word else "j·i", (q.j @ w @ q.i).trace()) for word, w in level)
+    return traces + pairings
+
+
+# Zero-heavy entries: a whole block may be zero, or mostly zeros with small fractions between.
+_SPARSE_ENTRY = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+_ENTRY_KINDS = {"zero": st.just(Fraction(0)), "sparse": _SPARSE_ENTRY,
+                "dense": st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20))}
+
+
+@st.composite
+def _quadruples(draw):
+    n, r = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2]))
+
+    def block(rows, cols):
+        entry = _ENTRY_KINDS[draw(st.sampled_from(sorted(_ENTRY_KINDS)))]
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+
+    return CMQuadruple(block(n, n), block(n, n), block(n, r), block(r, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quadruples(), st.integers(1, 7))
+def test_rational_word_invariants_match_prefix_products(q, max_len):
+    got = word_invariants(q, max_len)
+    assert got == _prefix_product_invariants(q, max_len)
+    assert all(type(v) is Fraction for _, v in got)
+
+
+_COMPLEX_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100, 100, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _complex_quadruples(draw):
+    n, r, field = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), complex_field()
+    entry = st.one_of(st.just(complex(0)), st.builds(complex, _COMPLEX_PART, _COMPLEX_PART))
+
+    def block(rows, cols):
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))), field)
+
+    return CMQuadruple(block(n, n), block(n, n), block(n, r), block(r, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_complex_quadruples(), st.integers(1, 5))
+def test_complex_word_invariants_keep_the_prefix_products_bit_for_bit(q, max_len):
+    got, expected = word_invariants(q, max_len), _prefix_product_invariants(q, max_len)
+    assert [(label, repr(v)) for label, v in got] == [(label, repr(v)) for label, v in expected]
+
+
+def _power_product_ideal(q: CMQuadruple, d: int):
+    """Reference oracle: each column X^a Y^b i as (X^a Y^b) i from the powers, the evaluation matrix
+    and ideal hilbert_ideal built before the rational columns came from one another."""
+    mons = adhm._monomials(d)
+    x_pows, y_pows = [Matrix.identity(q.n, q.field)], [Matrix.identity(q.n, q.field)]
+    for _ in range(d):
+        x_pows.append(x_pows[-1] @ q.X)
+        y_pows.append(y_pows[-1] @ q.Y)
+    eval_matrix = Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons])
+    kern = linalg.kernel_basis(eval_matrix)
+    basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if c != 0) for v in kern)
+    return eval_matrix, adhm.HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
+
+
+@st.composite
+def _commuting_stable_pairs(draw):
+    """Either n distinct points (x_k, y_k) as diagonal X, Y with i all ones, or the companion matrix X
+    of a monic polynomial (repeated roots allowed) with Y a polynomial in X and i = e_1; both
+    conjugated by a random invertible g, so X and Y are dense."""
+    n = draw(st.integers(1, 5))
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if draw(st.booleans()):
+        xs = draw(st.lists(small, min_size=n, max_size=n, unique=True))
+        ys = draw(st.lists(small, min_size=n, max_size=n))
+        X = Matrix.from_rows([[xs[k] if k == l else 0 for l in range(n)] for k in range(n)])
+        Y = Matrix.from_rows([[ys[k] if k == l else 0 for l in range(n)] for k in range(n)])
+        i = Matrix.column([1] * n)
+    else:
+        coeffs = draw(st.lists(small, min_size=n, max_size=n))
+        X = Matrix.from_rows([[(1 if k == l + 1 else 0) if l < n - 1 else -coeffs[k] for l in range(n)]
+                              for k in range(n)])
+        Y = eval_matrix_poly(draw(st.lists(small, min_size=1, max_size=n)), X)
+        i = Matrix.column([1] + [0] * (n - 1))
+    q = CMQuadruple(X, Y, i, Matrix.zeros(1, n))
+    return conjugate(q, rand_invertible(random.Random(draw(st.integers(0, 10**6))), n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commuting_stable_pairs(), st.sampled_from(["0", "n", "n+2"]))
+def test_hilbert_ideal_matches_power_products(q, bound):
+    d = {"0": 0, "n": q.n, "n+2": q.n + 2}[bound]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adhm, "kernel_basis", lambda m: seen.append(m) or linalg.kernel_basis(m))
+        ideal = hilbert_ideal(q, d)
+    eval_matrix, expected = _power_product_ideal(q, d)
+    assert seen == [eval_matrix] and ideal == expected
+    if d >= q.n:
+        assert ideal.quotient_dim == q.n
+
+
+def _count_square_products(monkeypatch, n: int) -> list:
+    """Record every n x n by n x n product the product loop is called on."""
+    calls = []
+    product = linalg._product
+
+    def counted(left, right, rows, inner, cols, zero):
+        if rows == inner == cols == n:
+            calls.append(rows)
+        return product(left, right, rows, inner, cols, zero)
+
+    monkeypatch.setattr(linalg, "_product", counted)
+    return calls
+
+
+def test_word_invariants_form_only_the_short_words(monkeypatch):
+    q = conjugate(sample_cm(4, 5), rand_invertible(random.Random(211), 4))
+    calls = _count_square_products(monkeypatch, 4)
+    word_invariants(q, MAX_WORD_LEN)
+    # the words of length 1..5 (2 + 4 + ... + 32); forming every word of length <= 10 would take 2046
+    assert len(calls) <= 62
+
+
+def test_rational_hilbert_ideal_forms_no_square_product_beyond_the_commutator(monkeypatch):
+    X = Matrix.from_rows([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
+    Y = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]])
+    q = conjugate(CMQuadruple(X, Y, Matrix.column([1] * 4), Matrix.zeros(1, 4)), rand_invertible(random.Random(223), 4))
+    calls = _count_square_products(monkeypatch, 4)
+    assert hilbert_ideal(q, 6).quotient_dim == 4
+    assert len(calls) == 2  # XY and YX

@@ -517,6 +517,10 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # classify on dense conjugated cyclic sheaves (n = 6, 8), a scalar-X sheaf
 # (exit 1), a surjective rank-two sheaf and a complex cyclic sheaf.  That one
 # has a nilpotent X, whose roots np.roots gives exactly, in any numpy version.
+# The last four were recorded before word_invariants split its long words and
+# rational hilbert_ideal built each column from an earlier one: invariants up
+# to length 7 (rational, r = 1) and 5 (rational r = 2, and complex), and
+# hilbert-ideal at degree n + 2 on a conjugated rational pair.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

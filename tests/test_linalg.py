@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref
+from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, _trace_product
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_matrix
 
@@ -241,6 +241,41 @@ def test_trace_of_unbuilt_product_equals_trace_of_its_entries(operands):
     assert product._entries is None
     built = sum(product.entries[:: product.rows + 1], Fraction(0))
     assert type(lazy) is Fraction and lazy == built == product.trace()
+
+
+@st.composite
+def _trace_pairs(draw):
+    """An n x m and an m x n rational operand (0 to 4, so empty ones occur), each with its own kind of entries."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def operand(rows, cols):
+        entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+
+    return operand(n, m), operand(m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trace_pairs())
+def test_trace_product_is_the_trace_of_the_product(operands):
+    a, b = operands
+    expected = sum((a[k, l] * b[l, k] for k in range(a.rows) for l in range(a.cols)), Fraction(0))
+    got = _trace_product(a, b)
+    assert type(got) is Fraction and got == expected == (a @ b).trace()
+    # from the integer forms of unread products too, building none of their entries
+    pa, pb = a @ Matrix.identity(a.cols), Matrix.identity(b.rows) @ b
+    assert _trace_product(pa, pb) == expected and pa._entries is None and pb._entries is None
+
+
+def test_trace_product_shapes_and_complex_field():
+    with pytest.raises(ShapeError):
+        _trace_product(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+    with pytest.raises(ShapeError):
+        _trace_product(Matrix.zeros(2, 2), Matrix.zeros(2, 2, complex_field()))
+    field = complex_field()
+    a = Matrix.from_rows([[0.1 + 1j, -0.0], [3e-17, 2.5]], field)
+    b = Matrix.from_rows([[0.7, 1e16], [-2j, 0.3]], field)
+    assert repr(_trace_product(a, b)) == repr((a @ b).trace())
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
