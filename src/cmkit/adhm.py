@@ -191,7 +191,11 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     eval_matrix = Matrix.hstack(*columns)
     kern = kernel_basis(eval_matrix)
     # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
-    basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
+    # A rational zero is falsy; a complex one is tested against the tolerance.
+    if q.field.is_rational:
+        basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if c) for v in kern)
+    else:
+        basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
     return HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
 
 

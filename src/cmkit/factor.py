@@ -1,24 +1,30 @@
 """Factorization of rational polynomials over Q, standard library only.
 
 Polynomials are lists of coefficients in ascending degree.  ``factor_rational``
-splits a polynomial into square-free parts by Yun's algorithm over
-``Fraction``, then factors each part by Zassenhaus's method:
+works on integers until it makes the factors monic at the end:
 
-1. clear denominators to a primitive integer polynomial f with leading
-   coefficient b > 0;
-2. take the first odd prime p not dividing b with f mod p square-free;
+1. clear denominators once, to a primitive integer polynomial with positive
+   leading coefficient, and split it into square-free parts by Yun's
+   algorithm, with primitive gcds by pseudo-remainders and exact integer
+   quotients;
+2. for each part f with leading coefficient b, take the first odd prime p
+   not dividing b with f mod p square-free;
 3. factor f mod p: distinct-degree factorization, then Cantor-Zassenhaus
    equal-degree splitting with ``random.Random(p)``, so runs repeat exactly;
-4. Hensel-lift the modular factors along a balanced factor tree to p^k with
-   p^k > 2 * (Mignotte bound) * b;
-5. recombine subsets of the lifted factors, smallest first, by exact trial
+4. lift each linear factor x - r mod p by Newton's iteration on r to p^k
+   > 2 b |t|, t the lowest nonzero coefficient of f, and keep the primitive
+   part of b x - b r (symmetric residues) when it divides f: these are the
+   rational roots, so a polynomial that splits over Q is done here;
+5. Hensel-lift the other modular factors, with the cofactor g they
+   divide, along a balanced factor tree to p^k > 2 * (Mignotte bound of g)
+   * lc(g), and recombine subsets of them, smallest first, by exact trial
    division over the integers.
 
-Recombination tries up to 2^(r-1) subsets when f has r factors mod p and
-few of them combine into true factors, so the worst case is exponential in
-r (x^4 + 1 is irreducible but splits mod every prime).  References: Yun, On
-square-free decomposition algorithms, SYMSAC 1976; von zur Gathen and
-Gerhard, Modern Computer Algebra, chapters 14 and 15.
+Recombination tries up to 2^(s-1) subsets when the cofactor has s factors
+mod p and few of them combine into true factors, so the worst case is
+exponential in s (x^4 + 1 is irreducible but splits mod every prime).
+References: Yun, On square-free decomposition algorithms, SYMSAC 1976; von
+zur Gathen and Gerhard, Modern Computer Algebra, chapters 6, 14 and 15.
 """
 
 from __future__ import annotations
@@ -35,13 +41,13 @@ from .linalg import _numerators
 def factor_rational(f: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:
     """Monic irreducible factors over Q of a nonzero rational polynomial, with multiplicities.
 
-    ``f`` lists coefficients in ascending degree; the result pairs each
-    factor's ascending coefficients (leading 1) with its multiplicity, in no
-    particular order.  A constant has no factors.
+    ``f`` lists its coefficients, ints or Fractions, in ascending degree; the
+    result pairs each factor's ascending coefficients (leading 1) with its
+    multiplicity, in no particular order.  A constant has no factors.
     """
     out = []
-    for part, mult in _square_free([Fraction(c) for c in f]):
-        for g in _factor_square_free(_primitive_integer(part)):
+    for part, mult in _square_free(_primitive(_numerators(_trim(list(f)))[0])):
+        for g in _factor_square_free(part):
             out.append((tuple(Fraction(c, g[-1]) for c in g), mult))
     return out
 
@@ -55,7 +61,7 @@ def multiply_out(factors: Sequence[tuple[Sequence[Fraction], int]]) -> list[Frac
     return out
 
 
-# -- rational polynomials ---------------------------------------------------
+# -- square-free decomposition over the integers ----------------------------
 
 
 def _trim(a: list) -> list:
@@ -68,61 +74,57 @@ def _deriv(a: list) -> list:
     return _trim([k * c for k, c in enumerate(a)][1:])
 
 
-def _q_divmod(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of a by b != 0 over the rationals."""
-    r = list(a)
-    db = len(b) - 1
-    if len(r) <= db:
-        return [], r
-    q = [Fraction(0)] * (len(r) - db)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db] / b[-1]
-        q[k] = c
-        if c:
-            for j, y in enumerate(b):
-                r[k + j] -= c * y
-    return q, _trim(r[:db])
-
-
-def _q_monic(a: list) -> list:
-    return [c / a[-1] for c in a]
-
-
-def _q_gcd(a: list, b: list) -> list:
-    """Monic gcd over the rationals; a != 0."""
-    while b:
-        a, b = b, _q_divmod(a, b)[1]
-    return _q_monic(a)
-
-
-def _square_free(f: list) -> list[tuple[list, int]]:
-    """Yun's decomposition: pairs (a, i), a monic square-free nonconstant, f = lc(f) * prod a^i."""
-    f = _q_monic(_trim(f))
-    df = _deriv(f)
-    a0 = _q_gcd(f, df)
-    b, c = _q_divmod(f, a0)[0], _q_divmod(df, a0)[0]
-    d = _sub(c, _deriv(b))
-    out, i = [], 1
-    while len(b) > 1:
-        a = _q_gcd(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b, c = _q_divmod(b, a)[0], _q_divmod(d, a)[0]
-        d = _sub(c, _deriv(b))
-        i += 1
-    return out
-
-
-def _primitive_integer(a: list) -> list[int]:
-    """The primitive integer multiple of a rational polynomial, with positive leading coefficient."""
-    return _primitive(_numerators(a)[0])
-
-
 def _primitive(a: list[int]) -> list[int]:
     g = gcd(*a)
     if a[-1] < 0:
         g = -g
     return [x // g for x in a]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b != 0, by fraction-free division."""
+    r, db, lc = list(a), len(b) - 1, b[-1]
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db]
+        if c:
+            g = gcd(c, lc)
+            if g != lc:
+                r = [x * (lc // g) for x in r]
+            c //= g
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return _trim(r[:db])
+
+
+def _z_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient of integer polynomials, a != 0: the primitive PRS."""
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition of a primitive f with lc(f) > 0: pairs (a, i), f = prod a^i.
+
+    Each a is primitive, square-free and nonconstant with lc(a) > 0.  The
+    gcds are primitive and every quotient is exact over the integers (Gauss's
+    lemma), and b and d share one scale at every step, so no Fraction is built.
+    """
+    df = _deriv(f)
+    a0 = _z_gcd(f, df)
+    b, c = _exact_quotient(f, a0), _exact_quotient(df, a0)
+    d = _sub(c, _deriv(b))
+    out, i = [], 1
+    while len(b) > 1:
+        a = _z_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        d = _sub(c, _deriv(b))
+        i += 1
+    return out
 
 
 # -- integer polynomials, and polynomials modulo m --------------------------
@@ -313,7 +315,9 @@ def _symmetric(a: list[int], m: int) -> list[int]:
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g over the integers, or None when g does not divide f."""
+    """f / g over the integers, or None when g does not divide f; 0 / g is 0."""
+    if not f:
+        return []
     r = list(f)
     dg = len(g) - 1
     if len(r) <= dg:
@@ -359,8 +363,42 @@ def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]
     return out
 
 
+def _precision(p: int, bound: int) -> tuple[int, int]:
+    """The least k with p^k > bound, and p^k."""
+    k, pk = 1, p
+    while pk <= bound:
+        k, pk = k + 1, pk * p
+    return k, pk
+
+
+def _eval(a: list[int], x: int, m: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % m
+    return v
+
+
+def _newton(f: list[int], r: int, p: int, k: int) -> int:
+    """The root of f mod p^k that lifts the simple root r of f mod p, by Newton's iteration."""
+    df, j = _deriv(f), 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        r = (r - _eval(f, r, m) * pow(_eval(df, r, m), -1, m)) % m
+    return r
+
+
 def _factor_square_free(f: list[int]) -> list[list[int]]:
-    """Irreducible factors over Z of a primitive square-free f of degree >= 1 with lc(f) > 0."""
+    """Irreducible factors over Z of a primitive square-free f of degree >= 1 with lc(f) > 0.
+
+    A rational root u/v of f (lowest terms) has v | lc(f) and u | t, the
+    lowest nonzero coefficient of f, so lc(f) * (u/v) is read exactly from
+    its symmetric residue mod p^k > 2 lc(f) |t|.  Each linear factor x - r
+    mod p is lifted by Newton's iteration on r, and the primitive part of
+    lc(f) x - lc(f) r is kept when it divides f.  The other modular factors
+    go with the cofactor into the Hensel tree and recombination, which a
+    polynomial that splits over Q never enters.
+    """
     if len(f) <= 2:
         return [f]
     p = _good_prime(f)
@@ -370,9 +408,20 @@ def _factor_square_free(f: list[int]) -> list[list[int]]:
         modular.extend(_equal_degree(g, d, p, rng))
     if len(modular) == 1:
         return [f]
-    mignotte = 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
-    bound = 2 * mignotte * f[-1]
-    k, pk = 1, p
-    while pk <= bound:
-        k, pk = k + 1, pk * p
-    return _recombine(f, _hensel_lift(f, modular, p, k), pk)
+    lc, out, rest, cofactor = f[-1], [], [], f
+    k, pk = _precision(p, 2 * lc * abs(next(c for c in f if c)))
+    for g in modular:
+        if len(g) == 2:
+            h = _primitive(_symmetric([-lc * _newton(f, -g[0], p, k) % pk, lc], pk))
+            q = _exact_quotient(cofactor, h)
+            if q is not None:
+                out.append(h)
+                cofactor = q
+                continue
+        rest.append(g)
+    # cofactor = lc(cofactor) * prod(rest) mod p, since each root kept came from its own factor of f mod p
+    if len(rest) <= 1:
+        return out + [cofactor] if rest else out
+    mignotte = 2 ** (len(cofactor) - 1) * (isqrt(sum(c * c for c in cofactor)) + 1)
+    k, pk = _precision(p, 2 * mignotte * cofactor[-1])
+    return out + _recombine(cofactor, _hensel_lift(cofactor, rest, p, k), pk)

@@ -27,9 +27,13 @@ product is made from it, so chains of products build Fractions only for
 the entries that are read.  ``_trace_product`` sums tr(AB) from the two
 integer forms, for a product that would only be traced.
 
+``_rref`` is the one elimination routine of the package for matrices.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
-seed columns, for stability and framing surjectivity) also runs on
-``_rref``, which is the one elimination routine of the package.
+seed columns, for stability and framing surjectivity) needs no matrix in
+the rational field: it reduces each new integer vector once, with the
+fraction-free row step of ``_integer_rref``, against the primitive echelon
+rows kept so far.  The complex field runs it in rounds on ``_rref``, whose
+tolerance pivoting decides the rank.
 ``format_terms`` and ``power`` are the one monomial printer, shared by the
 polynomial, factor and Weyl-algebra formatters.
 
@@ -608,20 +612,51 @@ def rank(a: Matrix) -> int:
 def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     """Dimension of the smallest subspace containing the columns of ``seeds`` and invariant under ``operators``.
 
-    Each round puts the frontier after the columns kept so far and keeps the
-    new pivot columns of their RREF, which are the frontier columns
-    independent of all columns before them (the kept columns are
-    independent, so they are the first pivots).  The next frontier is every
-    operator applied to those, ``[op_1 @ new | op_2 @ new | ...]``.
+    Rational mode makes one pass over integer vectors.  The kept vectors
+    are primitive integer echelon rows keyed by pivot, the index of their
+    first nonzero entry.  Each seed column, and each operator applied to a
+    kept vector, is reduced once against them, fraction-free as in
+    :func:`_integer_rref`; it is kept when a nonzero entry is left at a
+    column that is no pivot yet.  The operators act through their
+    numerators, since a span does not depend on the scale.  The pass stops
+    at n kept vectors.
+
+    Complex mode runs in rounds on :func:`_rref`, whose tolerance pivoting
+    decides the rank.  Each round puts the frontier after the columns kept so
+    far and keeps the new pivot columns of their RREF, which are the
+    frontier columns independent of all columns before them (the kept
+    columns are independent, so they are the first pivots).  The next
+    frontier is every operator applied to those, ``[op_1 @ new | ...]``.
     """
     n, field = seeds.rows, seeds.field
-    kept, frontier = Matrix(n, 0, (), field), seeds
-    while frontier.cols and kept.cols < n:
-        _, pivots = _rref(_rows(kept, frontier), field)
-        new = frontier._columns([p - kept.cols for p in pivots[kept.cols :]])
-        kept = kept.hstack(new)
-        frontier = Matrix.hstack(*[op @ new for op in operators])
-    return kept.cols
+    if not field.is_rational:
+        kept, frontier = Matrix(n, 0, (), field), seeds
+        while frontier.cols and kept.cols < n:
+            _, pivots = _rref(_rows(kept, frontier), field)
+            new = frontier._columns([p - kept.cols for p in pivots[kept.cols :]])
+            kept = kept.hstack(new)
+            frontier = Matrix.hstack(*[op @ new for op in operators])
+        return kept.cols
+    ops = [[nums[k * n : (k + 1) * n] for k in range(n)] for nums, _ in (op._integer_form() for op in operators)]
+    nums, r = seeds._integer_form()[0], seeds.cols
+    todo = [nums[c::r] for c in range(r)]
+    echelon: dict[int, list[int]] = {}
+    while todo and len(echelon) < n:
+        v = todo.pop()
+        for c in range(n):
+            f = v[c]
+            if not f:
+                continue
+            e = echelon.get(c)
+            if e is None:
+                g = gcd(*v)
+                echelon[c] = v = [x // g for x in v] if g > 1 else v
+                todo.extend([sum(map(mul, row, v)) for row in op] for op in ops)
+                break
+            g = gcd(e[c], f)
+            a, f = e[c] // g, f // g
+            v = [a * x - f * y for x, y in zip(v, e)]
+    return len(echelon)
 
 
 def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:

@@ -49,13 +49,17 @@ def support(fs: FramedTorsionSheaf):
 
     Rational mode returns [(coeffs ascending, multiplicity)] with monic
     irreducible factors over the rationals, sorted by (length, coeffs), from
-    :mod:`cmkit.factor`: Yun's square-free decomposition, then Zassenhaus
-    (factor mod a prime, Hensel-lift, recombine by trial division).  The
-    worst case is exponential in the number r of factors mod that prime, up
-    to 2^(r-1) trial subsets, as in sympy's Zassenhaus; polynomials that are
-    irreducible over Q but split into many factors mod every prime
-    (Swinnerton-Dyer polynomials) reach it.  The factors are checked to
-    multiply back to char_poly(X) exactly.
+    :mod:`cmkit.factor`: Yun's square-free decomposition over the integers,
+    then Zassenhaus (factor mod a prime, lift the rational roots by Newton's
+    iteration, Hensel-lift the other factors, recombine by trial division).
+    A char_poly that splits over Q never reaches the Hensel tree.  The worst
+    case is exponential in the number r of factors mod that prime that are
+    not rational roots, up to 2^(r-1) trial subsets, as in sympy's
+    Zassenhaus; polynomials that are irreducible over Q but split into many
+    factors mod every prime (Swinnerton-Dyer polynomials) reach it.  The
+    factorization over Q is unique, so the sorted list does not depend on
+    the route.  The factors are checked to multiply back to char_poly(X)
+    exactly.
 
     Complex mode returns [(root, multiplicity)] with numeric roots clustered
     by the field tolerance.

@@ -520,7 +520,13 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # The last four were recorded before word_invariants split its long words and
 # rational hilbert_ideal built each column from an earlier one: invariants up
 # to length 7 (rational, r = 1) and 5 (rational r = 2, and complex), and
-# hilbert-ideal at degree n + 2 on a conjugated rational pair.
+# hilbert-ideal at degree n + 2 on a conjugated rational pair.  The three
+# after them were recorded before Yun's loop moved to the integers, rational
+# roots were lifted by Newton's iteration and the rational closure rank took
+# one pass: classify on a conjugated companion sheaf whose support mixes a
+# repeated root, a root with denominator, the root 0 and x^2 - 2, on a
+# non-cyclic r = 2 sheaf with the repeated factor (x - 1)^3, and on a dense
+# conjugated n = 8 cyclic sheaf whose support splits over Q.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmkit import FramedTorsionSheaf, Matrix, char_poly, factor, support
-from cmkit.factor import factor_rational, multiply_out
+from cmkit.factor import _square_free, factor_rational, multiply_out
 from conftest import rand_invertible
 
 
@@ -109,6 +110,115 @@ def test_products_with_repeated_factors_match_sympy(parts):
     # each part is (lower coefficients, nonzero leading coefficient), raised to a multiplicity
     f = multiply_out([(lower + [lead], mult) for (lower, lead), mult in parts])
     assert _sorted(factor_rational(f)) == _sympy_factors(f)
+
+
+# Products of up to 8 linear factors x - r, r with denominator <= 5, the root 0
+# and repeated roots allowed, times none or one of three irreducible factors
+# (x^4 + 1 splits mod every prime, so it takes the Hensel tree), by a constant.
+_IRREDUCIBLE = [None, _q(-2, 0, 1), _q(-1, -1, 0, 1), _q(1, 0, 0, 0, 1)]
+_root = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def _split_products(draw):
+    distinct = draw(st.lists(_root, min_size=1, max_size=8))
+    roots = distinct + draw(st.lists(st.sampled_from(distinct), max_size=8 - len(distinct)))
+    parts = [(_q(-r, 1), 1) for r in roots]
+    extra = draw(st.sampled_from(_IRREDUCIBLE))
+    if extra is not None:
+        parts.append((extra, 1))
+    lead = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    return [lead * c for c in multiply_out(parts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_products())
+def test_split_products_match_sympy(f):
+    assert _sorted(factor_rational(f)) == _sympy_factors(f)
+
+
+# Yun's square-free decomposition over Fraction, as factor_rational ran it
+# before Yun's loop moved to the integers: the oracle of the integer loop.
+def _q_divmod(a, b):
+    r = list(a)
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], r
+    q = [Fraction(0)] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] / b[-1]
+        q[k] = c
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return q, _trim(r[:db])
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _deriv(a):
+    return _trim([k * c for k, c in enumerate(a)][1:])
+
+
+def _sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] -= y
+    return _trim(out)
+
+
+def _q_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def _q_gcd(a, b):
+    while b:
+        a, b = b, _q_divmod(a, b)[1]
+    return _q_monic(a)
+
+
+def _fraction_yun(f):
+    f = _q_monic(_trim(list(f)))
+    df = _deriv(f)
+    a0 = _q_gcd(f, df)
+    b, c = _q_divmod(f, a0)[0], _q_divmod(df, a0)[0]
+    d = _sub(c, _deriv(b))
+    out, i = [], 1
+    while len(b) > 1:
+        a = _q_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _q_divmod(b, a)[0], _q_divmod(d, a)[0]
+        d = _sub(c, _deriv(b))
+        i += 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_products())
+def test_integer_yun_matches_fraction_yun(f):
+    nums = [int(c * lcm(*(x.denominator for x in f))) for c in f]
+    parts = _square_free([c // gcd(*nums) for c in nums])
+    assert all(gcd(*a) == 1 and a[-1] > 0 for a, _ in parts)
+    assert [([Fraction(c, a[-1]) for c in a], i) for a, i in parts] == _fraction_yun(f)
+
+
+@pytest.mark.parametrize("roots", [
+    [Fraction(k) for k in range(1, 17)],
+    [Fraction(0), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4), Fraction(7), Fraction(3, 5)],
+    [Fraction(1, 2), Fraction(-1, 2)],
+], ids=["1..16", "mixed-denominators", "plus-minus-half"])
+def test_split_polynomial_never_enters_the_hensel_tree(roots, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_hensel_lift called on a polynomial that splits over Q")
+
+    monkeypatch.setattr(factor, "_hensel_lift", refuse)
+    f = multiply_out([(_q(-r, 1), 1) for r in roots])
+    assert _sorted(factor_rational(f)) == _sorted([(_q(-r, 1), 1) for r in roots])
 
 
 def test_support_rejects_factors_that_do_not_multiply_back(monkeypatch):

@@ -21,7 +21,7 @@ from cmkit import (
 from cmkit import factor_str, poly_str
 from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, _trace_product
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
-from conftest import rand_matrix
+from conftest import rand_invertible, rand_matrix
 
 
 def test_solve_identity():
@@ -542,6 +542,34 @@ def test_closure_rank_is_rank_of_word_matrix(inputs):
     for w in words[1:]:
         word_matrix = word_matrix.hstack(w @ seeds)
     assert _closure_rank(seeds, ops) == rank(word_matrix)
+
+
+
+def _rational_closures():
+    """Rational (seeds, operators, closure rank) by name, built before any patching."""
+    g = rand_invertible(random.Random(19), 8)
+    d = Matrix.from_rows([[Fraction(k + 1, 3) if k == l else 0 for l in range(8)] for k in range(8)])
+    shift = Matrix.from_rows([[1 if a == b + 1 else 0 for b in range(5)] for a in range(5)])
+    return {
+        # distinct eigenvalues and a seed with no zero coordinate: a cyclic vector
+        "dense-cyclic": (g @ Matrix.column([1] * 8), [g @ d @ g.inverse()], 8),
+        # X = 2I fixes every line
+        "scalar": (Matrix.column([3, Fraction(-1, 2), 0, 5]), [Fraction(2) * Matrix.identity(4)], 1),
+        # e_2 twice under the shift e_k -> e_(k+1) and its square: e_2, e_3, e_4
+        "nilpotent-two-seeds": (Matrix.from_rows([[0, 0], [0, 0], [1, 2], [0, 0], [0, 0]]), [shift, shift @ shift], 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["dense-cyclic", "scalar", "nilpotent-two-seeds"])
+def test_rational_closure_rank_runs_no_rref_and_no_product(name, monkeypatch):
+    seeds, ops, expected = _rational_closures()[name]
+
+    def refuse(*args):
+        raise AssertionError("rational _closure_rank called _rref or Matrix.__matmul__")
+
+    monkeypatch.setattr("cmkit.linalg._rref", refuse)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert _closure_rank(seeds, ops) == expected
 
 
 # Strings printed by the four monomial formatters before they shared
