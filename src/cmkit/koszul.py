@@ -28,8 +28,7 @@ from .linalg import (
     Blocks,
     Matrix,
     ShapeError,
-    _field_repr,
-    _frozen,
+    Value,
     _set,
     add_sandwich,
     commutator,
@@ -51,14 +50,13 @@ class InvalidKoszulTriple(ValueError):
         self.residual = residual
 
 
-class PolyCovector:
+class PolyCovector(Value):
     """j(x) = sum_k x^k j_k with r x n matrix coefficients, trailing zeros trimmed.
 
     Immutable; two covectors are equal when their coefficients are.
     """
 
-    __slots__ = ("coeffs",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _FIELDS = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Matrix, ...]) -> None:
         if not coeffs:
@@ -69,18 +67,6 @@ class PolyCovector:
         if len(coeffs) > 1 and coeffs[-1].is_zero():
             raise ShapeError("leading coefficient must be nonzero (trim first)")
         _set(self, "coeffs", coeffs)
-
-    def __eq__(self, other) -> bool:
-        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return _field_repr(self, PolyCovector.__slots__)
-
-    def __reduce__(self):
-        return PolyCovector, (self.coeffs,)
 
     @staticmethod
     def from_coeffs(coeffs: list[Matrix]) -> "PolyCovector":

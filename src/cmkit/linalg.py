@@ -40,13 +40,16 @@ polynomial, factor and Weyl-algebra formatters.
 The model objects (CM quadruples, Koszul triples, framed torsion sheaves)
 are a few matrix blocks sized by n and r.  Each lists its blocks once, as
 :class:`Block` rows in ``BLOCKS``; the base class :class:`Blocks` builds
-the object from that table (constructor, checks, equality, hash, repr) and
-``serialize`` reads and writes documents from the same table.
+and checks the object from that table, whose block names are its fields,
+and ``serialize`` reads and writes documents from the same table.
 
-The value classes of the package are plain immutable classes (with
-``__slots__``, except :class:`Blocks`) or ``NamedTuple`` records rather than
-dataclasses: importing ``dataclasses`` loads ``inspect`` and ``ast``, which
-is a large share of a cold command's start-up.
+The value classes of the package (:class:`Matrix`, :class:`Blocks`, the
+Koszul covector and the ring elements) derive from :class:`Value`, which
+writes equality, hash, repr, pickling and refused assignment once, over the
+fields each class names in ``_FIELDS``.  The result records are
+``NamedTuple`` classes.  Neither is a dataclass: importing ``dataclasses``
+loads ``inspect`` and ``ast``, which is a large share of a cold command's
+start-up.
 """
 
 from __future__ import annotations
@@ -128,12 +131,39 @@ def _frozen(self, name, value=None) -> None:
     raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
 
-def _field_repr(self, names: Iterable[str]) -> str:
-    """``Kind(a=..., b=...)`` over ``names`` in order, as a dataclass prints itself."""
-    return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in names)})"
+class Value:
+    """Base of the package's immutable values, whose fields ``_FIELDS`` names in constructor order.
+
+    Two values are equal when they are of one class and their fields are
+    equal; the hash, the ``Kind(a=..., b=...)`` repr and pickling read the
+    same fields, and pickling rebuilds a value through its constructor.
+    ``__init__`` sets the fields past ``__setattr__``; assigning or deleting
+    an attribute afterwards raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    __setattr__ = __delattr__ = _frozen
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable dense matrix with entries in a fixed :class:`Field`.
 
     Entries are stored row-major in a flat tuple.  All operations return new
@@ -156,7 +186,6 @@ class Matrix:
 
     _FIELDS = ("rows", "cols", "entries", "field")
     __slots__ = ("rows", "cols", "_entries", "field", "_ints")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...], field: Field = RATIONAL) -> None:
         if rows < 0 or cols < 0:
@@ -197,21 +226,6 @@ class Matrix:
             ints = _numerators(self._entries)
             _set(self, "_ints", ints)
         return ints
-
-    def _key(self) -> tuple:
-        return self.rows, self.cols, self.entries, self.field
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return _field_repr(self, Matrix._FIELDS)
-
-    def __reduce__(self):
-        return Matrix, self._key()
 
     # -- construction -----------------------------------------------------
 
@@ -358,25 +372,26 @@ class Block(NamedTuple):
     type: str = "matrix"  # or "covector": a polynomial covector, each coefficient of this shape
 
 
-class Blocks:
+class Blocks(Value):
     """Base of an immutable value made of matrix blocks, listed in constructor order in ``BLOCKS``.
 
     The constructor takes the blocks positionally and stores each under its
-    ``BLOCKS`` name.  n is the number of rows of X and r the number of
-    columns of i.  Both must be at least 1, every block (every coefficient of
-    a covector) must have the shape ``BLOCKS`` gives it, and all blocks must
-    share one field.  Two objects are equal when they are of one kind and
-    their blocks are equal.
+    ``BLOCKS`` name, which is also its field name.  n is the number of rows
+    of X and r the number of columns of i.  Both must be at least 1, every
+    block (every coefficient of a covector) must have the shape ``BLOCKS``
+    gives it, and all blocks must share one field.
     """
 
     BLOCKS: tuple[Block, ...] = ()
 
-    __setattr__ = __delattr__ = _frozen
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._FIELDS = tuple(b.name for b in cls.BLOCKS)
 
     def __init__(self, *blocks) -> None:
         if len(blocks) != len(self.BLOCKS):
             raise TypeError(f"{type(self).__name__} takes {len(self.BLOCKS)} blocks, got {len(blocks)}")
-        self.__dict__.update(zip((b.name for b in self.BLOCKS), blocks))
+        self.__dict__.update(zip(self._FIELDS, blocks))
         size = {"n": self.n, "r": self.r}
         if size["n"] < 1 or size["r"] < 1:
             raise ShapeError(f"need n >= 1 and r >= 1, got n = {size['n']} and r = {size['r']}")
@@ -390,18 +405,6 @@ class Blocks:
                 fields.add(m.field)
         if len(fields) != 1:
             raise ShapeError("all blocks must share one field")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, b.name) for b in self.BLOCKS)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return _field_repr(self, (b.name for b in self.BLOCKS))
 
     @property
     def n(self) -> int:

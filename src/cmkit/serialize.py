@@ -1,7 +1,11 @@
 """JSON schemas for matrices, quadruples, Koszul triples, and framed sheaves.
 
 Rational scalars travel as strings "p/q" (integers without the "/q"), so
-round trips are lossless; complex scalars travel as [re, im] pairs.  All
+round trips are lossless; complex scalars travel as [re, im] pairs.  A
+rational entry is a JSON integer or a string matching ``-?[0-9]+(/[0-9]+)?``:
+no exponent, decimal point, ``+``, ``_``, space or non-ASCII digit, so a
+number is never longer than its literal.  A complex entry is a JSON
+number or a pair of JSON numbers.  Booleans are never numbers.  All
 validators raise :class:`SchemaError` carrying the path of the offending
 field.
 
@@ -15,6 +19,7 @@ so loading this module loads nothing of cmkit but ``linalg``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -41,6 +46,9 @@ def field_from_name(name: str, tolerance: float = DEFAULT_TOLERANCE) -> Field:
     raise SchemaError("field", f"unknown field {name!r}")
 
 
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def scalar_to_json(value, field: Field):
     if field.is_rational:
         return str(value)
@@ -53,18 +61,21 @@ def scalar_from_json(data, field: Field):
         raise ValueError("expected a number, got a boolean")
     if field.is_rational:
         if isinstance(data, str):
+            literal = _RATIONAL_LITERAL.fullmatch(data)
+            if literal is None:
+                raise ValueError(f"bad rational literal {data!r}: Invalid literal for Fraction: {data!r}")
+            num, den = literal.groups()
             try:
-                return Fraction(data)
+                return Fraction(int(num), int(den) if den else 1)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational literal {data!r}: {exc}") from None
         if isinstance(data, int):
             return Fraction(data)
         raise ValueError(f"expected a rational string, got {type(data).__name__}")
     if isinstance(data, (list, tuple)) and len(data) == 2:
-        try:
-            z = complex(float(data[0]), float(data[1]))
-        except (TypeError, ValueError):
-            raise ValueError("expected [re, im] numbers") from None
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
+            raise ValueError("expected [re, im] numbers")
+        z = complex(float(data[0]), float(data[1]))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("non-finite complex entry")
         return z

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Iterable, Mapping, NamedTuple
 
-from .linalg import _field_repr, _frozen, _set, format_terms, power
+from .linalg import Value, _set, format_terms, power
 from .linalg import rank  # noqa: F401  (bench/spans.py wraps weyl.rank)
 
 TermKey = tuple[int, int]  # (x power, d power)
@@ -78,7 +78,7 @@ def _terms_str(terms: Iterable[tuple[TermKey, Fraction]]) -> str:
     return format_terms(((c, power("x", a) + power("∂", b)) for (a, b), c in ordered), "·")
 
 
-class MicrolocalElement:
+class MicrolocalElement(Value):
     """Truncated element of the microlocal ring C[x]((d^-1)).
 
     ``floor=None`` marks an exact finite Laurent element: absent coefficients
@@ -87,8 +87,7 @@ class MicrolocalElement:
     stored terms are always correct.  Elements are immutable.
     """
 
-    __slots__ = ("terms", "floor")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = _FIELDS = ("terms", "floor")
 
     def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
         _set(self, "terms", terms)
@@ -131,18 +130,12 @@ class MicrolocalElement:
         return MicrolocalElement(_clean(kept), new_floor)
 
     def __eq__(self, other) -> bool:
+        """By value across kinds: a Weyl element equals its embedding."""
         if not isinstance(other, MicrolocalElement):
             return NotImplemented
-        return (self.terms, self.floor) == (other.terms, other.floor)
+        return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash((self.terms, self.floor))
-
-    def __repr__(self) -> str:
-        return _field_repr(self, MicrolocalElement.__slots__)
-
-    def __reduce__(self):
-        return type(self), (self.terms, self.floor)
+    __hash__ = Value.__hash__
 
     def __add__(self, other: "MicrolocalElement") -> "MicrolocalElement":
         if not isinstance(other, MicrolocalElement):

@@ -1,0 +1,59 @@
+"""Replay every line of data/golden_reports.jsonl through ``python -m cmkit.cli``.
+
+Each line gives the arguments, the standard input (``null`` for none), the
+text of the ``--h`` file (``null`` for none), the exit code and the exact
+standard output.  The command runs in a fresh process of the interpreter that
+runs this script, in a temporary directory, so it imports the installed
+package rather than the source tree.  Any difference in the exit code or in
+one byte of standard output fails the run:
+
+    python tests/replay_goldens.py
+
+Only the standard library is used, so it runs in an environment that holds
+the package's runtime dependencies and nothing else.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.jsonl"
+
+
+def replay(case: dict, workdir: Path) -> list[str]:
+    """The differences between one golden line and a fresh run of its command."""
+    argv = list(case["argv"])
+    if case["h"] is not None:
+        path = workdir / "h.json"
+        path.write_text(case["h"], encoding="utf-8")
+        argv += ["--h", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=(case["input"] or "").encode(),
+                          cwd=workdir, capture_output=True, timeout=120)
+    problems = []
+    if proc.returncode != case["exit"]:
+        problems.append(f"exit {proc.returncode}, expected {case['exit']}; stderr: {proc.stderr.decode(errors='replace')}")
+    if proc.stdout != case["stdout"].encode():
+        problems.append(f"stdout differs:\n  got      {proc.stdout!r}\n  expected {case['stdout'].encode()!r}")
+    return problems
+
+
+def main() -> int:
+    cases = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for number, case in enumerate(cases, 1):
+            problems = replay(case, Path(tmp))
+            if problems:
+                failed += 1
+                name = case.get("id", " ".join(case["argv"]))
+                print(f"line {number} ({name}):", *problems, sep="\n  ")
+    print(f"{len(cases) - failed} of {len(cases)} golden reports replayed byte for byte")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -640,6 +640,11 @@ _MALFORMED = [
     ("covector-shape", ["normalize"], dict(_TRIPLE, j={"coeffs": [[["1", "2"]]]}), None,
      "j.coeffs[0]: expected a 1x1 matrix, got 1x2"),
     ("bad-h", ["homotopy"], _TRIPLE, {"coeffs": [[["1"], ["2"]]]}, "h.coeffs[0]: expected a 1x1 matrix, got 2x1"),
+    # a rational entry is -?digits(/digits)?: an exponent would ask for unbounded work
+    ("exponent-rational", ["fiber-solve"], {"n": 1, "r": 1, "X": [["1e10000000"]], "i": [["1"]]}, None,
+     "X[0][0]: bad rational literal '1e10000000': Invalid literal for Fraction: '1e10000000'"),
+    ("decimal-rational", ["verify"], dict(FLAGSHIP, Y=[["0", "0.5"], ["1", "0"]]), None,
+     "Y[0][1]: bad rational literal '0.5': Invalid literal for Fraction: '0.5'"),
 ]
 
 

@@ -113,4 +113,6 @@ def test_booleans_rejected():
     with pytest.raises(SchemaError):
         matrix_from_json([[True]], Matrix.identity(1).field, "m")
     with pytest.raises(SchemaError):
+        matrix_from_json([[[True, False]]], complex_field(), "m")
+    with pytest.raises(SchemaError):
         quadruple_from_json({"n": True, "r": 1, "X": [["0"]], "Y": [["0"]], "i": [["1"]], "j": [["1"]]})

@@ -9,11 +9,14 @@ construction errors are the documented ones.
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import cmkit
 from cmkit import (
     CMQuadruple,
     Field,
@@ -31,6 +34,7 @@ from cmkit import (
     complex_field,
     hilbert_ideal,
 )
+from cmkit.linalg import Blocks, Value
 
 F = Fraction
 A, B = Matrix(1, 1, (F(1),), RATIONAL), Matrix(1, 1, (F(2),), RATIONAL)
@@ -222,3 +226,18 @@ def test_product_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         m.extra = 1
     assert m == BUILT
+
+
+def test_every_value_class_is_in_the_contract_table():
+    for module in pkgutil.iter_modules(cmkit.__path__):
+        importlib.import_module(f"cmkit.{module.name}")
+    found, todo = [], [Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += subclasses
+        todo += subclasses
+    concrete = [cls for cls in found if cls is not Blocks and cls.__module__.startswith("cmkit.")]
+    assert {cls for cls in NAMES if issubclass(cls, Value)} <= set(concrete)
+    for cls in concrete:
+        assert cls in NAMES, cls.__name__
+        assert NAMES[cls] == cls._FIELDS, cls.__name__
