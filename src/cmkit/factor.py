@@ -53,12 +53,18 @@ def factor_rational(f: Sequence) -> list[tuple[tuple[Fraction, ...], int]]:
 
 
 def multiply_out(factors: Sequence[tuple[Sequence[Fraction], int]]) -> list[Fraction]:
-    """The product of f^m over the pairs (f, m), as ascending coefficients."""
-    out = [Fraction(1)]
+    """The product of f^m over the pairs (f, m), as ascending coefficients.
+
+    Each f goes in as integer numerators over the lcm e of its denominators
+    (``_numerators``), so the loop multiplies integers, over d = prod e^m,
+    and one Fraction is built per coefficient of the product.
+    """
+    out, d = [1], 1
     for coeffs, mult in factors:
+        nums, e = _numerators(coeffs)
         for _ in range(mult):
-            out = _mul(out, coeffs)
-    return out
+            out, d = _mul(out, nums), d * e
+    return [Fraction(c, d) for c in out]
 
 
 # -- square-free decomposition over the integers ----------------------------

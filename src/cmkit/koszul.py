@@ -219,7 +219,7 @@ def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
     solutions [X, Y'] = i j'.
     """
     X, i, n, r = fs.X, fs.i, fs.n, fs.r
-    rhs = Matrix(n * n, 1, (-Matrix.identity(n, fs.field)).entries, fs.field)
+    rhs = (-Matrix.identity(n, fs.field)).gather(n * n, 1, range(n * n))
     sol = solve_affine(_fiber_system(X, i), rhs)
     if sol is None:
         return None

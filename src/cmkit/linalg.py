@@ -6,10 +6,16 @@ form, affine solving with an explicit kernel basis, characteristic
 polynomials, and matrix polynomial evaluation.
 
 The default field is ``Fraction`` arithmetic, where every comparison is
-exact.  Rational elimination runs fraction-free on integer rows sliced out
-of a matrix's integer form and leaves them primitive; :func:`_read` takes
-every answer from the pivot rows, a Fraction per nonzero entry.  A matrix
-has one RREF, so the answers are the ones Gauss-Jordan on Fractions gives.
+exact.  A rational matrix is its canonical integer form, integer numerators
+over the lcm of the denominators (see :class:`Matrix`), and a Fraction is
+built only where an entry is read.  Rational elimination runs fraction-free
+on integer rows sliced out of the forms and leaves them primitive;
+:func:`_read` takes every answer from the pivot rows as (p, q) pairs, which
+:meth:`Matrix.from_pairs` makes into a form.  A matrix has one RREF, so the
+answers are the ones Gauss-Jordan on Fractions gives.  A rational literal
+has one grammar, :func:`parse_rational`, which the document reader and
+:meth:`Field.coerce` share.
+
 The complex mode carries an explicit tolerance; zero tests and pivot
 selection are the only places the tolerance enters.
 
@@ -21,11 +27,10 @@ a term Z |-> A Z B straight into such a system, and ``unvec`` reads a
 solution vector back into its two blocks.
 
 ``_product`` is the one matrix product loop, shared by both fields:
-complex entries go in as they are, rational ones as integer numerators over
-a common denominator.  A rational matrix keeps that integer form, and a
-product is made from it, so chains of products build Fractions only for
-the entries that are read.  ``_trace_product`` sums tr(AB) from the two
-integer forms, for a product that would only be traced.
+complex entries go in as they are, rational ones as their integer forms, so
+chains of products build Fractions only for the entries that are read.
+``_trace_product`` sums tr(AB) from the two integer forms, for a product
+that would only be traced.
 
 ``_rref`` is the one elimination routine of the package for matrices.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
@@ -54,10 +59,11 @@ start-up.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[Fraction, complex]
@@ -72,6 +78,33 @@ class ShapeError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A matrix required to be invertible is not."""
+
+
+# No exponent, decimal point, "+", "_", space or non-ASCII digit: a number is never longer than its literal.
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> tuple[int, int]:
+    """(p, q), q > 0 and not reduced, of a literal ``-?[0-9]+(/[0-9]+)?``, the one rational grammar.
+
+    Any other string raises ``ValueError`` with the message ``Fraction(text)``
+    gives (``Fraction(1, 0)`` for a zero denominator) after ``bad rational literal 'text': ``.
+    """
+    literal = _RATIONAL_LITERAL.fullmatch(text)
+    if literal is None:
+        raise ValueError(f"bad rational literal {text!r}: Invalid literal for Fraction: {text!r}")
+    num, den = literal.groups()
+    try:  # int() refuses more digits than the interpreter's limit
+        p, q = int(num), int(den) if den else 1
+    except ValueError as exc:
+        raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+    if not q:
+        raise ValueError(f"bad rational literal {text!r}: Fraction({p}, 0)")
+    return p, q
+
+
+_ZERO, _ONE, _CZERO, _CONE = Fraction(0), Fraction(1), complex(0), complex(1)
+_RATIONAL_TYPES = frozenset((Fraction, int))
 
 
 class Field(NamedTuple):
@@ -92,8 +125,10 @@ class Field(NamedTuple):
         if self.is_rational:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, (int, str)):
+            if isinstance(value, int):
                 return Fraction(value)
+            if isinstance(value, str):
+                return Fraction(*parse_rational(value))
             if isinstance(value, float) and value.is_integer():
                 return Fraction(int(value))
             raise TypeError(f"cannot coerce {value!r} into the rational field")
@@ -110,11 +145,11 @@ class Field(NamedTuple):
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.is_rational else complex(0)
+        return _ZERO if self.is_rational else _CZERO
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.is_rational else complex(1)
+        return _ONE if self.is_rational else _CONE
 
 
 RATIONAL = Field("rational")
@@ -134,9 +169,10 @@ def _frozen(self, name, value=None) -> None:
 class Value:
     """Base of the package's immutable values, whose fields ``_FIELDS`` names in constructor order.
 
-    Two values are equal when they are of one class and their fields are
-    equal; the hash, the ``Kind(a=..., b=...)`` repr and pickling read the
-    same fields, and pickling rebuilds a value through its constructor.
+    Two values are equal when they are of one class and their ``_key()``
+    values are equal, and the hash reads the same key; by default the key is
+    the tuple of the fields, which the ``Kind(a=..., b=...)`` repr and
+    pickling read, and pickling rebuilds a value through its constructor.
     ``__init__`` sets the fields past ``__setattr__``; assigning or deleting
     an attribute afterwards raises ``AttributeError``.
     """
@@ -144,8 +180,11 @@ class Value:
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def _key(self) -> tuple:
+        return self._fields()
 
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
@@ -154,11 +193,11 @@ class Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._key()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._key()
+        return type(self), self._fields()
 
     __setattr__ = __delattr__ = _frozen
 
@@ -166,19 +205,21 @@ class Value:
 class Matrix(Value):
     """Immutable dense matrix with entries in a fixed :class:`Field`.
 
-    Entries are stored row-major in a flat tuple.  All operations return new
-    matrices; values are safe to share across threads.  Two matrices are
-    equal when their shapes, entries and fields are.
+    Entries are row-major.  All operations return new matrices; values are
+    safe to share across threads.  Two matrices are equal when their shapes,
+    entries and fields are.
 
-    A rational matrix also carries its integer form, the pair (numerators,
-    d) that ``_numerators(entries)`` returns: integer numerators over the
-    lcm d of the denominators.  ``@``, ``hstack`` and the elimination read
-    it; it is computed on first use and kept.  A product or an ``hstack`` is
-    made from integer forms alone, and its Fraction entries are built the
-    first time something reads ``entries``: ``==``, ``hash``, ``repr``,
-    pickling, ``row``, ``[]``, ``+``, ``-`` or a writer.  ``trace`` of a
-    product whose entries are not built sums its integer diagonal into one
-    Fraction, so a chain of products ending in a trace builds no entry.
+    A rational matrix is its integer form, the pair (numerators, d) that
+    ``_numerators(entries)`` returns: integer numerators over the lcm d of
+    the denominators.  Every operation keeps the form canonical by dividing
+    out gcd(d, *numerators) (:func:`_reduced`), so ``==`` and ``hash``
+    compare forms.  Arithmetic, stacks, ``trace``, ``is_zero``, elimination,
+    the solvers' answers and ``serialize`` work on forms; a Fraction is
+    built only where an entry is read, and ``entries``, ``[]`` and ``row``
+    (so ``repr``, ``str`` and pickling) build every entry once and keep
+    them.  A matrix made from entries computes its form on first use, so
+    the constructor refuses a rational entry that is not an int or a
+    Fraction (``TypeError``) where the matrix is made.
     ``entries`` is a property over the slot ``_entries``, not a slot with a
     ``__getattr__`` fallback: on CPython 3.11 defining ``__getattr__`` slows
     every attribute read of the class, ``rows``, ``cols`` and methods too.
@@ -192,6 +233,10 @@ class Matrix(Value):
             raise ShapeError("negative dimensions")
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        if field.is_rational and not _RATIONAL_TYPES.issuperset(map(type, entries)):
+            for x in entries:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"a rational matrix takes int or Fraction entries, got {x!r}")
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_entries", entries)
@@ -200,7 +245,7 @@ class Matrix(Value):
 
     @staticmethod
     def _from_ints(rows: int, cols: int, ints: tuple[list[int], int], field: Field) -> "Matrix":
-        """The rational matrix with integer form ``ints``; its entries are built when first read."""
+        """The rational matrix with canonical integer form ``ints``; its entries are built when first read."""
         m = object.__new__(Matrix)
         _set(m, "rows", rows)
         _set(m, "cols", cols)
@@ -209,13 +254,24 @@ class Matrix(Value):
         _set(m, "_ints", ints)
         return m
 
+    @staticmethod
+    def from_pairs(rows: int, cols: int, pairs: Sequence[tuple[int, int]], field: Field = RATIONAL) -> "Matrix":
+        """The rational matrix with entries p / q, row-major, from integer pairs (p, q), q != 0, in any terms.
+
+        The form is the numerators over d = lcm of the |q|, reduced by
+        :func:`_reduced`; no Fraction is built.
+        """
+        if rows < 0 or cols < 0 or len(pairs) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(pairs)}")
+        d = lcm(*[q for _, q in pairs])
+        return Matrix._from_ints(rows, cols, _reduced([p * (d // q) for p, q in pairs], d), field)
+
     @property
     def entries(self) -> tuple[Scalar, ...]:
         entries = self._entries
         if entries is None:
             nums, d = self._ints
-            zero = Fraction(0)
-            entries = tuple(Fraction(v, d) if v else zero for v in nums)
+            entries = tuple(Fraction(v, d) if v else _ZERO for v in nums)
             _set(self, "_entries", entries)
         return entries
 
@@ -226,6 +282,12 @@ class Matrix(Value):
             ints = _numerators(self._entries)
             _set(self, "_ints", ints)
         return ints
+
+    def _key(self) -> tuple:
+        if self.field.is_rational:
+            nums, d = self._integer_form()
+            return self.rows, self.cols, tuple(nums), d, self.field
+        return self._fields()
 
     # -- construction -----------------------------------------------------
 
@@ -273,6 +335,12 @@ class Matrix(Value):
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def rational_strings(self) -> list[list[str]]:
+        """The rows of a rational matrix as ``str(Fraction)`` prints its entries, "p/q" or "p", read off the form."""
+        (nums, d), c = self._integer_form(), self.cols
+        flat = [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in nums]
+        return [flat[i * c : (i + 1) * c] for i in range(self.rows)]
+
     # -- arithmetic ---------------------------------------------------------
 
     def _same_shape(self, other: "Matrix") -> None:
@@ -281,21 +349,34 @@ class Matrix(Value):
         if self.field != other.field:
             raise ShapeError("mixed fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _sum(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other; a rational one is made from the two integer forms, over the lcm of their d."""
         self._same_shape(other)
-        flat = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, flat, self.field)
+        if not self.field.is_rational:
+            flat = tuple(map(add if sign > 0 else sub, self.entries, other.entries))
+            return Matrix(self.rows, self.cols, flat, self.field)
+        (a, da), (b, db) = self._integer_form(), other._integer_form()
+        d = lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        return Matrix._from_ints(self.rows, self.cols, _reduced([x * sa + y * sb for x, y in zip(a, b)], d), self.field)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        flat = tuple(a - b for a, b in zip(self.entries, other.entries))
-        return Matrix(self.rows, self.cols, flat, self.field)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
+        if self.field.is_rational:
+            nums, d = self._integer_form()
+            return Matrix._from_ints(self.rows, self.cols, ([-v for v in nums], d), self.field)
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries), self.field)
 
     def __rmul__(self, scalar) -> "Matrix":
         c = self.field.coerce(scalar)
+        if self.field.is_rational:
+            (nums, d), p = self._integer_form(), c.numerator
+            return Matrix._from_ints(self.rows, self.cols, _reduced([v * p for v in nums], d * c.denominator), self.field)
         return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries), self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -311,9 +392,19 @@ class Matrix(Value):
         flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
         return Matrix(n, p, flat, self.field)
 
+    def gather(self, rows: int, cols: int, at: Sequence[int]) -> "Matrix":
+        """The rows x cols matrix whose entries, row-major, are this one's at the row-major indices ``at``."""
+        if len(at) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(at)}")
+        if self.field.is_rational:
+            nums, d = self._integer_form()
+            return Matrix._from_ints(rows, cols, _reduced([nums[t] for t in at], d), self.field)
+        e = self.entries
+        return Matrix(rows, cols, tuple(e[t] for t in at), self.field)
+
     def transpose(self) -> "Matrix":
-        flat = tuple(self[i, k] for k in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, flat, self.field)
+        rows, cols = self.rows, self.cols
+        return self.gather(cols, rows, [i * cols + k for k in range(cols) for i in range(rows)])
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -324,6 +415,8 @@ class Matrix(Value):
         return sum((self[k, k] for k in range(self.rows)), self.field.zero)
 
     def is_zero(self) -> bool:
+        if self.field.is_rational:
+            return not any(self._integer_form()[0])
         return all(self.field.is_zero(a) for a in self.entries)
 
     def allclose(self, other: "Matrix") -> bool:
@@ -339,7 +432,7 @@ class Matrix(Value):
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
         cols = [_read(rows, pivots, n + k, n, self.field) for k in range(n)]
-        return Matrix(n, n, tuple(col[i] for i in range(n) for col in cols), self.field)
+        return _answer(n, n, [col[i] for i in range(n) for col in cols], self.field)
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         """[self | others[0] | ...]; a rational one is made from the integer forms, over their lcm."""
@@ -351,13 +444,23 @@ class Matrix(Value):
             return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
         return Matrix(rows, cols, tuple(flat), self.field)
 
+    def vstack(self, *others: "Matrix") -> "Matrix":
+        """[self; others[0]; ...]; a rational one is made from the integer forms, over their lcm."""
+        blocks, rows, cols = (self, *others), self.rows + sum(m.rows for m in others), self.cols
+        if any(m.cols != cols or m.field != self.field for m in others):
+            raise ShapeError("vstack mismatch")
+        if not self.field.is_rational:
+            return Matrix(rows, cols, tuple(chain.from_iterable(m.entries for m in blocks)), self.field)
+        forms = [m._integer_form() for m in blocks]
+        d = lcm(*(e for _, e in forms))
+        flat: list[int] = []
+        for nums, e in forms:
+            flat += nums if e == d else [v * (d // e) for v in nums]
+        return Matrix._from_ints(rows, cols, (flat, d), self.field)
+
     def _columns(self, cols: list[int]) -> "Matrix":
         """The columns ``cols`` of this matrix, in that order."""
-        at = [i * self.cols + c for i in range(self.rows) for c in cols]
-        if self.field.is_rational:
-            nums, d = self._integer_form()
-            return Matrix._from_ints(self.rows, len(cols), _reduced([nums[t] for t in at], d), self.field)
-        return Matrix(self.rows, len(cols), tuple(self.entries[t] for t in at), self.field)
+        return self.gather(self.rows, len(cols), [i * self.cols + c for i in range(self.rows) for c in cols])
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
@@ -597,15 +700,26 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
 def _read(rows: list[list], pivots: list[int], col: int, size: int, field: Field, negate: bool = False) -> list:
     """The vector of length ``size`` with entry p_k = r_k[col] / r_k[p_k] for pivot row k, else zero.
 
-    The entries are negated with ``negate``.  A rational entry is a Fraction
-    only when r_k[col] is nonzero, and every zero is one shared zero.
-    Complex rows have pivots 1 and are read as they are, signed zeros too."""
-    v, rational = [field.zero] * size, field.is_rational
+    The entries are negated with ``negate``.  A rational entry is the pair
+    (r_k[col], r_k[p_k]) of integers, (0, 1) for a zero, which
+    :func:`_answer` builds into a matrix.  Complex rows have pivots 1 and are
+    read as they are, signed zeros too."""
+    if field.is_rational:
+        v = [(0, 1)] * size
+        for r, p in zip(rows, pivots):
+            x = r[col]
+            if x:
+                v[p] = (-x if negate else x, r[p])
+        return v
+    v = [field.zero] * size
     for r, p in zip(rows, pivots):
-        x = -r[col] if negate else r[col]
-        if x or not rational:
-            v[p] = Fraction(x, r[p]) if rational else x
+        v[p] = -r[col] if negate else r[col]
     return v
+
+
+def _answer(rows: int, cols: int, values: list, field: Field) -> Matrix:
+    """The matrix of values read by :func:`_read`: (p, q) pairs in the rational field, entries in the complex one."""
+    return Matrix.from_pairs(rows, cols, values, field) if field.is_rational else Matrix(rows, cols, tuple(values), field)
 
 
 def rank(a: Matrix) -> int:
@@ -667,8 +781,8 @@ def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> li
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = _read(rows, pivots, f, ncols, field, negate=True)
-        v[f] = field.one
-        basis.append(Matrix(ncols, 1, tuple(v), field))
+        v[f] = (1, 1) if field.is_rational else field.one
+        basis.append(_answer(ncols, 1, v, field))
     return basis
 
 
@@ -697,7 +811,7 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
     if any(p == a.cols for p in pivots):
         return None
     x = _read(rows, pivots, a.cols, a.cols, a.field)
-    return AffineSolution(Matrix(a.cols, 1, tuple(x), a.field), _kernel(rows, pivots, a.cols, a.field))
+    return AffineSolution(_answer(a.cols, 1, x, a.field), _kernel(rows, pivots, a.cols, a.field))
 
 
 def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
@@ -708,10 +822,8 @@ def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
 
 def unvec(v: Matrix, n: int, framing_rows: int, framing_cols: int) -> tuple[Matrix, Matrix]:
     """Inverse of :func:`vec` on a column: (n x n square block, framing block)."""
-    flat = v.entries
-    square = tuple(flat[col * n + row] for row in range(n) for col in range(n))
-    framing = flat[n * n : n * n + framing_rows * framing_cols]
-    return Matrix(n, n, square, v.field), Matrix(framing_rows, framing_cols, framing, v.field)
+    square = v.gather(n, n, [col * n + row for row in range(n) for col in range(n)])
+    return square, v.gather(framing_rows, framing_cols, range(n * n, n * n + framing_rows * framing_cols))
 
 
 def add_sandwich(flat: list, ncols: int, a: Matrix, b: Matrix, *, eq_row: int, unknown_col: int, square: bool) -> None:

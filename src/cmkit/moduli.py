@@ -36,7 +36,6 @@ from .linalg import (
     rank,
     solve_affine,
     unvec,
-    vec,
 )
 from .koszul import FramedTorsionSheaf
 from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
@@ -140,9 +139,9 @@ def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix,
         g, s = unvec(v, fs.n, fs.r, fs.r)
         out.append((s, g))
     if fs.field.is_rational and out:
-        X, i, m, n, r = fs.X, fs.i, len(out), fs.n, fs.r
-        gs = Matrix(m * n, n, tuple(x for _, g in out for x in g.entries), fs.field)
-        ss = Matrix(m * r, r, tuple(x for s, _ in out for x in s.entries), fs.field)
+        X, i, m = fs.X, fs.i, len(out)
+        gs = Matrix.vstack(*(g for _, g in out))
+        ss = Matrix.vstack(*(s for s, _ in out))
         if (_side_by_side(gs @ X, m) != X @ _side_by_side(gs, m)
                 or _side_by_side(gs @ i, m) != i @ _side_by_side(ss, m)):
             raise AssertionError("endomorphism basis element fails g X = X g or g i = i s")
@@ -151,22 +150,29 @@ def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix,
 
 def _side_by_side(stack: Matrix, m: int) -> Matrix:
     """[b_1 | ... | b_m] from the stack [b_1; ...; b_m] of m blocks of one shape."""
-    rows, cols, e = stack.rows // m, stack.cols, stack.entries
+    rows, cols = stack.rows // m, stack.cols
     starts = [(a * rows + k) * cols for k in range(rows) for a in range(m)]
-    return Matrix(rows, m * cols, tuple(x for p in starts for x in e[p:p + cols]), stack.field)
+    return stack.gather(rows, m * cols, [p + c for p in starts for c in range(cols)])
+
+
+def _flattened(stack: Matrix, m: int, transpose: bool) -> Matrix:
+    """The m x k^2 matrix whose row a lists block a (k x k) of the stack [b_1; ...; b_m] row-major, or its transpose."""
+    k = stack.cols
+    at = [(a * k + q) * k + p for a in range(m) for p in range(k) for q in range(k)] if transpose else range(m * k * k)
+    return stack.gather(m, k * k, at)
 
 
 def _faithful_trace_form(fs: FramedTorsionSheaf, ends: list[tuple[Matrix, Matrix]]) -> Matrix:
     """The form tr(g_a g_b) + tr(s_a s_b) on an End basis, as one matrix product.
 
     Row a lists g_a and the transpose of s_a row-major; column b is vec(g_b, s_b),
-    which lists g_b column-major and s_b row-major.
+    which lists g_b column-major and s_b row-major.  Both are gathered from
+    the stacks [g_1; ...; g_m] and [s_1; ...; s_m].
     """
-    m, width = len(ends), fs.n * fs.n + fs.r * fs.r
-    left = tuple(x for s, g in ends for x in (*g.entries, *s.transpose().entries))
-    cols = [vec(g, s) for s, g in ends]
-    right = tuple(c[k] for k in range(width) for c in cols)
-    return Matrix(m, width, left, fs.field) @ Matrix(width, m, right, fs.field)
+    m, gs, ss = len(ends), Matrix.vstack(*(g for _, g in ends)), Matrix.vstack(*(s for s, _ in ends))
+    left = _flattened(gs, m, False).hstack(_flattened(ss, m, True))
+    right = _flattened(gs, m, True).hstack(_flattened(ss, m, False)).transpose()
+    return left @ right
 
 
 def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
@@ -232,7 +238,7 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
     if ends is None:
         ends = endomorphisms(fs)
     m, r2 = len(ends), fs.r * fs.r
-    s_part = Matrix(m, r2, tuple(x for s, _ in ends for x in s.entries), fs.field)
+    s_part = _flattened(Matrix.vstack(*(s for s, _ in ends)), m, False)
     sol = solve_affine(s_part, Matrix(m, 1, tuple(g.trace() for _, g in ends), fs.field))
     if sol is None:
         return SupportReport(False, None)

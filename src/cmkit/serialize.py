@@ -2,12 +2,19 @@
 
 Rational scalars travel as strings "p/q" (integers without the "/q"), so
 round trips are lossless; complex scalars travel as [re, im] pairs.  A
-rational entry is a JSON integer or a string matching ``-?[0-9]+(/[0-9]+)?``:
+rational entry is a JSON integer or a string matching ``-?[0-9]+(/[0-9]+)?``
+(:func:`cmkit.linalg.parse_rational`, the grammar ``Field.coerce`` shares):
 no exponent, decimal point, ``+``, ``_``, space or non-ASCII digit, so a
-number is never longer than its literal.  A complex entry is a JSON
-number or a pair of JSON numbers.  Booleans are never numbers.  All
-validators raise :class:`SchemaError` carrying the path of the offending
-field.
+number is never longer than its literal.  A complex entry is a JSON number
+or a pair of JSON numbers, each within the float range.  Booleans are never
+numbers.  All validators raise :class:`SchemaError` carrying the path of the
+offending field.
+
+The reader builds integer forms: each rational entry becomes a pair (p, q)
+of integers and each matrix is made from its pairs by
+:meth:`Matrix.from_pairs`, with no Fraction built.  The writer prints a
+rational matrix by :meth:`Matrix.rational_strings`, straight from the form
+when no entry has been read, in the bytes ``str(Fraction)`` gives.
 
 A document is an object with ``n``, ``r`` (default 1), an optional ``field``
 and ``tolerance``, and one key per block.  The one reader and the one writer
@@ -19,11 +26,9 @@ so loading this module loads nothing of cmkit but ``linalg``.
 from __future__ import annotations
 
 import math
-import re
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field
+from .linalg import DEFAULT_TOLERANCE, Field, Matrix, RATIONAL, complex_field, parse_rational
 
 if TYPE_CHECKING:
     from .koszul import PolyCovector
@@ -46,47 +51,47 @@ def field_from_name(name: str, tolerance: float = DEFAULT_TOLERANCE) -> Field:
     raise SchemaError("field", f"unknown field {name!r}")
 
 
-_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def scalar_to_json(value, field: Field):
     if field.is_rational:
         return str(value)
     return [value.real, value.imag]
 
 
-def scalar_from_json(data, field: Field):
-    """One entry in ``field``; raises ``ValueError``, to which :func:`matrix_from_json` adds the path."""
+def _rational_pair(data) -> tuple[int, int]:
+    """(p, q), q > 0, of one rational entry: a JSON integer or a literal :func:`parse_rational` takes."""
+    if isinstance(data, str):
+        return parse_rational(data)
     if isinstance(data, bool):
         raise ValueError("expected a number, got a boolean")
-    if field.is_rational:
-        if isinstance(data, str):
-            literal = _RATIONAL_LITERAL.fullmatch(data)
-            if literal is None:
-                raise ValueError(f"bad rational literal {data!r}: Invalid literal for Fraction: {data!r}")
-            num, den = literal.groups()
-            try:
-                return Fraction(int(num), int(den) if den else 1)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational literal {data!r}: {exc}") from None
-        if isinstance(data, int):
-            return Fraction(data)
-        raise ValueError(f"expected a rational string, got {type(data).__name__}")
-    if isinstance(data, (list, tuple)) and len(data) == 2:
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
-            raise ValueError("expected [re, im] numbers")
-        z = complex(float(data[0]), float(data[1]))
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("non-finite complex entry")
-        return z
-    if isinstance(data, (int, float)):
-        if not math.isfinite(data):
-            raise ValueError("non-finite entry")
-        return complex(data)
+    if isinstance(data, int):
+        return data, 1
+    raise ValueError(f"expected a rational string, got {type(data).__name__}")
+
+
+def _complex_entry(data) -> complex:
+    """One complex entry; raises ``ValueError``, to which :func:`matrix_from_json` adds the path."""
+    if isinstance(data, bool):
+        raise ValueError("expected a number, got a boolean")
+    try:
+        if isinstance(data, (list, tuple)) and len(data) == 2:
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in data):
+                raise ValueError("expected [re, im] numbers")
+            z = complex(float(data[0]), float(data[1]))
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValueError("non-finite complex entry")
+            return z
+        if isinstance(data, (int, float)):
+            if not math.isfinite(data):
+                raise ValueError("non-finite entry")
+            return complex(data)
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise ValueError(str(exc)) from None
     raise ValueError(f"expected [re, im], got {type(data).__name__}")
 
 
 def matrix_to_json(m: Matrix) -> list[list[Any]]:
+    if m.field.is_rational:
+        return m.rational_strings()
     return [[scalar_to_json(v, m.field) for v in m.row(i)] for i in range(m.rows)]
 
 
@@ -94,17 +99,19 @@ def matrix_from_json(data, field: Field, path: str, shape: tuple[int, int] | Non
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemaError(path, "expected a non-empty list of rows")
     nrows, ncols = len(data), len(data[0])
-    entries = []
+    rational, entries = field.is_rational, []
     for ridx, row in enumerate(data):
         if len(row) != ncols:
             raise SchemaError(f"{path}[{ridx}]", f"ragged row of length {len(row)} (expected {ncols})")
         for cidx, v in enumerate(row):
             try:
-                entries.append(scalar_from_json(v, field))
+                entries.append(_rational_pair(v) if rational else _complex_entry(v))
             except ValueError as exc:
                 raise SchemaError(f"{path}[{ridx}][{cidx}]", str(exc)) from None
     if shape is not None and (nrows, ncols) != shape:
         raise SchemaError(path, f"expected a {shape[0]}x{shape[1]} matrix, got {nrows}x{ncols}")
+    if rational:
+        return Matrix.from_pairs(nrows, ncols, entries, field)
     return Matrix(nrows, ncols, tuple(entries), field)
 
 

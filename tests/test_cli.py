@@ -526,7 +526,11 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # one pass: classify on a conjugated companion sheaf whose support mixes a
 # repeated root, a root with denominator, the root 0 and x^2 - 2, on a
 # non-cyclic r = 2 sheaf with the repeated factor (x - 1)^3, and on a dense
-# conjugated n = 8 cyclic sheaf whose support splits over Q.
+# conjugated n = 8 cyclic sheaf whose support splits over Q.  The last five
+# were recorded before the reader parsed literals into integer forms and the
+# writer printed from them: verify and fiber-solve on the non-canonical
+# literals "2/4", "-0", "007", "0/5", "6/3" and JSON integers above 2^64, the
+# refusal of "1/0", an empty fiber (exit 1) and a two-line verify --batch.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 
@@ -645,6 +649,13 @@ _MALFORMED = [
      "X[0][0]: bad rational literal '1e10000000': Invalid literal for Fraction: '1e10000000'"),
     ("decimal-rational", ["verify"], dict(FLAGSHIP, Y=[["0", "0.5"], ["1", "0"]]), None,
      "Y[0][1]: bad rational literal '0.5': Invalid literal for Fraction: '0.5'"),
+    # a complex entry must fit a float, bare or as [re, im]
+    ("complex-int-past-float-range", ["fiber-solve"], {"n": 1, "r": 1, "field": "complex", "X": [[10**400]],
+                                                       "i": [[1]]}, None,
+     "X[0][0]: int too large to convert to float"),
+    ("complex-pair-past-float-range", ["fiber-solve"], {"n": 1, "r": 1, "field": "complex", "X": [[[10**400, 0]]],
+                                                        "i": [[1]]}, None,
+     "X[0][0]: int too large to convert to float"),
 ]
 
 

@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, _trace_product
+from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, _trace_product, unvec
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_invertible, rand_matrix
 
@@ -488,6 +488,128 @@ def test_char_poly_on_integer_form_matches_fraction_faddeev_leverrier(n, kind, d
     a = Matrix(n, n, tuple(entries))
     got = char_poly(a)
     assert got == _reference_char_poly(a) and all(type(c) is Fraction for c in got)
+
+
+# -- the integer form is the matrix: every operation against Fraction arithmetic on entries --
+
+
+@st.composite
+def _form_operand(draw, rows, cols):
+    """A rows x cols rational matrix and its entries, with entries of one kind from _RATIONAL_ENTRIES.
+
+    It is made from its entries (read), from (p, q) pairs scaled out of
+    lowest terms by a common or an entrywise factor (unread), or from pairs
+    and then read."""
+    entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    how = draw(st.sampled_from(["entries", "pairs", "pairs-read"]))
+    if how == "entries":
+        return Matrix(rows, cols, tuple(entries)), entries
+    scales = draw(st.lists(st.sampled_from([1, -1, 2, -6, 35]), min_size=rows * cols, max_size=rows * cols))
+    m = Matrix.from_pairs(rows, cols, [(x.numerator * k, x.denominator * k) for x, k in zip(entries, scales)])
+    assert m._entries is None
+    if how == "pairs-read":
+        m.entries
+    return m, entries
+
+
+def _assert_form(m: Matrix, rows: int, cols: int, expected) -> None:
+    """``m`` is the rows x cols matrix of ``expected``, with Fraction entries and the canonical form of them."""
+    assert (m.rows, m.cols) == (rows, cols) and m.entries == tuple(expected)
+    _assert_answer(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_integer_form_operations_match_fraction_arithmetic(rows, cols, data):
+    (a, ea), (b, eb) = data.draw(_form_operand(rows, cols)), data.draw(_form_operand(rows, cols))
+    c = data.draw(st.one_of(st.integers(-3, 3), _RATIONAL_ENTRIES["mixed"]))
+    _assert_form(a + b, rows, cols, [x + y for x, y in zip(ea, eb)])
+    _assert_form(a - b, rows, cols, [x - y for x, y in zip(ea, eb)])
+    _assert_form(-a, rows, cols, [-x for x in ea])
+    _assert_form(c * a, rows, cols, [c * x for x in ea])
+    _assert_form(a.transpose(), cols, rows, [ea[i * cols + k] for k in range(cols) for i in range(rows)])
+    more, emore = data.draw(_form_operand(data.draw(st.integers(0, 3)), cols))
+    _assert_form(a.vstack(b, more), 2 * rows + more.rows, cols, ea + eb + emore)
+    assert a.is_zero() == (not any(ea)) and (a - a).is_zero()
+    same = Matrix(rows, cols, tuple(ea))
+    assert a == same and hash(a) == hash(same) and (a == b) == (ea == eb)
+    assert a != Matrix(rows, cols, tuple(complex(x) for x in ea), complex_field())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.data())
+def test_unvec_of_an_integer_form_matches_its_entries(n, fr, fc, data):
+    v, ev = data.draw(_form_operand(n * n + fr * fc, 1))
+    square, framing = unvec(v, n, fr, fc)
+    _assert_form(square, n, n, [ev[col * n + row] for row in range(n) for col in range(n)])
+    _assert_form(framing, fr, fc, ev[n * n:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_solver_answers_match_fraction_gauss_jordan(rows, cols, data):
+    """kernel_basis, solve_affine and inverse of read and unread operands, against the
+    Fraction RREF of their entries; each answer is an unread canonical integer form."""
+    a, ea = data.draw(_form_operand(rows, cols))
+    b, eb = data.draw(_form_operand(rows, 1))
+    ref, pivots = _reference_rref([ea[i * cols:(i + 1) * cols] + [eb[i]] for i in range(rows)], RATIONAL)
+    kern = kernel_basis(a)
+    free = [f for f in range(cols) if f not in pivots]
+    assert len(kern) == len(free)
+    for f, v in zip(free, kern):
+        assert v._entries is None
+        expected = [Fraction(0)] * cols
+        expected[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            if p < cols:
+                expected[p] = -ref[k][f]
+        _assert_form(v, cols, 1, expected)
+    sol = solve_affine(a, b)
+    if cols in pivots:
+        assert sol is None
+    else:
+        assert sol.particular._entries is None
+        x = [Fraction(0)] * cols
+        for k, p in enumerate(pivots):
+            x[p] = ref[k][cols]
+        _assert_form(sol.particular, cols, 1, x)
+    if rows == cols:
+        aug, aug_pivots = _reference_rref(
+            [ea[i * cols:(i + 1) * cols] + [Fraction(int(k == i)) for k in range(rows)] for i in range(rows)], RATIONAL)
+        if aug_pivots != list(range(rows)):
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+        else:
+            inv = a.inverse()
+            assert inv._entries is None
+            _assert_form(inv, rows, rows, [aug[i][rows + k] for i in range(rows) for k in range(rows)])
+
+
+@pytest.mark.parametrize("text", ["1e300000", " 3/4 ", "1_000"])
+def test_coerce_refuses_what_the_document_grammar_refuses(text):
+    # the exponent would ask for a number of about a million bits; the grammar refuses it unread
+    with pytest.raises(ValueError, match="bad rational literal"):
+        Matrix.from_rows([[text]])
+
+
+def test_coerce_reads_the_document_grammar():
+    m = Matrix.from_rows([["2/4", "-0", "007", "0/5", "-6/3", str(2**70)]])
+    assert m.entries == (Fraction(1, 2), 0, 7, 0, -2, 2**70)
+    with pytest.raises(ValueError, match=r"bad rational literal '1/0': Fraction\(1, 0\)"):
+        Matrix.from_rows([["1/0"]])
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, complex(1, 0), "1/2", None])
+def test_rational_matrix_refuses_a_non_rational_entry_where_it_is_made(entry):
+    # equality and hash read the integer form, which a float or string entry has not got
+    with pytest.raises(TypeError, match="int or Fraction entries"):
+        Matrix(1, 2, (Fraction(1, 3), entry))
+
+
+def test_rational_matrix_takes_int_bool_and_fraction_entries():
+    m = Matrix(1, 3, (2, True, Fraction(-1, 2)))
+    assert m == Matrix.from_rows([[2, 1, "-1/2"]]) and hash(m) == hash(Matrix.from_rows([[2, 1, "-1/2"]]))
 
 
 def test_complex_rref_unchanged_entry_for_entry():

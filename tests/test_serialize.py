@@ -40,6 +40,20 @@ def test_rational_strings_survive_lossless():
     assert matrix_from_json(data, m.field, "m") == m
 
 
+def test_reader_builds_no_entry_until_one_is_read():
+    doc = {"n": 2, "r": 1, "field": "rational", "X": [["2/4", "-0"], ["0/5", "6/3"]],
+           "Y": [["007", 2**70], ["-3/9", "0"]], "i": [["1"], ["-1/3"]], "j": [["3", "-6/2"]]}
+    q = quadruple_from_json(doc)
+    blocks = [q.X, q.Y, q.i, q.j]
+    assert all(m._entries is None for m in blocks)
+    # the writer prints from the forms, in the bytes str(Fraction) gives, and reads no entry either
+    printed = [matrix_to_json(m) for m in blocks]
+    assert all(m._entries is None for m in blocks)
+    assert printed[0] == [["1/2", "0"], ["0", "2"]] and printed[1] == [["7", str(2**70)], ["-1/3", "0"]]
+    assert q.X[0, 0] == Fraction(1, 2) and q.X._entries is not None and q.Y._entries is None
+    assert printed == [[[str(x) for x in m.row(i)] for i in range(m.rows)] for m in blocks]
+
+
 def test_matrix_round_trip_complex():
     field = complex_field(1e-9)
     m = Matrix.from_rows([[complex(1.5, -2.25), complex(0, 1)]], field)
