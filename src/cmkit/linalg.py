@@ -35,10 +35,11 @@ that would only be traced.
 ``_rref`` is the one elimination routine of the package for matrices.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
 seed columns, for stability and framing surjectivity) needs no matrix in
-the rational field: it reduces each new integer vector once, with the
-fraction-free row step of ``_integer_rref``, against the primitive echelon
-rows kept so far.  The complex field runs it in rounds on ``_rref``, whose
-tolerance pivoting decides the rank.
+the rational field: it reduces each new integer vector once against the
+primitive echelon rows kept so far, by the fraction-free row step of
+``_clear`` without its content division, which costs more than it saves on
+vectors of length n.  The complex field runs it in rounds on ``_rref``,
+whose tolerance pivoting decides the rank.
 ``format_terms`` and ``power`` are the one monomial printer, shared by the
 polynomial, factor and Weyl-algebra formatters.
 
@@ -652,16 +653,19 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
     """Pivot columns of the rational RREF of the integer rows ``ints``, which it reduces in place.
 
     The rows are lists of their own, never a cached integer form, and are
-    first divided by their content.  A pivot row p with entry a clears
-    f = r[pc] from every other row r by r <- (a/g) r - (f/g) p, g = gcd(a, f),
-    and r is divided by its content, so rows stay primitive and no Fraction
-    is built.  Every row stays a nonzero multiple of the row Fraction
-    Gauss-Jordan would hold, so the pivots are the same.  The worst case
-    is rows with many distinct coprime denominators, which start from large
-    numerators; it is still faster than Fraction elimination: ``solve_affine``
-    over distinct 30-bit primes, 12 x 12, took 32 ms instead of 47 ms, and
-    over 16-bit primes, 20 x 20, 219 ms instead of 353 ms (Xeon 2.1 GHz,
-    Python 3.11).
+    first divided by their content.  A forward pass picks the first nonzero
+    entry at or below the current row and clears its column from the rows
+    below; then, from the last pivot back to the first, each pivot column is
+    cleared from the rows above, by a pivot row that holds no later pivot
+    column any more.  So every row is cleared of each pivot column once.
+    Both passes use one row step, :func:`_clear`, so rows stay primitive and
+    no Fraction is built.  Every pivot row ends a nonzero multiple of the
+    row Fraction Gauss-Jordan would hold, so the pivots are the same.  The
+    worst case is rows with many distinct coprime denominators, which start
+    from large numerators; it is still faster than Fraction Gauss-Jordan:
+    ``solve_affine`` over distinct 30-bit primes, 12 x 12, took 20 ms
+    instead of 35 ms, and over 16-bit primes, 20 x 20, 124 ms instead of
+    261 ms (best of 5, Xeon 2.1 GHz, Python 3.11).
     """
     for k, row in enumerate(ints):
         g = gcd(*row)
@@ -678,23 +682,34 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
         if choice < 0:
             continue
         ints[pr], ints[choice] = ints[choice], ints[pr]
-        prow = ints[pr]
-        a = prow[pc]
-        nz = [(c, x) for c, x in enumerate(prow) if x]
-        for r, rr in enumerate(ints):
-            f = rr[pc]
-            if not f or r == pr:
-                continue
-            g = gcd(a, f)
-            ag, fg = a // g, f // g
-            if ag != 1:
-                rr = [ag * x for x in rr]
-            for c, x in nz:
-                rr[c] -= fg * x
-            g = gcd(*rr)
-            ints[r] = [x // g for x in rr] if g > 1 else rr
+        _clear(ints, pr, pc, range(pr + 1, nrows))
         pivots.append(pc)
+    for pr in range(len(pivots) - 1, 0, -1):
+        _clear(ints, pr, pivots[pr], range(pr))
     return pivots
+
+
+def _clear(ints: list[list[int]], pr: int, pc: int, targets: range) -> None:
+    """Clear column pc from the rows ``targets`` of ``ints`` by the pivot row p = ints[pr], whose entry there is a.
+
+    The row step is r <- (a/g) r - (f/g) p, g = gcd(a, f), for f = r[pc],
+    then r divided by its content: integer rows stay primitive."""
+    hits = [k for k in targets if ints[k][pc]]
+    if not hits:
+        return
+    p = ints[pr]
+    a, nz = p[pc], [(c, x) for c, x in enumerate(p) if x]
+    for k in hits:
+        r = ints[k]
+        f = r[pc]
+        g = gcd(a, f)
+        ag, f = a // g, f // g
+        if ag != 1:
+            r = [ag * x for x in r]
+        for c, x in nz:
+            r[c] -= f * x
+        g = gcd(*r)
+        ints[k] = [x // g for x in r] if g > 1 else r
 
 
 def _read(rows: list[list], pivots: list[int], col: int, size: int, field: Field, negate: bool = False) -> list:
@@ -732,9 +747,9 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     Rational mode makes one pass over integer vectors.  The kept vectors
     are primitive integer echelon rows keyed by pivot, the index of their
     first nonzero entry.  Each seed column, and each operator applied to a
-    kept vector, is reduced once against them, fraction-free as in
-    :func:`_integer_rref`; it is kept when a nonzero entry is left at a
-    column that is no pivot yet.  The operators act through their
+    kept vector, is reduced once against them by the row step of
+    :func:`_clear` without its content division; it is kept when a nonzero
+    entry is left at a column that is no pivot yet.  The operators act through their
     numerators, since a span does not depend on the scale.  The pass stops
     at n kept vectors.
 

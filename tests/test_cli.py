@@ -530,7 +530,12 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # were recorded before the reader parsed literals into integer forms and the
 # writer printed from them: verify and fiber-solve on the non-canonical
 # literals "2/4", "-0", "007", "0/5", "6/3" and JSON integers above 2^64, the
-# refusal of "1/0", an empty fiber (exit 1) and a two-line verify --batch.
+# refusal of "1/0", an empty fiber (exit 1) and a two-line verify --batch.  The
+# last three were recorded before the rational RREF split into a forward pass
+# and back substitution: fiber-solve on sample_cm(6, 6) conjugated by
+# rand_invertible(Random(1006), 6), the same recipe at n = 5 with the r = 2
+# framing [g i | (k mod 3) - 1], and classify on that framing at n = 6, whose
+# End system runs through kernel_basis.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

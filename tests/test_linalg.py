@@ -435,6 +435,61 @@ def test_integer_rref_matches_fraction_gauss_jordan(shaped):
     assert a._integer_form() == _numerators(a.entries)
 
 
+
+def _real_systems(rng):
+    """[fiber system | rhs] of conjugated points (feasible) and of conjugated collisions with
+    r = 1 (infeasible), n = 2-6; End systems of collision and scalar-X sheaves, n <= 5."""
+    from cmkit import FramedTorsionSheaf, sample_cm
+    from cmkit.koszul import _fiber_system
+    from cmkit.moduli import _end_system
+
+    systems = []
+    for n in range(2, 7):
+        g, q, r = rand_invertible(rng, n), sample_cm(n, n), 1 + n % 2
+        collision = g @ Matrix.from_rows([[k // 2 if k == c else 0 for c in range(n)] for k in range(n)]) @ g.inverse()
+        i = g @ q.i if r == 1 else (g @ q.i).hstack(rand_matrix(rng, n, 1))
+        rhs = (-Matrix.identity(n)).gather(n * n, 1, range(n * n))
+        systems += [_fiber_system(g @ q.X @ g.inverse(), i).hstack(rhs), _fiber_system(collision, g @ q.i).hstack(rhs)]
+        if n <= 5:
+            systems += [_end_system(FramedTorsionSheaf(collision, rand_matrix(rng, n, r))),
+                        _end_system(FramedTorsionSheaf(Fraction(5, 3) * Matrix.identity(n), rand_matrix(rng, n, 2)))]
+    return systems
+
+
+def test_integer_rref_matches_fraction_gauss_jordan_on_real_systems():
+    """The checks of the hypothesis test above, on the fiber, End and inverse systems the
+    package solves, which are larger and sparser than its strategy draws."""
+    rng = random.Random(23)
+    g = rand_matrix(rng, 8, 8)
+    feasible = []
+    for a in _real_systems(rng) + [g.hstack(Matrix.identity(8))]:
+        rows = [list(a.row(k)) for k in range(a.rows)]
+        expected, expected_pivots = _reference_rref([list(r) for r in rows], RATIONAL)
+        got, pivots = _rref(_rows(a), RATIONAL)
+        assert pivots == expected_pivots and len(got) == a.rows
+        for k, row in enumerate(got):
+            assert all(type(x) is int for x in row)
+            if k < len(pivots):
+                assert gcd(*row) == 1 and [Fraction(x, row[pivots[k]]) for x in row] == expected[k]
+            else:
+                assert not any(row) and not any(expected[k])
+        assert rank(a) == len(expected_pivots)
+        assert len(kernel_basis(a)) == a.cols - len(expected_pivots)
+        sol = solve_affine(a._columns(range(a.cols - 1)), a._columns([a.cols - 1]))
+        feasible.append(sol is not None)
+        if a.cols - 1 in expected_pivots:
+            assert sol is None
+        else:
+            x = [Fraction(0)] * (a.cols - 1)
+            for k, p in enumerate(expected_pivots):
+                x[p] = expected[k][-1]
+            assert sol.particular.entries == tuple(x)
+        assert a._integer_form() == _numerators(a.entries)
+    assert any(feasible) and not all(feasible)
+    assert expected_pivots[:8] == list(range(8))  # [g | I], the last system
+    assert g.inverse().entries == tuple(expected[i][8 + k] for i in range(8) for k in range(8))
+
+
 def _assert_answer(m: Matrix) -> None:
     """Entries in lowest terms, each a Fraction; the integer form of the matrix is ``_numerators`` of them."""
     assert all(type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
