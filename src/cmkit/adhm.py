@@ -21,6 +21,9 @@ from .linalg import (
     Blocks,
     Matrix,
     _closure_rank,
+    _kernel_pairs,
+    _rows,
+    _rref,
     _trace_product,
     commutator,
     format_terms,
@@ -158,7 +161,10 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     A bound d gives (d+1)(d+2)/2 columns X^a Y^b i.  In the rational field
     each is X or Y applied to an earlier column, n^2 work; the complex field
     keeps its d powers of X and of Y and makes each column from them, n^3
-    work per column.
+    work per column.  The rational columns go into one integer elimination
+    as the rows of [X^a Y^b i | ...], and each generator's nonzero terms are
+    read off the pivot rows as (p, q) pairs, one Fraction per term; the
+    complex field takes :func:`kernel_basis` of the evaluation matrix.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
@@ -173,13 +179,15 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     if not is_stable(q):
         raise ValueError("hilbert_ideal needs a stable quadruple (cyclic framing)")
     d = q.n if degree_bound is None else degree_bound
+    # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
     mons = _monomials(d)
     if q.field.is_rational:
         # The columns X^a Y^b i, each one matrix-vector product from an earlier one.
         cols: dict[tuple[int, int], Matrix] = {}
         for a, b in mons:
             cols[a, b] = q.X @ cols[a - 1, b] if a else q.Y @ cols[0, b - 1] if b else q.i
-        columns = list(cols.values())
+        kern = _kernel_pairs(*_rref(_rows(*cols.values()), q.field), len(mons), q.field)
+        basis = tuple(tuple((m, Fraction(*c)) for m, c in zip(mons, v) if c[0]) for v in kern)
     else:
         # (X^a Y^b) i from the powers, the association the complex reports were recorded with.
         x_pows = [Matrix.identity(q.n, q.field)]
@@ -187,14 +195,7 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
         for _ in range(d):
             x_pows.append(x_pows[-1] @ q.X)
             y_pows.append(y_pows[-1] @ q.Y)
-        columns = [x_pows[a] @ y_pows[b] @ q.i for a, b in mons]
-    eval_matrix = Matrix.hstack(*columns)
-    kern = kernel_basis(eval_matrix)
-    # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
-    # A rational zero is falsy; a complex one is tested against the tolerance.
-    if q.field.is_rational:
-        basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if c) for v in kern)
-    else:
+        kern = kernel_basis(Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons]))
         basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
     return HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
 

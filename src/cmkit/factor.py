@@ -9,9 +9,12 @@ works on integers until it makes the factors monic at the end:
    quotients;
 2. for each part f with leading coefficient b, take the first odd prime p
    not dividing b with f mod p square-free;
-3. factor f mod p: distinct-degree factorization, then Cantor-Zassenhaus
-   equal-degree splitting with ``random.Random(p)``, so runs repeat exactly;
-4. lift each linear factor x - r mod p by Newton's iteration on r to p^k
+3. factor f mod p: distinct-degree factorization; the roots r of the
+   product of the linear factors are found by evaluating it at each residue
+   mod p, and only the products of factors of degree d >= 2 go to
+   Cantor-Zassenhaus equal-degree splitting, with ``random.Random(p)``, so
+   runs repeat exactly;
+4. lift each root r mod p by Newton's iteration to p^k
    > 2 b |t|, t the lowest nonzero coefficient of f, and keep the primitive
    part of b x - b r (symmetric residues) when it divides f: these are the
    rational roots, so a polynomial that splits over Q is done here;
@@ -265,6 +268,18 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def _roots(g: list[int], p: int) -> list[int]:
+    """The roots of g mod p, ascending, where g is a product of distinct monic linear factors: each residue is
+    evaluated until deg g roots are found."""
+    roots = []
+    for r in range(p):
+        if not _eval(g, r, p):
+            roots.append(r)
+            if len(roots) == len(g) - 1:
+                break
+    return roots
+
+
 def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus: the monic factors of f mod the odd prime p, all irreducible of degree d."""
     if len(f) - 1 == d:
@@ -399,32 +414,37 @@ def _factor_square_free(f: list[int]) -> list[list[int]]:
 
     A rational root u/v of f (lowest terms) has v | lc(f) and u | t, the
     lowest nonzero coefficient of f, so lc(f) * (u/v) is read exactly from
-    its symmetric residue mod p^k > 2 lc(f) |t|.  Each linear factor x - r
-    mod p is lifted by Newton's iteration on r, and the primitive part of
-    lc(f) x - lc(f) r is kept when it divides f.  The other modular factors
-    go with the cofactor into the Hensel tree and recombination, which a
-    polynomial that splits over Q never enters.
+    its symmetric residue mod p^k > 2 lc(f) |t|.  The roots r mod p are read
+    by evaluating the product of the linear factors mod p at every residue
+    (:func:`_roots`); each is lifted by Newton's iteration, and the primitive
+    part of lc(f) x - lc(f) r is kept when it divides f.  Cantor-Zassenhaus
+    splits only the products of factors of degree >= 2.  Those factors, and
+    x - r for each root that is not rational, go with the cofactor into the
+    Hensel tree and recombination, so a polynomial that splits over Q enters
+    neither Cantor-Zassenhaus nor the Hensel tree.
     """
     if len(f) <= 2:
         return [f]
     p = _good_prime(f)
-    modular = []
+    roots, rest = [], []
     rng = random.Random(p)
     for g, d in _distinct_degree(_monic(_reduce(f, p), p), p):
-        modular.extend(_equal_degree(g, d, p, rng))
-    if len(modular) == 1:
+        if d == 1:
+            roots = _roots(g, p)
+        else:
+            rest.extend(_equal_degree(g, d, p, rng))
+    if len(roots) + len(rest) == 1:
         return [f]
-    lc, out, rest, cofactor = f[-1], [], [], f
+    lc, out, cofactor = f[-1], [], f
     k, pk = _precision(p, 2 * lc * abs(next(c for c in f if c)))
-    for g in modular:
-        if len(g) == 2:
-            h = _primitive(_symmetric([-lc * _newton(f, -g[0], p, k) % pk, lc], pk))
-            q = _exact_quotient(cofactor, h)
-            if q is not None:
-                out.append(h)
-                cofactor = q
-                continue
-        rest.append(g)
+    for r in roots:
+        h = _primitive(_symmetric([-lc * _newton(f, r, p, k) % pk, lc], pk))
+        q = _exact_quotient(cofactor, h)
+        if q is None:
+            rest.append([-r % p, 1])
+        else:
+            out.append(h)
+            cofactor = q
     # cofactor = lc(cofactor) * prod(rest) mod p, since each root kept came from its own factor of f mod p
     if len(rest) <= 1:
         return out + [cofactor] if rest else out

@@ -791,14 +791,23 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     return len(echelon)
 
 
-def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
-    """The kernel basis of the first ``ncols`` columns of the reduced rows, which are their own RREF."""
+def _kernel_pairs(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[list]:
+    """The canonical kernel basis of the first ``ncols`` columns of the reduced rows, as :func:`_read` gives vectors.
+
+    One vector per free column f, ascending: 1 at f, minus column f of the
+    RREF at the pivot columns, zero elsewhere.  A rational entry is a pair
+    (p, q) of integers, (0, 1) for a zero, so no Fraction is built."""
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = _read(rows, pivots, f, ncols, field, negate=True)
         v[f] = (1, 1) if field.is_rational else field.one
-        basis.append(_answer(ncols, 1, v, field))
+        basis.append(v)
     return basis
+
+
+def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
+    """The kernel basis of the first ``ncols`` columns of the reduced rows, which are their own RREF."""
+    return [_answer(ncols, 1, v, field) for v in _kernel_pairs(rows, pivots, ncols, field)]
 
 
 def kernel_basis(a: Matrix) -> list[Matrix]:

@@ -49,8 +49,9 @@ def support(fs: FramedTorsionSheaf):
     Rational mode returns [(coeffs ascending, multiplicity)] with monic
     irreducible factors over the rationals, sorted by (length, coeffs), from
     :mod:`cmkit.factor`: Yun's square-free decomposition over the integers,
-    then Zassenhaus (factor mod a prime, lift the rational roots by Newton's
-    iteration, Hensel-lift the other factors, recombine by trial division).
+    then Zassenhaus (factor mod a prime, with its roots there found by
+    evaluation, lift the rational roots by Newton's iteration, Hensel-lift
+    the other factors, recombine by trial division).
     A char_poly that splits over Q never reaches the Hensel tree.  The worst
     case is exponential in the number r of factors mod that prime that are
     not rational roots, up to 2^(r-1) trial subsets, as in sympy's

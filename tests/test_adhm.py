@@ -541,17 +541,37 @@ def _commuting_stable_pairs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_commuting_stable_pairs(), st.sampled_from(["0", "n", "n+2"]))
+@given(_commuting_stable_pairs(), st.sampled_from(["0", "1", "n-1", "n", "n+2"]))
 def test_hilbert_ideal_matches_power_products(q, bound):
-    d = {"0": 0, "n": q.n, "n+2": q.n + 2}[bound]
+    d = {"0": 0, "1": 1, "n-1": q.n - 1, "n": q.n, "n+2": q.n + 2}[bound]
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adhm, "kernel_basis", lambda m: seen.append(m) or linalg.kernel_basis(m))
+        # a copy of the rows before the elimination reduces them in place
+        mp.setattr(adhm, "_rref", lambda rows, field: seen.append([list(r) for r in rows]) or linalg._rref(rows, field))
         ideal = hilbert_ideal(q, d)
     eval_matrix, expected = _power_product_ideal(q, d)
-    assert seen == [eval_matrix] and ideal == expected
+    assert seen == [linalg._rows(eval_matrix)] and ideal == expected
     if d >= q.n:
         assert ideal.quotient_dim == q.n
+
+
+def _dense_commuting_pair(seed: int) -> CMQuadruple:
+    """Four distinct points as diagonal X, Y with i all ones, conjugated by a random invertible g."""
+    X = Matrix.from_rows([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
+    Y = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]])
+    return conjugate(CMQuadruple(X, Y, Matrix.column([1] * 4), Matrix.zeros(1, 4)), rand_invertible(random.Random(seed), 4))
+
+
+def test_rational_hilbert_ideal_eliminates_its_columns_directly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rational hilbert_ideal builds the evaluation matrix")
+
+    q = _dense_commuting_pair(227)
+    expected = _power_product_ideal(q, 5)[1]
+    monkeypatch.setattr(Matrix, "hstack", refuse)
+    monkeypatch.setattr(adhm, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    assert hilbert_ideal(q, 5) == expected
 
 
 def _count_square_products(monkeypatch, n: int) -> list:
@@ -577,9 +597,7 @@ def test_word_invariants_form_only_the_short_words(monkeypatch):
 
 
 def test_rational_hilbert_ideal_forms_no_square_product_beyond_the_commutator(monkeypatch):
-    X = Matrix.from_rows([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
-    Y = Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]])
-    q = conjugate(CMQuadruple(X, Y, Matrix.column([1] * 4), Matrix.zeros(1, 4)), rand_invertible(random.Random(223), 4))
+    q = _dense_commuting_pair(223)
     calls = _count_square_products(monkeypatch, 4)
     assert hilbert_ideal(q, 6).quotient_dim == 4
     assert len(calls) == 2  # XY and YX

@@ -120,11 +120,11 @@ _root = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, 
 
 
 @st.composite
-def _split_products(draw):
+def _split_products(draw, extras=_IRREDUCIBLE):
     distinct = draw(st.lists(_root, min_size=1, max_size=8))
     roots = distinct + draw(st.lists(st.sampled_from(distinct), max_size=8 - len(distinct)))
     parts = [(_q(-r, 1), 1) for r in roots]
-    extra = draw(st.sampled_from(_IRREDUCIBLE))
+    extra = draw(st.sampled_from(extras))
     if extra is not None:
         parts.append((extra, 1))
     lead = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
@@ -219,6 +219,26 @@ def test_split_polynomial_never_enters_the_hensel_tree(roots, monkeypatch):
     monkeypatch.setattr(factor, "_hensel_lift", refuse)
     f = multiply_out([(_q(-r, 1), 1) for r in roots])
     assert _sorted(factor_rational(f)) == _sorted([(_q(-r, 1), 1) for r in roots])
+
+
+def _refuse_equal_degree(*args):
+    raise AssertionError("_equal_degree called on a polynomial that splits over Q")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_products(extras=[None]))
+def test_split_product_roots_are_found_by_evaluation(f):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "_equal_degree", _refuse_equal_degree)
+        got = _sorted(factor_rational(f))
+    assert got == _sympy_factors(f)
+
+
+def test_forty_integer_roots_are_found_by_evaluation(monkeypatch):
+    f = multiply_out([(_q(-k, 1), 1) for k in range(1, 41)])
+    assert factor._good_prime([int(c) for c in f]) == 41
+    monkeypatch.setattr(factor, "_equal_degree", _refuse_equal_degree)
+    assert _sorted(factor_rational(f)) == _sympy_factors(f)
 
 
 def test_support_rejects_factors_that_do_not_multiply_back(monkeypatch):
