@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .linalg import (
     Block,
     Blocks,
     Matrix,
+    _apply,
     _closure_rank,
     _kernel_pairs,
+    _reduced,
     _rows,
     _rref,
     _trace_product,
@@ -145,26 +148,36 @@ class HilbertIdeal(NamedTuple):
     degree_bound: int
 
 
+def monomial_str(a: int, b: int) -> str:
+    """The monomial x^a y^b as :func:`poly_str` prints it, ``""`` for the constant."""
+    return power("x", a) + power("y", b)
+
+
 def poly_str(poly: Iterable[tuple[tuple[int, int], object]]) -> str:
     """The polynomial sum of c x^a y^b over the ((a, b), c) pairs, graded by a + b and then by descending a."""
     terms = sorted(poly, key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-    return format_terms((c, power("x", a) + power("y", b)) for (a, b), c in terms)
+    return format_terms((c, monomial_str(a, b)) for (a, b), c in terms)
 
 
 def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIdeal:
     """Ideal of the length-n quotient of C[x, y] attached to a commuting stable pair.
 
-    Requires XY = YX, j = 0, r = 1 and stability (i cyclic).  For
-    degree_bound >= n the quotient dimension is exactly n.  A degree bound
-    above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
+    Requires XY = YX, j = 0, r = 1 and stability (i cyclic).  The span V_d
+    of the columns of degree <= d grows strictly with d until it is the
+    whole space (a V_d equal to V_(d+1) is invariant and holds i), so for
+    degree_bound >= n - 1 the quotient dimension is exactly n.  A degree
+    bound above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
 
-    A bound d gives (d+1)(d+2)/2 columns X^a Y^b i.  In the rational field
-    each is X or Y applied to an earlier column, n^2 work; the complex field
-    keeps its d powers of X and of Y and makes each column from them, n^3
-    work per column.  The rational columns go into one integer elimination
-    as the rows of [X^a Y^b i | ...], and each generator's nonzero terms are
-    read off the pivot rows as (p, q) pairs, one Fraction per term; the
-    complex field takes :func:`kernel_basis` of the evaluation matrix.
+    A bound d gives (d+1)(d+2)/2 columns X^a Y^b i.  A rational column is
+    the integer form (u, e) that ``@`` would give it: integers u over e,
+    made from an earlier column by one product with the numerator rows of X
+    or Y (:func:`linalg._apply`) and one gcd, with no Matrix.  Scaled to the
+    lcm of their e, the columns are the rows :func:`linalg._rows` gives of
+    the evaluation matrix [X^a Y^b i | ...].  One integer elimination of
+    them gives each generator's nonzero terms as (p, q) pairs, one Fraction
+    per term.  The complex field makes each column from d powers of X and
+    of Y, n^3 work per column, and takes :func:`kernel_basis` of the
+    evaluation matrix.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
@@ -182,11 +195,17 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
     mons = _monomials(d)
     if q.field.is_rational:
-        # The columns X^a Y^b i, each one matrix-vector product from an earlier one.
-        cols: dict[tuple[int, int], Matrix] = {}
-        for a, b in mons:
-            cols[a, b] = q.X @ cols[a - 1, b] if a else q.Y @ cols[0, b - 1] if b else q.i
-        kern = _kernel_pairs(*_rref(_rows(*cols.values()), q.field), len(mons), q.field)
+        # The columns X^a Y^b i as integer forms (u, e), each X or Y applied to an earlier one.
+        x_op, y_op = [(_rows(m), m._integer_form()[1]) for m in (q.X, q.Y)]
+        cols: dict[tuple[int, int], tuple[list[int], int]] = {(0, 0): q.i._integer_form()}
+        for a, b in mons[1:]:
+            (op, s), (u, e) = (x_op, cols[a - 1, b]) if a else (y_op, cols[0, b - 1])
+            cols[a, b] = _reduced(_apply(op, u), s * e)
+        # [X^a Y^b i | ...] over the lcm of the e: the rows _rows gives of the evaluation matrix.
+        lcd = lcm(*(e for _, e in cols.values()))
+        scaled = [u if e == lcd else [v * (lcd // e) for v in u] for u, e in cols.values()]
+        rows = [list(r) for r in zip(*scaled)]
+        kern = _kernel_pairs(*_rref(rows, q.field), len(mons), q.field)
         basis = tuple(tuple((m, Fraction(*c)) for m, c in zip(mons, v) if c[0]) for v in kern)
     else:
         # (X^a Y^b) i from the powers, the association the complex reports were recorded with.

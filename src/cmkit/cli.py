@@ -26,7 +26,7 @@ import hashlib
 import json
 import sys
 
-from .linalg import DEFAULT_TOLERANCE
+from .linalg import DEFAULT_TOLERANCE, format_terms
 from .serialize import (
     field_from_name,
     covector_from_json,
@@ -117,14 +117,14 @@ def _cmd_hilbert_ideal(data, args):
 
     q = quadruple_from_json(data, default_field=_default_field(args))
     ideal = adhm.hilbert_ideal(q, args.degree)
+    # Each generator lists its terms in poly_str order, so pretty is format_terms of them as they come.
+    # A rational coefficient is printed once, and format_terms reads the printed "1" and "-1" as units.
+    rational, monomials = q.field.is_rational, {m: adhm.monomial_str(*m) for m in ideal.monomials}
     basis = []
     for poly in ideal.basis:
-        basis.append(
-            {
-                "terms": [[a, b, scalar_to_json(c, q.field)] for (a, b), c in sorted(poly)],
-                "pretty": adhm.poly_str(poly),
-            }
-        )
+        printed = [(m, str(c)) for m, c in poly] if rational else poly
+        terms = [[a, b, c if rational else scalar_to_json(c, q.field)] for (a, b), c in sorted(printed)]
+        basis.append({"terms": terms, "pretty": format_terms((c, monomials[m]) for m, c in printed)})
     result = {
         "degree_bound": ideal.degree_bound,
         "quotient_dim": ideal.quotient_dim,

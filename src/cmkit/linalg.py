@@ -30,7 +30,9 @@ solution vector back into its two blocks.
 complex entries go in as they are, rational ones as their integer forms, so
 chains of products build Fractions only for the entries that are read.
 ``_trace_product`` sums tr(AB) from the two integer forms, for a product
-that would only be traced.
+that would only be traced.  ``_apply`` applies the numerator rows of a
+rational operator to an integer vector, for the integer vectors of
+``_closure_rank`` and of the rational Hilbert ideal, which build no matrix.
 
 ``_rref`` is the one elimination routine of the package for matrices.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
@@ -595,6 +597,11 @@ def _rows(*blocks: Matrix) -> list[list]:
     return rows
 
 
+def _apply(rows: list[list[int]], v: list[int]) -> list[int]:
+    """The integer vector d A v: the numerator rows ``_rows(A)`` of a rational operator A over d, applied to v."""
+    return [sum(map(mul, row, v)) for row in rows]
+
+
 def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form, in place, of the rows :func:`_rows` gives.  Returns (rows, pivot columns).
 
@@ -749,9 +756,9 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     first nonzero entry.  Each seed column, and each operator applied to a
     kept vector, is reduced once against them by the row step of
     :func:`_clear` without its content division; it is kept when a nonzero
-    entry is left at a column that is no pivot yet.  The operators act through their
-    numerators, since a span does not depend on the scale.  The pass stops
-    at n kept vectors.
+    entry is left at a column that is no pivot yet.  The operators act
+    through their numerator rows (:func:`_apply`), since a span does not
+    depend on the scale.  The pass stops at n kept vectors.
 
     Complex mode runs in rounds on :func:`_rref`, whose tolerance pivoting
     decides the rank.  Each round puts the frontier after the columns kept so
@@ -769,7 +776,7 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
             kept = kept.hstack(new)
             frontier = Matrix.hstack(*[op @ new for op in operators])
         return kept.cols
-    ops = [[nums[k * n : (k + 1) * n] for k in range(n)] for nums, _ in (op._integer_form() for op in operators)]
+    ops = [_rows(op) for op in operators]
     nums, r = seeds._integer_form()[0], seeds.cols
     todo = [nums[c::r] for c in range(r)]
     echelon: dict[int, list[int]] = {}
@@ -783,7 +790,7 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
             if e is None:
                 g = gcd(*v)
                 echelon[c] = v = [x // g for x in v] if g > 1 else v
-                todo.extend([sum(map(mul, row, v)) for row in op] for op in ops)
+                todo.extend(_apply(op, v) for op in ops)
                 break
             g = gcd(e[c], f)
             a, f = e[c] // g, f // g
@@ -877,19 +884,22 @@ def power(var: str, k: int) -> str:
 def format_terms(terms: Iterable[tuple[object, str]], sep: str = "") -> str:
     """Print a sum of (coefficient, monomial) pairs in the order given; ``""`` is the constant monomial.
 
-    A coefficient of +-1 is dropped before a monomial, any other coefficient
-    is joined to it by ``sep``; "+ -" is printed as "- ", and the empty sum as "0".
+    A coefficient is printed with ``str``, so it may come printed already.
+    One equal to +-1, or printed as "1" or "-1", is dropped before a
+    monomial; any other is joined to it by ``sep``.  "+ -" is printed as
+    "- ", and the empty sum as "0".
     """
     parts = []
     for c, mono in terms:
+        s = str(c)
         if not mono:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(s)
+        elif s == "1" or c == 1:
             parts.append(mono)
-        elif c == -1:
+        elif s == "-1" or c == -1:
             parts.append(f"-{mono}")
         else:
-            parts.append(f"{c}{sep}{mono}")
+            parts.append(f"{s}{sep}{mono}")
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 

@@ -191,9 +191,10 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     tr(g_a g_b) + tr(s_a s_b), one product of an m x (n^2 + r^2) and an
     (n^2 + r^2) x m matrix.
 
-    The sheaf is declared indecomposable iff dim(End / radical) = 1.  When
-    the quotient has dimension > 1 but char_poly(X) does not split over the
-    rationals, the quotient may be a field hiding a geometric decomposition,
+    Indecomposability is decided over Q, the field of the input: the sheaf
+    is declared indecomposable iff dim(End / radical) = 1.  When the
+    quotient has dimension > 1 but char_poly(X) does not split over the
+    rationals, the quotient may be a field hiding a decomposition over C,
     so the answer is ``INCONCLUSIVE`` rather than a guess.  Exact mode only.
     ``factors`` is ``support(fs)`` and ``ends`` is ``endomorphisms(fs)`` when
     the caller already has them; otherwise they are computed when needed.

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmkit
-from cmkit.cli import main
-from cmkit.serialize import quadruple_from_json, quadruple_to_json
-from cmkit import moduli, sample_cm
+from cmkit.cli import _build_parser, _cmd_hilbert_ideal, main
+from cmkit.serialize import quadruple_from_json, quadruple_to_json, scalar_to_json
+from cmkit import CMQuadruple, Matrix, adhm, complex_field, conjugate, moduli, sample_cm
+from test_adhm import _commuting_stable_pairs
 
 
 FLAGSHIP = {
@@ -84,6 +85,35 @@ def test_hilbert_ideal_command(capsys, monkeypatch):
     assert code == 0
     assert rep["result"]["quotient_dim"] == 2
     assert any(entry["pretty"] == "y" for entry in rep["result"]["ideal_basis"])
+
+
+def _hilbert_report_and_reference(q: CMQuadruple, degree: int | None) -> tuple[list, list]:
+    """The ideal basis the hilbert-ideal command reports for q, and each generator printed by
+    scalar_to_json and poly_str from hilbert_ideal."""
+    argv = ["hilbert-ideal"] + ([] if degree is None else ["--degree", str(degree)])
+    result, code, _ = _cmd_hilbert_ideal(quadruple_to_json(q), _build_parser().parse_args(argv))
+    assert code == 0
+    expected = [{"terms": [[a, b, scalar_to_json(c, q.field)] for (a, b), c in sorted(poly)],
+                 "pretty": adhm.poly_str(poly)} for poly in adhm.hilbert_ideal(q, degree).basis]
+    return result["ideal_basis"], expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_commuting_stable_pairs(), st.sampled_from([None, 0, 1, 2, 6]))
+def test_hilbert_ideal_report_prints_what_poly_str_and_scalar_to_json_print(q, degree):
+    got, expected = _hilbert_report_and_reference(q, degree)
+    assert got == expected
+
+
+@pytest.mark.parametrize("degree", [None, 2, 4])
+def test_complex_hilbert_ideal_report_prints_what_poly_str_and_scalar_to_json_print(degree):
+    cf = complex_field()
+    X = Matrix.from_rows([[1 + 1j, 0, 0], [0, -2j, 0], [0, 0, 0.5]], cf)
+    Y = Matrix.from_rows([[2, 0, 0], [0, 1 - 1j, 0], [0, 0, -1 + 0.25j]], cf)
+    g = Matrix.from_rows([[1, 0.5j, 2], [-1, 1, 0.25], [0.5, -1j, 1]], cf)
+    q = conjugate(CMQuadruple(X, Y, Matrix.column([1, 1, 1], cf), Matrix.zeros(1, 3, cf)), g)
+    got, expected = _hilbert_report_and_reference(q, degree)
+    assert got == expected and got  # a nonempty report, with float coefficients of leading 1+0j
 
 
 def test_hilbert_ideal_precondition_is_error(capsys, monkeypatch):
