@@ -186,20 +186,20 @@ def _cmd_classify(data, args):
 
     fs = sheaf_from_json(data, default_field=_default_field(args))
     surjective = moduli.framing_surjective(fs)
-    ends = moduli.endomorphisms(fs, surjective=surjective)
-    report = moduli.cm_support_check(fs, ends)
+    block = moduli._end_block(fs, surjective=surjective)
+    report = moduli.cm_support_check(fs, block)
     if fs.field.is_rational:
         factors = moduli.support(fs)
         sup = [{"factor": moduli.factor_str(coeffs), "coeffs": [str(c) for c in coeffs], "multiplicity": m}
                for coeffs, m in factors]
-        indec = moduli.is_indecomposable(fs, factors, ends)
+        indec = moduli.is_indecomposable(fs, factors, block)
     else:
         sup = [{"root": [z.real, z.imag], "multiplicity": m} for z, m in moduli.support(fs)]
         indec = moduli.INCONCLUSIVE
     result = {
         "support": sup,
         "framing_surjective": surjective,
-        "end_dim": len(ends),
+        "end_dim": block.rows,
         "indecomposable": indec,
         "in_cm_support": report.in_support,
         "fiber_dim": report.fiber_dim,

@@ -24,7 +24,8 @@ unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
 column-major, then F row-major.  Each matrix equation contributes its entries
 as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
 a term Z |-> A Z B straight into such a system, and ``unvec`` reads a
-solution vector back into its two blocks.
+solution vector back into its two blocks.  A kernel basis can also stay one
+matrix, one vector per row, read off the pivot rows by ``_kernel_pairs``.
 
 ``_product`` is the one matrix product loop, shared by both fields:
 complex entries go in as they are, rational ones as their integer forms, so
@@ -216,7 +217,7 @@ class Matrix(Value):
     ``_numerators(entries)`` returns: integer numerators over the lcm d of
     the denominators.  Every operation keeps the form canonical by dividing
     out gcd(d, *numerators) (:func:`_reduced`), so ``==`` and ``hash``
-    compare forms.  Arithmetic, stacks, ``trace``, ``is_zero``, elimination,
+    compare forms.  Arithmetic, ``hstack``, ``trace``, ``is_zero``, elimination,
     the solvers' answers and ``serialize`` work on forms; a Fraction is
     built only where an entry is read, and ``entries``, ``[]`` and ``row``
     (so ``repr``, ``str`` and pickling) build every entry once and keep
@@ -446,20 +447,6 @@ class Matrix(Value):
         if self.field.is_rational:
             return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
         return Matrix(rows, cols, tuple(flat), self.field)
-
-    def vstack(self, *others: "Matrix") -> "Matrix":
-        """[self; others[0]; ...]; a rational one is made from the integer forms, over their lcm."""
-        blocks, rows, cols = (self, *others), self.rows + sum(m.rows for m in others), self.cols
-        if any(m.cols != cols or m.field != self.field for m in others):
-            raise ShapeError("vstack mismatch")
-        if not self.field.is_rational:
-            return Matrix(rows, cols, tuple(chain.from_iterable(m.entries for m in blocks)), self.field)
-        forms = [m._integer_form() for m in blocks]
-        d = lcm(*(e for _, e in forms))
-        flat: list[int] = []
-        for nums, e in forms:
-            flat += nums if e == d else [v * (d // e) for v in nums]
-        return Matrix._from_ints(rows, cols, (flat, d), self.field)
 
     def _columns(self, cols: list[int]) -> "Matrix":
         """The columns ``cols`` of this matrix, in that order."""

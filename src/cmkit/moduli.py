@@ -5,11 +5,13 @@ Q = coker(x - X) on the line together with a framing map with matrix i.
 Morphisms of framed pairs are pairs (s, g) with g X = X g and g i = i s;
 the sheaf is indecomposable exactly when this endomorphism algebra is local.
 
-One kernel basis of the End system answers both structural questions.  The
-CM fiber over (X, i) is a torsor whose only obstruction is a trace, and the
-obstruction space is the part of End with s = 0 (:func:`cm_support_check`).
-The radical of End is the kernel of the trace form of the faithful
-representation (s, g) |-> diag(g, s) (:func:`is_indecomposable`).
+One kernel basis of the End system answers both structural questions, kept
+as the one m x (n^2 + r^2) block whose row a is vec(g_a, s_a)
+(:func:`_end_block`).  The CM fiber over (X, i) is a torsor whose only
+obstruction is a trace, and the obstruction space is the part of End with
+s = 0 (:func:`cm_support_check`).  The radical of End is the kernel of the
+trace form of the faithful representation (s, g) |-> diag(g, s)
+(:func:`is_indecomposable`).
 
 In rank one with a cyclic framing (i generates the space under X, which is
 what :func:`framing_surjective` tests) End is the scalars: gX = Xg and
@@ -17,7 +19,7 @@ gi = is give g X^k i = X^k g i = X^k i s, so g K = K s for the invertible
 K = [i, Xi, ..., X^(n-1) i], and g = s I.  The framed sheaf then has no
 endomorphism but the scalars, as in Wilson's rank-one picture (Collisions
 of Calogero-Moser particles and an adelic Grassmannian, Invent. Math. 133,
-1998), and :func:`endomorphisms` answers without the End system.
+1998), and :func:`_end_block` answers without the End system.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ from typing import NamedTuple
 
 from .linalg import (
     Matrix,
+    _answer,
     _closure_rank,
+    _kernel_pairs,
+    _rows,
+    _rref,
     add_sandwich,
     char_poly,
     format_terms,
-    kernel_basis,
     power,
     rank,
     solve_affine,
-    unvec,
+    vec,
 )
+from .linalg import kernel_basis  # unused here but bench/spans.py wraps moduli.kernel_basis
 from .koszul import FramedTorsionSheaf
 from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
 
@@ -113,40 +119,52 @@ def _end_system(fs: FramedTorsionSheaf) -> Matrix:
     return Matrix(neqs, ncols, tuple(flat), field)
 
 
-def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix, Matrix]]:
-    """Basis of the algebra {(s, g) : g X = X g, g i = i s}.
+def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
+    """The End basis as one m x (n^2 + r^2) matrix whose row a is vec(g_a, s_a).
 
-    Unknowns are vectorized g column-major then s row-major, so the returned
-    basis is deterministic.  The algebra is unital and closed under the
-    componentwise composition (s, g)(s', g') = (s s', g g').  In rational
-    mode every basis element is checked against both defining equations, all
-    at once: [g_1; ...; g_m] X against X [g_1 | ... | g_m], and the same for
-    i and the s_a, four products in all.
+    The rows are the canonical kernel basis of :func:`_end_system`, read off
+    its pivot rows by ``_kernel_pairs``.  In rational mode the whole basis is
+    checked against both defining equations at once: [g_1; ...; g_m] X
+    against X [g_1 | ... | g_m], and the same for i and the s_a, four
+    products in all.
 
-    A rational sheaf of rank one whose framing is surjective has End = Q (1, I)
-    (see the module docstring: g K = K s for the invertible Krylov matrix K,
-    after Wilson), so the basis is [(1, I)] and no system is built.  That is
-    the basis the elimination gives too: its one kernel vector (vec I, 1) is
-    normalized at its last column, s.  ``surjective`` is
-    ``framing_surjective(fs)`` when the caller already has it.
+    A rational sheaf of rank one with a surjective framing has End = Q (1, I)
+    (see the module docstring), so the block is the one row vec(I, 1), the
+    row the elimination gives too, and no system is built.  ``surjective``
+    is ``framing_surjective(fs)`` when the caller already has it.
     """
-    if fs.r == 1 and fs.field.is_rational:
+    n, r, field = fs.n, fs.r, fs.field
+    ncols = n * n + r * r
+    if r == 1 and field.is_rational:
         if surjective is None:
             surjective = framing_surjective(fs)
         if surjective:
-            return [(Matrix.identity(1, fs.field), Matrix.identity(fs.n, fs.field))]
-    out = []
-    for v in kernel_basis(_end_system(fs)):
-        g, s = unvec(v, fs.n, fs.r, fs.r)
-        out.append((s, g))
-    if fs.field.is_rational and out:
-        X, i, m = fs.X, fs.i, len(out)
-        gs = Matrix.vstack(*(g for _, g in out))
-        ss = Matrix.vstack(*(s for s, _ in out))
-        if (_side_by_side(gs @ X, m) != X @ _side_by_side(gs, m)
-                or _side_by_side(gs @ i, m) != i @ _side_by_side(ss, m)):
+            return Matrix(1, ncols, tuple(vec(Matrix.identity(n, field), Matrix.identity(1, field))), field)
+    kern = _kernel_pairs(*_rref(_rows(_end_system(fs)), field), ncols, field)
+    block, m = _answer(len(kern), ncols, [x for v in kern for x in v], field), len(kern)
+    if field.is_rational:  # m >= 1: (1, I) is in End
+        gs, ss = _stack(block, fs, range(m)), _stack(block, fs, range(m), framing=True)
+        if (_side_by_side(gs @ fs.X, m) != fs.X @ _side_by_side(gs, m)
+                or _side_by_side(gs @ fs.i, m) != fs.i @ _side_by_side(ss, m)):
             raise AssertionError("endomorphism basis element fails g X = X g or g i = i s")
-    return out
+    return block
+
+
+def _stack(block: Matrix, fs: FramedTorsionSheaf, rows, framing: bool = False) -> Matrix:
+    """[g_a; ...], or [s_a; ...] with ``framing``, over the rows ``rows`` of an End block (row a is vec(g_a, s_a))."""
+    n, k = fs.n, block.cols
+    size, at = (fs.r, range(n * n, k)) if framing else (n, [c * n + q for q in range(n) for c in range(n)])
+    return block.gather(len(rows) * size, size, [a * k + t for a in rows for t in at])
+
+
+def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix, Matrix]]:
+    """Basis of the algebra {(s, g) : g X = X g, g i = i s}: the rows of :func:`_end_block`, as pairs.
+
+    The algebra is unital and closed under the componentwise composition
+    (s, g)(s', g') = (s s', g g').  ``surjective`` is as for ``_end_block``.
+    """
+    block = _end_block(fs, surjective)
+    return [(_stack(block, fs, [a], framing=True), _stack(block, fs, [a])) for a in range(block.rows)]
 
 
 def _side_by_side(stack: Matrix, m: int) -> Matrix:
@@ -156,24 +174,16 @@ def _side_by_side(stack: Matrix, m: int) -> Matrix:
     return stack.gather(rows, m * cols, [p + c for p in starts for c in range(cols)])
 
 
-def _flattened(stack: Matrix, m: int, transpose: bool) -> Matrix:
-    """The m x k^2 matrix whose row a lists block a (k x k) of the stack [b_1; ...; b_m] row-major, or its transpose."""
-    k = stack.cols
-    at = [(a * k + q) * k + p for a in range(m) for p in range(k) for q in range(k)] if transpose else range(m * k * k)
-    return stack.gather(m, k * k, at)
+def _faithful_trace_form(fs: FramedTorsionSheaf, block: Matrix) -> Matrix:
+    """The form tr(g_a g_b) + tr(s_a s_b) on the End block, as one matrix product.
 
-
-def _faithful_trace_form(fs: FramedTorsionSheaf, ends: list[tuple[Matrix, Matrix]]) -> Matrix:
-    """The form tr(g_a g_b) + tr(s_a s_b) on an End basis, as one matrix product.
-
-    Row a lists g_a and the transpose of s_a row-major; column b is vec(g_b, s_b),
-    which lists g_b column-major and s_b row-major.  Both are gathered from
-    the stacks [g_1; ...; g_m] and [s_1; ...; s_m].
+    Row a of the block is vec(g_a, s_a), g_a column-major and s_a row-major.
+    Column b of the right factor lists g_b row-major and s_b column-major,
+    which is vec of the transposes; it is one gather of the block.
     """
-    m, gs, ss = len(ends), Matrix.vstack(*(g for _, g in ends)), Matrix.vstack(*(s for s, _ in ends))
-    left = _flattened(gs, m, False).hstack(_flattened(ss, m, True))
-    right = _flattened(gs, m, True).hstack(_flattened(ss, m, False)).transpose()
-    return left @ right
+    n, r, m, k = fs.n, fs.r, block.rows, block.cols
+    swap = [(t % n) * n + t // n for t in range(n * n)] + [n * n + (t % r) * r + t // r for t in range(r * r)]
+    return block @ block.gather(k, m, [b * k + swap[t] for t in range(k) for b in range(m)])
 
 
 def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
@@ -196,13 +206,13 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     quotient has dimension > 1 but char_poly(X) does not split over the
     rationals, the quotient may be a field hiding a decomposition over C,
     so the answer is ``INCONCLUSIVE`` rather than a guess.  Exact mode only.
-    ``factors`` is ``support(fs)`` and ``ends`` is ``endomorphisms(fs)`` when
+    ``factors`` is ``support(fs)`` and ``ends`` is ``_end_block(fs)`` when
     the caller already has them; otherwise they are computed when needed.
     """
     if not fs.field.is_rational:
         raise ValueError("is_indecomposable requires the exact rational field")
     if ends is None:
-        ends = endomorphisms(fs)
+        ends = _end_block(fs)
     semisimple_dim = rank(_faithful_trace_form(fs, ends))
     if semisimple_dim == 1:
         return True
@@ -229,19 +239,21 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
     elements (s, g) = (0, Z).  The fiber is nonempty iff tr Z = 0 on that
     space, and then it has dimension n r + dim{Z}.
 
-    Given an End basis ``ends`` = [(s_a, g_a)] with m elements, let S be the
-    m x r^2 matrix of the s_a and t the column of tr g_a.  The Z are the
-    combinations with sum c_a s_a = 0, so the fiber is nonempty iff t lies
-    in the column span of S, and its dimension is n r + m - rank(S).  One
+    Given the End block ``ends`` (:func:`_end_block`) with m rows, let S be
+    its last r^2 columns, the m x r^2 matrix of the s_a, and t the column of
+    tr g_a, the sum of its diagonal-g columns.  The Z are the combinations
+    with sum c_a s_a = 0, so the fiber is nonempty iff t lies in the column
+    span of S, and its dimension is n r + m - rank(S).  One
     ``solve_affine(S, t)`` answers both: it is None exactly when t is outside
     the span, and rank(S) = r^2 - dim ker S.
-    ``ends`` is ``endomorphisms(fs)`` when the caller already has it.
+    ``ends`` is ``_end_block(fs)`` when the caller already has it.
     """
     if ends is None:
-        ends = endomorphisms(fs)
-    m, r2 = len(ends), fs.r * fs.r
-    s_part = _flattened(Matrix.vstack(*(s for s, _ in ends)), m, False)
-    sol = solve_affine(s_part, Matrix(m, 1, tuple(g.trace() for _, g in ends), fs.field))
+        ends = _end_block(fs)
+    n, r, m, k, field = fs.n, fs.r, ends.rows, ends.cols, fs.field
+    s_part = ends.gather(m, r * r, [a * k + t for a in range(m) for t in range(n * n, k)])
+    diagonal = ends.gather(m, n, [a * k + c * (n + 1) for a in range(m) for c in range(n)])
+    sol = solve_affine(s_part, diagonal @ Matrix(n, 1, (field.one,) * n, field))
     if sol is None:
         return SupportReport(False, None)
-    return SupportReport(True, fs.n * fs.r + m - (r2 - len(sol.kernel_basis)))
+    return SupportReport(True, n * r + m - (r * r - len(sol.kernel_basis)))

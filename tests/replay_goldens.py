@@ -4,10 +4,13 @@ Each line gives the arguments, the standard input (``null`` for none), the
 text of the ``--h`` file (``null`` for none), the exit code and the exact
 standard output.  The command runs in a fresh process of the interpreter that
 runs this script, in a temporary directory, so it imports the installed
-package rather than the source tree.  Any difference in the exit code or in
-one byte of standard output fails the run:
+package rather than the source tree, unless ``PYTHONPATH`` names another;
+relative ``PYTHONPATH`` entries are taken from the directory the script is
+run from.  Any difference in the exit code or in one byte of standard output
+fails the run:
 
     python tests/replay_goldens.py
+    PYTHONPATH=src python tests/replay_goldens.py
 
 Only the standard library is used, so it runs in an environment that holds
 the package's runtime dependencies and nothing else.
@@ -16,6 +19,7 @@ the package's runtime dependencies and nothing else.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -24,15 +28,15 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.jsonl"
 
 
-def replay(case: dict, workdir: Path) -> list[str]:
-    """The differences between one golden line and a fresh run of its command."""
+def replay(case: dict, workdir: Path, env: dict) -> list[str]:
+    """The differences between one golden line and a fresh run of its command in ``env``."""
     argv = list(case["argv"])
     if case["h"] is not None:
         path = workdir / "h.json"
         path.write_text(case["h"], encoding="utf-8")
         argv += ["--h", str(path)]
     proc = subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=(case["input"] or "").encode(),
-                          cwd=workdir, capture_output=True, timeout=120)
+                          cwd=workdir, env=env, capture_output=True, timeout=120)
     problems = []
     if proc.returncode != case["exit"]:
         problems.append(f"exit {proc.returncode}, expected {case['exit']}; stderr: {proc.stderr.decode(errors='replace')}")
@@ -43,10 +47,13 @@ def replay(case: dict, workdir: Path) -> list[str]:
 
 def main() -> int:
     cases = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+    env = dict(os.environ)
+    if "PYTHONPATH" in env:  # each command runs in a temporary directory, so make the entries absolute here
+        env["PYTHONPATH"] = os.pathsep.join(p and os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for number, case in enumerate(cases, 1):
-            problems = replay(case, Path(tmp))
+            problems = replay(case, Path(tmp), env)
             if problems:
                 failed += 1
                 name = case.get("id", " ".join(case["argv"]))

@@ -328,16 +328,16 @@ def test_unexpected_exception_is_one_error_report_per_line(capsys, monkeypatch):
 
 
 def test_corrupted_end_basis_is_internal_error(capsys, monkeypatch):
-    kernel_basis = moduli.kernel_basis
+    kernel_pairs = moduli._kernel_pairs
 
-    def corrupted(a):
-        basis = kernel_basis(a)
-        v = basis[0]
+    def corrupted(*args):
+        basis = kernel_pairs(*args)
+        p, q = basis[0][-1]
         # shift s, the last unknown: g i = i s then fails since i != 0
-        basis[0] = cmkit.Matrix(v.rows, v.cols, v.entries[:-1] + (v.entries[-1] + 1,), v.field)
+        basis[0][-1] = (p + q, q)
         return basis
 
-    monkeypatch.setattr(moduli, "kernel_basis", corrupted)
+    monkeypatch.setattr(moduli, "_kernel_pairs", corrupted)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(SCALAR_SHEAF).encode()), encoding="utf-8"))
     code = main(["classify"])
     captured = capsys.readouterr()
@@ -565,7 +565,10 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # and back substitution: fiber-solve on sample_cm(6, 6) conjugated by
 # rand_invertible(Random(1006), 6), the same recipe at n = 5 with the r = 2
 # framing [g i | (k mod 3) - 1], and classify on that framing at n = 6, whose
-# End system runs through kernel_basis.
+# End system runs through kernel_basis.  The last three were recorded before
+# classify read End as one block of kernel rows: classify on scalar X = 3/2 I
+# with r = 2 (exit 1), on a zero framing (i = 0, r = 2, X a Jordan block of 1
+# beside -1/2; exit 1), and a complex r = 2 sheaf with nilpotent X.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

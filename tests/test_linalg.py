@@ -584,8 +584,6 @@ def test_integer_form_operations_match_fraction_arithmetic(rows, cols, data):
     _assert_form(-a, rows, cols, [-x for x in ea])
     _assert_form(c * a, rows, cols, [c * x for x in ea])
     _assert_form(a.transpose(), cols, rows, [ea[i * cols + k] for k in range(cols) for i in range(rows)])
-    more, emore = data.draw(_form_operand(data.draw(st.integers(0, 3)), cols))
-    _assert_form(a.vstack(b, more), 2 * rows + more.rows, cols, ea + eb + emore)
     assert a.is_zero() == (not any(ea)) and (a - a).is_zero()
     same = Matrix(rows, cols, tuple(ea))
     assert a == same and hash(a) == hash(same) and (a == b) == (ea == eb)

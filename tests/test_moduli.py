@@ -475,9 +475,12 @@ def test_cm_support_by_duality_matches_fiber_solve(field_name, data):
 @settings(max_examples=150, deadline=None)
 @given(_sheaves("rational"))
 def test_faithful_trace_form_rank_matches_regular(fs):
-    from cmkit.moduli import _faithful_trace_form
+    from cmkit.moduli import _end_block, _faithful_trace_form
 
-    assert rank(_faithful_trace_form(fs, endomorphisms(fs))) == rank(_trace_form(fs))
+    form = _faithful_trace_form(fs, _end_block(fs))
+    ends = endomorphisms(fs)
+    assert form.to_rows() == [[(g_a @ g_b).trace() + (s_a @ s_b).trace() for s_b, g_b in ends] for s_a, g_a in ends]
+    assert rank(form) == rank(_trace_form(fs))
 
 
 def _direct_end_basis(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
@@ -521,12 +524,19 @@ def _rank_one_sheaves(draw) -> FramedTorsionSheaf:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_rank_one_sheaves())
+@given(st.one_of(_rank_one_sheaves(), _sheaves("rational").filter(lambda fs: fs.r > 1), _sheaves("complex")))
 def test_endomorphisms_match_the_end_system_basis(fs):
+    from cmkit.linalg import vec
+    from cmkit.moduli import _end_block
+
     direct = _direct_end_basis(fs)
     assert endomorphisms(fs) == direct
     assert endomorphisms(fs, surjective=framing_surjective(fs)) == direct
-    assert (len(direct) == 1) == framing_surjective(fs)
+    if fs.r == 1 and fs.field.is_rational:
+        assert (len(direct) == 1) == framing_surjective(fs)
+    block = _end_block(fs)
+    assert [list(block.row(a)) for a in range(block.rows)] == [vec(g, s) for s, g in direct]
+    assert cm_support_check(fs, block) == cm_support_check(fs)
 
 
 def test_endomorphisms_of_cyclic_rank_one_build_no_end_system(monkeypatch):
