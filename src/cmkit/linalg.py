@@ -23,9 +23,11 @@ Linear systems in matrix unknowns use one vectorization convention.  The
 unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
 column-major, then F row-major.  Each matrix equation contributes its entries
 as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
-a term Z |-> A Z B straight into such a system, and ``unvec`` reads a
-solution vector back into its two blocks.  A kernel basis can also stay one
-matrix, one vector per row, read off the pivot rows by ``_kernel_pairs``.
+a term Z |-> A Z B straight into such a system; only the Koszul fiber system
+is built that way, since ``moduli`` writes the rows of its End system
+straight from the integer forms of X and i.  ``unvec`` reads a solution
+vector back into its two blocks.  A kernel basis can also stay one matrix,
+one vector per row, read off the pivot rows by ``_kernel_pairs``.
 
 ``_product`` is the one matrix product loop, shared by both fields:
 complex entries go in as they are, rational ones as their integer forms, so
@@ -852,7 +854,8 @@ def add_sandwich(flat: list, ncols: int, a: Matrix, b: Matrix, *, eq_row: int, u
     block (column-major) and ``unknown_col + k * B.rows + l`` when it is the
     framing block (row-major).  Its coefficient in equation (p, q) is
     A[p, k] * B[l, q]; only nonzero entries of A and B are visited.  A term
-    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.  Only ``koszul``'s fiber
+    system is built this way.
     """
     zr, zc, bc = a.cols, b.rows, b.cols
     a_nz = [(*divmod(t, zr), x) for t, x in enumerate(a.entries) if x != 0]

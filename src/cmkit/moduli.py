@@ -5,7 +5,8 @@ Q = coker(x - X) on the line together with a framing map with matrix i.
 Morphisms of framed pairs are pairs (s, g) with g X = X g and g i = i s;
 the sheaf is indecomposable exactly when this endomorphism algebra is local.
 
-One kernel basis of the End system answers both structural questions, kept
+One kernel basis of the End system, whose rows :func:`_end_rows` writes
+from the integer forms of X and i, answers both structural questions, kept
 as the one m x (n^2 + r^2) block whose row a is vec(g_a, s_a)
 (:func:`_end_block`).  The CM fiber over (X, i) is a torsor whose only
 obstruction is a trace, and the obstruction space is the part of End with
@@ -32,9 +33,7 @@ from .linalg import (
     _answer,
     _closure_rank,
     _kernel_pairs,
-    _rows,
     _rref,
-    add_sandwich,
     char_poly,
     format_terms,
     power,
@@ -67,14 +66,19 @@ def support(fs: FramedTorsionSheaf):
     the route.  The factors are checked to multiply back to char_poly(X)
     exactly.
 
-    Complex mode returns [(root, multiplicity)] with numeric roots clustered
-    by the field tolerance.
+    Complex mode returns [(root, multiplicity)]: the eigenvalues of X from
+    ``numpy.linalg.eigvals``, clustered by the field tolerance.  For a
+    diagonalizable X they are accurate to about eps times the condition of
+    its eigenvector basis, so a repeated eigenvalue is one cluster; the
+    roots of char_poly(X) would split a double root by about sqrt(eps).  An
+    eigenvalue with a Jordan block of size k > 1 is still perturbed by
+    about eps^(1/k) unless X is triangular, and may split.
     """
-    cp = char_poly(fs.X)
     if fs.field.is_rational:
         # imported here so that commands which never factor do not load (or compile) the module
         from .factor import factor_rational, multiply_out
 
+        cp = char_poly(fs.X)
         out = factor_rational(cp)
         if multiply_out(out) != cp:
             raise AssertionError("support factors do not multiply back to char_poly(X)")
@@ -82,7 +86,7 @@ def support(fs: FramedTorsionSheaf):
         return out
     import numpy as np
 
-    roots = np.roots(list(reversed([complex(c) for c in cp])))
+    roots = np.linalg.eigvals(np.array(fs.X.entries, dtype=complex).reshape(fs.n, fs.n))
     tol = max(fs.field.tolerance, 1e-12)
     clusters: list[list[complex]] = []
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
@@ -105,28 +109,51 @@ def framing_surjective(fs: FramedTorsionSheaf) -> bool:
     return _closure_rank(fs.i, [fs.X]) == fs.n
 
 
-def _end_system(fs: FramedTorsionSheaf) -> Matrix:
-    """The operator (g, s) |-> (g X - X g, g i - i s) on vec(g, s), equations row-major."""
-    n, r, field = fs.n, fs.r, fs.field
-    eye_n, eye_r = Matrix.identity(n, field), Matrix.identity(r, field)
+def _end_rows(fs: FramedTorsionSheaf) -> list[list]:
+    """The rows :func:`_rref` takes of the operator (g, s) |-> (g X - X g, g i - i s) on vec(g, s).
+
+    Equation (p, q) of g X - X g has +X[l, q] at column l n + p, then
+    -X[p, k] at column q n + k; equation (p, q) of g i - i s has +i[l, q] at
+    column l n + p, then -i[p, k] at column n^2 + k r + q.  Rational rows are
+    built from the integer forms of X and i, so the commutator rows are
+    scaled by d_X and the framing rows by d_i, which does not change the
+    kernel, and the all-zero rows (every commutator row when X is scalar)
+    are left out.  Complex rows sum the entries of X and i from zero, in the
+    order written above, and keep their zero rows: the tolerance pivoting of
+    the complex elimination swaps rows by position.
+    """
+    n, r, rational = fs.n, fs.r, fs.field.is_rational
     ncols = n * n + r * r
-    neqs = n * n + n * r
-    flat = [field.zero] * (neqs * ncols)
-    add_sandwich(flat, ncols, eye_n, fs.X, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, -fs.X, eye_n, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, eye_n, fs.i, eq_row=n * n, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, -fs.i, eye_r, eq_row=n * n, unknown_col=n * n, square=False)
-    return Matrix(neqs, ncols, tuple(flat), field)
+    if rational:
+        x, a, zero = fs.X._integer_form()[0], fs.i._integer_form()[0], 0
+    else:
+        x, a, zero = fs.X.entries, fs.i.entries, fs.field.zero
+    rows = []
+    # per block m (n x w): unknown[q][k] is the column of g[k, q] or s[k, q], the unknown that m[p, k] multiplies
+    for m, w, unknown in ((x, n, [[q * n + k for k in range(n)] for q in range(n)]),
+                          (a, r, [[n * n + k * r + q for k in range(r)] for q in range(r)])):
+        column_nz = [[(l * n, m[l * w + q]) for l in range(n) if m[l * w + q]] for q in range(w)]
+        row_nz = [[(k, m[p * w + k]) for k in range(w) if m[p * w + k]] for p in range(n)]
+        for p in range(n):
+            for q in range(w):
+                row, at = [zero] * ncols, unknown[q]
+                for c, y in column_nz[q]:
+                    row[c + p] += y
+                for k, y in row_nz[p]:
+                    row[at[k]] -= y
+                if not rational or any(row):
+                    rows.append(row)
+    return rows
 
 
 def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
     """The End basis as one m x (n^2 + r^2) matrix whose row a is vec(g_a, s_a).
 
-    The rows are the canonical kernel basis of :func:`_end_system`, read off
-    its pivot rows by ``_kernel_pairs``.  In rational mode the whole basis is
-    checked against both defining equations at once: [g_1; ...; g_m] X
-    against X [g_1 | ... | g_m], and the same for i and the s_a, four
-    products in all.
+    The rows are the canonical kernel basis of the End system, read by
+    ``_kernel_pairs`` off the pivot rows that :func:`_rref` leaves of
+    :func:`_end_rows`.  In rational mode the whole basis is checked against
+    both defining equations at once: [g_1; ...; g_m] X against
+    X [g_1 | ... | g_m], and the same for i and the s_a, four products in all.
 
     A rational sheaf of rank one with a surjective framing has End = Q (1, I)
     (see the module docstring), so the block is the one row vec(I, 1), the
@@ -140,7 +167,7 @@ def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
             surjective = framing_surjective(fs)
         if surjective:
             return Matrix(1, ncols, tuple(vec(Matrix.identity(n, field), Matrix.identity(1, field))), field)
-    kern = _kernel_pairs(*_rref(_rows(_end_system(fs)), field), ncols, field)
+    kern = _kernel_pairs(*_rref(_end_rows(fs), field), ncols, field)
     block, m = _answer(len(kern), ncols, [x for v in kern for x in v], field), len(kern)
     if field.is_rational:  # m >= 1: (1, I) is in End
         gs, ss = _stack(block, fs, range(m)), _stack(block, fs, range(m), framing=True)

@@ -568,7 +568,12 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # End system runs through kernel_basis.  The last three were recorded before
 # classify read End as one block of kernel rows: classify on scalar X = 3/2 I
 # with r = 2 (exit 1), on a zero framing (i = 0, r = 2, X a Jordan block of 1
-# beside -1/2; exit 1), and a complex r = 2 sheaf with nilpotent X.
+# beside -1/2; exit 1), and a complex r = 2 sheaf with nilpotent X.  The last
+# two were recorded before the End system was built as integer rows straight
+# from the integer forms of X and i: classify on a dense conjugated n = 4 sheaf
+# with distinct eigenvalues and an r = 2 framing that spans an invariant plane
+# only (X over 720, i over 18, so the two row blocks scale differently; exit 1),
+# and on X = g diag(1, 1, 2, -3) g^-1 with r = 1 (exit 1).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

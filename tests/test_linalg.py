@@ -438,10 +438,13 @@ def test_integer_rref_matches_fraction_gauss_jordan(shaped):
 
 def _real_systems(rng):
     """[fiber system | rhs] of conjugated points (feasible) and of conjugated collisions with
-    r = 1 (infeasible), n = 2-6; End systems of collision and scalar-X sheaves, n <= 5."""
+    r = 1 (infeasible), n = 2-6; the integer End rows of collision and scalar-X sheaves, n <= 5."""
     from cmkit import FramedTorsionSheaf, sample_cm
     from cmkit.koszul import _fiber_system
-    from cmkit.moduli import _end_system
+    from cmkit.moduli import _end_rows
+
+    def end_system(fs):
+        return Matrix.from_rows(_end_rows(fs))
 
     systems = []
     for n in range(2, 7):
@@ -451,8 +454,8 @@ def _real_systems(rng):
         rhs = (-Matrix.identity(n)).gather(n * n, 1, range(n * n))
         systems += [_fiber_system(g @ q.X @ g.inverse(), i).hstack(rhs), _fiber_system(collision, g @ q.i).hstack(rhs)]
         if n <= 5:
-            systems += [_end_system(FramedTorsionSheaf(collision, rand_matrix(rng, n, r))),
-                        _end_system(FramedTorsionSheaf(Fraction(5, 3) * Matrix.identity(n), rand_matrix(rng, n, 2)))]
+            systems += [end_system(FramedTorsionSheaf(collision, rand_matrix(rng, n, r))),
+                        end_system(FramedTorsionSheaf(Fraction(5, 3) * Matrix.identity(n), rand_matrix(rng, n, 2)))]
     return systems
 
 

@@ -75,13 +75,25 @@ def test_support_multiplicities_sum_to_n():
 
 
 def test_support_float_mode_clusters():
-    # double roots split numerically by ~sqrt(eps); the clustering radius
-    # follows the field tolerance, so pick one appropriate for double roots
+    # the clustering radius follows the field tolerance
     field = complex_field(1e-6)
     X = Matrix.from_rows([[complex(2), complex(0)], [complex(0), complex(2)]], field)
     fs = FramedTorsionSheaf(X, Matrix.from_rows([[complex(1)], [complex(1)]], field))
     [(root, mult)] = support(fs)
     assert mult == 2 and abs(root - 2) < 1e-5
+
+
+def test_complex_support_keeps_repeated_eigenvalues_together():
+    # The roots of char_poly(X) split a double root by about sqrt(eps) = 1.5e-8, wider
+    # than the clustering radius 10 * tol = 1e-8; the eigenvalues of X do not.
+    field = complex_field()
+    g = Matrix.from_rows([[1, 2j, 0], [1 - 1j, 1, 3], [0, 1j, 2]], field)
+    conjugated = g @ Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]], field) @ g.inverse()
+    for X, roots, mults in [(Matrix.identity(2, field), [1], [2]), (Matrix.identity(3, field), [1], [3]),
+                            (conjugated, [1, 2], [2, 1])]:
+        got = support(FramedTorsionSheaf(X, Matrix.column([1] * X.rows, field)))
+        assert [m for _, m in got] == mults
+        assert all(abs(z - root) < 1e-12 for (z, _), root in zip(got, roots))
 
 
 def test_framing_surjective_examples():
@@ -265,32 +277,26 @@ def test_support_factors_are_monic():
 
 
 def _probed_end_system(fs: FramedTorsionSheaf) -> Matrix:
-    """Reference oracle: the End operator assembled by applying it to every unit (g, s)."""
+    """Reference oracle: the End operator (g, s) |-> (g X - X g, g i - i s), applied to every unit (g, s)."""
     n, r, field = fs.n, fs.r, fs.field
     g_units = []
     for col in range(n):
         for row in range(n):
             g = [[field.zero] * n for _ in range(n)]
             g[row][col] = field.one
-            g_units.append(Matrix.from_rows(g, field))
+            g_units.append((Matrix.from_rows(g, field), Matrix.zeros(r, r, field)))
     s_units = []
     for row in range(r):
         for col in range(r):
             s = [[field.zero] * r for _ in range(r)]
             s[row][col] = field.one
-            s_units.append(Matrix.from_rows(s, field))
+            s_units.append((Matrix.zeros(n, n, field), Matrix.from_rows(s, field)))
     ncols = len(g_units) + len(s_units)
     neqs = n * n + n * r
     flat = [field.zero] * (neqs * ncols)
-    for cidx in range(ncols):
-        if cidx < len(g_units):
-            g = g_units[cidx]
-            comm = g @ fs.X - fs.X @ g
-            frame = g @ fs.i
-        else:
-            s = s_units[cidx - len(g_units)]
-            comm = Matrix.zeros(n, n, field)
-            frame = -(fs.i @ s)
+    for cidx, (g, s) in enumerate(g_units + s_units):
+        comm = g @ fs.X - fs.X @ g
+        frame = g @ fs.i - fs.i @ s
         for a in range(n):
             for b in range(n):
                 flat[(a * n + b) * ncols + cidx] = comm[a, b]
@@ -300,12 +306,25 @@ def _probed_end_system(fs: FramedTorsionSheaf) -> Matrix:
     return Matrix(neqs, ncols, tuple(flat), field)
 
 
+def _assert_end_rows_match_probing(fs: FramedTorsionSheaf) -> None:
+    """``_end_rows(fs)`` against the probed system: in the rational field its commutator rows times d_X and
+    its framing rows times d_i, all-zero rows left out; in the complex field every row, entry for entry by repr."""
+    from cmkit.moduli import _end_rows
+
+    n, rows, probed = fs.n, _end_rows(fs), _probed_end_system(fs)
+    if fs.field.is_rational:
+        scales = [fs.X._integer_form()[1]] * (n * n) + [fs.i._integer_form()[1]] * (n * fs.r)
+        scaled = [[x * d for x in probed.row(k)] for k, d in enumerate(scales)]
+        assert rows == [row for row in scaled if any(row)]
+        assert all(type(x) is int for row in rows for x in row)
+    else:
+        assert [list(map(repr, row)) for row in rows] == [list(map(repr, probed.row(k))) for k in range(probed.rows)]
+
+
 @pytest.mark.parametrize("field_name", ["rational", "complex"])
 @pytest.mark.parametrize("conjugated", [False, True])
 @pytest.mark.parametrize("r", [1, 2])
 def test_end_system_matches_unit_probing(field_name, conjugated, r):
-    from cmkit.moduli import _end_system
-
     rng = random.Random(2000 * r + 10 * conjugated + len(field_name))
     n = 4
     # A repeated eigenvalue keeps the commutant larger than the diagonal one.
@@ -318,8 +337,56 @@ def test_end_system_matches_unit_probing(field_name, conjugated, r):
         field = complex_field(1e-9)
         X = Matrix.from_rows(X.to_rows(), field)
         i = Matrix.from_rows([[v * (1 - 2j) for v in row] for row in i.to_rows()], field)
-    fs = FramedTorsionSheaf(X, i)
-    assert _end_system(fs) == _probed_end_system(fs)
+    _assert_end_rows_match_probing(FramedTorsionSheaf(X, i))
+
+
+@st.composite
+def _end_row_sheaves(draw) -> FramedTorsionSheaf:
+    """Sheaves with n <= 5, r <= 3 and X scalar, diagonal with repeated entries or conjugated dense, in either
+    field; the framing is zero, or has entries with denominators."""
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["scalar", "repeated", "dense"]))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if kind == "scalar":
+        diagonal = [draw(values)] * n
+    else:
+        diagonal = draw(st.lists(st.sampled_from([draw(values), draw(values)]), min_size=n, max_size=n))
+    X = Matrix.from_rows([[diagonal[k] if k == l else 0 for l in range(n)] for k in range(n)])
+    if kind == "dense":
+        g = rand_invertible(random.Random(draw(st.integers(0, 10**6))), n)
+        X = g @ X @ g.inverse()
+    if draw(st.booleans()):
+        i = Matrix.zeros(n, r)
+    else:
+        i = Matrix.from_rows([[draw(values) for _ in range(r)] for _ in range(n)])
+    if draw(st.booleans()):
+        field = complex_field()
+        scale = draw(st.sampled_from([1, 1j, 1 - 2j]))
+        X = Matrix.from_rows([[complex(v) * scale for v in row] for row in X.to_rows()], field)
+        i = Matrix.from_rows([[complex(v) for v in row] for row in i.to_rows()], field)
+    return FramedTorsionSheaf(X, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_end_row_sheaves())
+def test_end_rows_match_unit_probing(fs):
+    _assert_end_rows_match_probing(fs)
+
+
+@pytest.mark.parametrize("make", [lambda: _scalar_sheaf(4, 3), lambda: _nonsplit_sheaf(),
+                                  lambda: FramedTorsionSheaf(DIAG01, Matrix.from_rows([[1, Fraction(1, 3)], [0, 0]]))],
+                         ids=["scalar-n4", "nonsplit", "diagonal-r2"])
+def test_rational_end_block_builds_no_fraction_system(make, monkeypatch):
+    """``_numerators`` runs on the entries of X and i at most, never on a system of the End operator."""
+    from cmkit import linalg
+    from cmkit.moduli import _end_block
+
+    sizes = []
+    numerators = linalg._numerators
+    monkeypatch.setattr(linalg, "_numerators", lambda entries: sizes.append(len(entries)) or numerators(entries))
+    fs = make()
+    block = _end_block(fs)
+    assert block.rows > 1 and sizes and max(sizes) <= max(fs.n * fs.n, fs.n * fs.r)
 
 
 def _end_coords(supports: list[list[tuple[int, Fraction]]], target: list) -> list:
@@ -349,9 +416,8 @@ def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
     and tr(L_c) is the sum of the coordinates (e_c e_t)_t.
     """
     from cmkit.linalg import kernel_basis, unvec, vec
-    from cmkit.moduli import _end_system
 
-    kern = kernel_basis(_end_system(fs))
+    kern = kernel_basis(_probed_end_system(fs))
     basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
     supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
     table = [[_end_coords(supports, vec(g_a @ g_b, s_a @ s_b)) for g_b, s_b in basis] for g_a, s_a in basis]
@@ -363,10 +429,9 @@ def _trace_form(fs: FramedTorsionSheaf) -> Matrix:
 
 def test_end_coords_reject_vector_outside_span():
     from cmkit.linalg import kernel_basis, vec
-    from cmkit.moduli import _end_system
 
     fs = FramedTorsionSheaf(DIAG01, Matrix.column([1, 0]))
-    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kernel_basis(_end_system(fs))]
+    supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kernel_basis(_probed_end_system(fs))]
     # The idempotent (0, diag(0, 1)) lies in End; J2 with s = 0 does not commute with X.
     inside = vec(Matrix.from_rows([[0, 0], [0, 1]]), Matrix.zeros(1, 1))
     assert len(_end_coords(supports, inside)) == len(supports) == 2
@@ -377,9 +442,8 @@ def test_end_coords_reject_vector_outside_span():
 def _left_matrix_trace_form(fs: FramedTorsionSheaf) -> Matrix:
     """Reference oracle: tr(L_a L_b) from the left-multiplication matrices L_a of End."""
     from cmkit.linalg import kernel_basis, unvec, vec
-    from cmkit.moduli import _end_system
 
-    kern = kernel_basis(_end_system(fs))
+    kern = kernel_basis(_probed_end_system(fs))
     m = len(kern)
     basis = [unvec(v, fs.n, fs.r, fs.r) for v in kern]
     supports = [[(t, x) for t, x in enumerate(v.entries) if x != 0] for v in kern]
@@ -486,9 +550,8 @@ def test_faithful_trace_form_rank_matches_regular(fs):
 def _direct_end_basis(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
     """Reference oracle: the End basis read from the kernel of the End system, as (s, g) pairs."""
     from cmkit.linalg import kernel_basis, unvec
-    from cmkit.moduli import _end_system
 
-    return [(s, g) for g, s in (unvec(v, fs.n, fs.r, fs.r) for v in kernel_basis(_end_system(fs)))]
+    return [(s, g) for g, s in (unvec(v, fs.n, fs.r, fs.r) for v in kernel_basis(_probed_end_system(fs)))]
 
 
 @st.composite
@@ -543,8 +606,8 @@ def test_endomorphisms_of_cyclic_rank_one_build_no_end_system(monkeypatch):
     from cmkit import moduli
 
     built = []
-    end_system = moduli._end_system
-    monkeypatch.setattr(moduli, "_end_system", lambda fs: built.append(fs) or end_system(fs))
+    end_rows = moduli._end_rows
+    monkeypatch.setattr(moduli, "_end_rows", lambda fs: built.append(fs) or end_rows(fs))
     cyclic = _diagonal_cyclic_sheaf(4)
     assert endomorphisms(cyclic) == [(Matrix.identity(1), Matrix.identity(4))] and built == []
     assert endomorphisms(cyclic, surjective=True) == endomorphisms(cyclic) and built == []
