@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .linalg import (
@@ -24,10 +24,12 @@ from .linalg import (
     _apply,
     _closure_rank,
     _kernel_pairs,
+    _product,
     _reduced,
     _rows,
     _rref,
     _trace_product,
+    _trace_sum,
     commutator,
     format_terms,
     kernel_basis,
@@ -69,9 +71,9 @@ def is_stable(q: CMQuadruple) -> bool:
 
 
 # There are 2^(L+1) - 1 words of length <= L, so the report doubles with every
-# step of the cutoff.  Each rational word costs O(n^2) beyond the 2^(h+1) - 2
-# n x n products of the words up to h = ceil(L/2) (62 at L = 10); the complex
-# field forms every word as one n x n product, so its work doubles too.
+# step of the cutoff.  Each rational word costs O(n^2) beyond the 2^(h+1) - 4
+# n x n products of the words of length 2..h, h = ceil(L/2) (60 at L = 10); the
+# complex field forms every word as one n x n product, so its work doubles too.
 MAX_WORD_LEN = 10
 # sample draws and reports n^2 entries; 64 is four times the largest size targeted, 16.
 MAX_SAMPLE_N = 64
@@ -88,38 +90,51 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
     separating power of a fixed cutoff is heuristic.  ``max_len`` above
     :data:`MAX_WORD_LEN` is refused with ``ValueError``.
 
-    Only the words of length <= h are formed as matrices, by prefix
-    products, h = ceil(max_len / 2) in the rational field.  A longer word is
-    split as W = U V with |U| = h, and tr(W) = tr(U V) and j W i =
-    tr((j U)(V i)) are summed without forming W, O(n^2) each.  The complex
-    field takes h = max_len, forming every word, so its float sums keep the
-    association of the prefix products.
+    The rational field forms only the words of length <= h = ceil(max_len / 2),
+    as integer lists: a word with a letters X and b letters Y is its
+    numerators over d_X^a d_Y^b, made by one :func:`linalg._product` from its
+    prefix's list (X and Y themselves at length 1), and j W and W i are
+    integer lists too.  A longer word is split as W = U V with |U| = h, and
+    tr(W) = tr(U V) and j W i = tr((j U)(V i)), an r x r trace, are integer
+    sums (:func:`linalg._trace_sum`) without forming W, O(n^2) each; each
+    invariant is one Fraction.  The complex field forms every word as a
+    Matrix prefix product, so its float sums keep that association.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if max_len > MAX_WORD_LEN:
         raise ValueError(f"max_len must be <= {MAX_WORD_LEN}, got {max_len}")
-    h = -(-max_len // 2) if q.field.is_rational else max_len
-    letters = {"X": q.X, "Y": q.Y}
     traces: list[tuple[str, object]] = []
-    pairings: list[tuple[str, object]] = []
-    tails: dict[int, list] = {}  # by length, the words V of length 1..max_len - h with V i
-    # Words of one length in lexicographic order, each product I @ a @ b ...
-    # extended from its prefix's, with j W beside it.
-    words = [("", Matrix.identity(q.n, q.field))]
-    for length in range(h + 1):
-        if length:
-            words = [(word + ch, w @ letters[ch]) for word, w in words for ch in "XY"]
-            traces.extend((f"tr({word})", w.trace()) for word, w in words)
-        heads = [(word, w, q.j @ w) for word, w in words]
-        pairings.extend((f"j·{word}·i" if word else "j·i", _trace_product(jw, q.i)) for word, _, jw in heads)
-        if 0 < length <= max_len - h:
-            tails[length] = [(word, w, w @ q.i) for word, w in words]
+    if not q.field.is_rational:  # every word I @ a @ b ..., extended from its prefix's
+        words, pairings = [("", Matrix.identity(q.n, q.field))], []
+        for length in range(max_len + 1):
+            if length:
+                words = [(word + ch, w @ (q.X if ch == "X" else q.Y)) for word, w in words for ch in "XY"]
+                traces.extend((f"tr({word})", w.trace()) for word, w in words)
+            pairings.extend((f"j·{word}·i" if word else "j·i", _trace_product(q.j @ w, q.i)) for word, w in words)
+        return traces + pairings
+    n, r, h = q.n, q.r, -(-max_len // 2)
+    (j, dj), (i, di) = q.j._integer_form(), q.i._integer_form()
+    letters = [("X", *q.X._integer_form()), ("Y", *q.Y._integer_form())]
+    pairings = [("j·i", Fraction(_trace_sum(j, i, r, n), dj * di))]
+    tails: dict[int, list] = {}  # by length, the words V of length 1..max_len - h as (label, V, V i, denominator)
+    # Words of one length in lexicographic order, as (label, numerators, denominator), each extended from its prefix.
+    words = letters
+    for length in range(1, h + 1):
+        if length > 1:
+            words = [(word + ch, _product(w, z, n, n, n, 0), e * dz) for word, w, e in words for ch, z, dz in letters]
+        traces.extend((f"tr({word})", Fraction(sum(w[:: n + 1]), e)) for word, w, e in words)
+        heads = [(word, w, _product(j, w, r, n, n, 0), e) for word, w, e in words]
+        pairings.extend((f"j·{word}·i", Fraction(_trace_sum(jw, i, r, n), dj * e * di)) for word, _, jw, e in heads)
+        if length <= max_len - h:
+            tails[length] = [(word, w, _product(w, i, n, n, r, 0), e) for word, w, e in words]
     # heads now holds the words U of length h; each longer word is U V.
     for length in range(h + 1, max_len + 1):
-        for u, uw, ju in heads:
-            traces.extend((f"tr({u}{v})", _trace_product(uw, vw)) for v, vw, _ in tails[length - h])
-            pairings.extend((f"j·{u}{v}·i", _trace_product(ju, vi)) for v, _, vi in tails[length - h])
+        for u, uw, ju, eu in heads:
+            tail = tails[length - h]
+            traces.extend((f"tr({u}{v})", Fraction(_trace_sum(uw, vw, n, n), eu * ev)) for v, vw, _, ev in tail)
+            pairings.extend((f"j·{u}{v}·i", Fraction(_trace_sum(ju, vi, r, n), dj * eu * ev * di))
+                            for v, _, vi, ev in tail)
     return traces + pairings
 
 
@@ -168,15 +183,29 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     degree_bound >= n - 1 the quotient dimension is exactly n.  A degree
     bound above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
 
-    A bound d gives (d+1)(d+2)/2 columns X^a Y^b i.  A rational column is
-    the integer form (u, e) that ``@`` would give it: integers u over e,
-    made from an earlier column by one product with the numerator rows of X
-    or Y (:func:`linalg._apply`) and one gcd, with no Matrix.  Scaled to the
-    lcm of their e, the columns are the rows :func:`linalg._rows` gives of
-    the evaluation matrix [X^a Y^b i | ...].  One integer elimination of
-    them gives each generator's nonzero terms as (p, q) pairs, one Fraction
-    per term.  The complex field makes each column from d powers of X and
-    of Y, n^3 work per column, and takes :func:`kernel_basis` of the
+    This is :func:`_hilbert_terms` with one Fraction made of each rational
+    term's pair (p, q); the command line prints the pairs themselves.
+    """
+    ideal = _hilbert_terms(q, degree_bound)
+    if not q.field.is_rational:
+        return ideal
+    return ideal._replace(basis=tuple(tuple((m, Fraction(*c)) for m, c in poly) for poly in ideal.basis))
+
+
+def _hilbert_terms(q: CMQuadruple, degree_bound: int | None) -> HilbertIdeal:
+    """:func:`hilbert_ideal`, with each rational coefficient p/q as its pair (p, q) in lowest terms, q > 0.
+
+    The rational precondition XY = YX compares the integer lists of XY and
+    YX, both over d_X d_Y, from :func:`linalg._product`.  A bound d gives
+    (d+1)(d+2)/2 columns X^a Y^b i.  A rational column is the integer form
+    (u, e) that ``@`` would give it: integers u over e, made from an earlier
+    column by one product with the numerator rows of X or Y
+    (:func:`linalg._apply`) and one gcd, with no Matrix.  Scaled to the lcm
+    of their e, the columns are the rows :func:`linalg._rows` gives of the
+    evaluation matrix [X^a Y^b i | ...].  One integer elimination of them
+    gives each generator's nonzero terms as pairs read off the pivot rows,
+    one gcd each.  The complex field makes each column from d powers of X
+    and of Y, n^3 work per column, and takes :func:`kernel_basis` of the
     evaluation matrix.
     """
     if degree_bound is not None and degree_bound < 0:
@@ -187,14 +216,20 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
         raise ValueError("hilbert_ideal needs framing rank 1")
     if not q.j.is_zero():
         raise ValueError("hilbert_ideal needs j = 0")
-    if not commutator(q.X, q.Y).is_zero():
+    n, rational = q.n, q.field.is_rational
+    if rational:
+        (x, _), (y, _) = q.X._integer_form(), q.Y._integer_form()
+        commuting = _product(x, y, n, n, n, 0) == _product(y, x, n, n, n, 0)
+    else:
+        commuting = commutator(q.X, q.Y).is_zero()
+    if not commuting:
         raise ValueError("hilbert_ideal needs commuting X and Y")
     if not is_stable(q):
         raise ValueError("hilbert_ideal needs a stable quadruple (cyclic framing)")
-    d = q.n if degree_bound is None else degree_bound
+    d = n if degree_bound is None else degree_bound
     # _monomials lists the monomials in poly_str order, so each polynomial's terms come out in it.
     mons = _monomials(d)
-    if q.field.is_rational:
+    if rational:
         # The columns X^a Y^b i as integer forms (u, e), each X or Y applied to an earlier one.
         x_op, y_op = [(_rows(m), m._integer_form()[1]) for m in (q.X, q.Y)]
         cols: dict[tuple[int, int], tuple[list[int], int]] = {(0, 0): q.i._integer_form()}
@@ -206,17 +241,23 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
         scaled = [u if e == lcd else [v * (lcd // e) for v in u] for u, e in cols.values()]
         rows = [list(r) for r in zip(*scaled)]
         kern = _kernel_pairs(*_rref(rows, q.field), len(mons), q.field)
-        basis = tuple(tuple((m, Fraction(*c)) for m, c in zip(mons, v) if c[0]) for v in kern)
+        basis = tuple(tuple((m, _lowest_terms(*c)) for m, c in zip(mons, v) if c[0]) for v in kern)
     else:
         # (X^a Y^b) i from the powers, the association the complex reports were recorded with.
-        x_pows = [Matrix.identity(q.n, q.field)]
-        y_pows = [Matrix.identity(q.n, q.field)]
+        x_pows = [Matrix.identity(n, q.field)]
+        y_pows = [Matrix.identity(n, q.field)]
         for _ in range(d):
             x_pows.append(x_pows[-1] @ q.X)
             y_pows.append(y_pows[-1] @ q.Y)
         kern = kernel_basis(Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons]))
         basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
     return HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
+
+
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    """The numerator and denominator of Fraction(p, q), q != 0: p/q in lowest terms, sign on the numerator."""
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
 
 
 def _draw_fraction(rng: random.Random, span: int) -> Fraction:

@@ -116,13 +116,15 @@ def _cmd_hilbert_ideal(data, args):
     from . import adhm
 
     q = quadruple_from_json(data, default_field=_default_field(args))
-    ideal = adhm.hilbert_ideal(q, args.degree)
-    # Each generator lists its terms in poly_str order, so pretty is format_terms of them as they come.
-    # A rational coefficient is printed once, and format_terms reads the printed "1" and "-1" as units.
-    rational, monomials = q.field.is_rational, {m: adhm.monomial_str(*m) for m in ideal.monomials}
+    rational = q.field.is_rational
+    # A rational term is a pair (p, c) in lowest terms, c > 0, printed once as str(Fraction(p, c)) prints it.
+    ideal = adhm._hilbert_terms(q, args.degree) if rational else adhm.hilbert_ideal(q, args.degree)
+    # Each generator lists its terms in poly_str order, so pretty is format_terms of them as they come;
+    # format_terms reads the printed "1" and "-1" as units.
+    monomials = {m: adhm.monomial_str(*m) for m in ideal.monomials}
     basis = []
     for poly in ideal.basis:
-        printed = [(m, str(c)) for m, c in poly] if rational else poly
+        printed = [(m, str(p) if c == 1 else f"{p}/{c}") for m, (p, c) in poly] if rational else poly
         terms = [[a, b, c if rational else scalar_to_json(c, q.field)] for (a, b), c in sorted(printed)]
         basis.append({"terms": terms, "pretty": format_terms((c, monomials[m]) for m, c in printed)})
     result = {

@@ -33,9 +33,10 @@ one vector per row, read off the pivot rows by ``_kernel_pairs``.
 complex entries go in as they are, rational ones as their integer forms, so
 chains of products build Fractions only for the entries that are read.
 ``_trace_product`` sums tr(AB) from the two integer forms, for a product
-that would only be traced.  ``_apply`` applies the numerator rows of a
-rational operator to an integer vector, for the integer vectors of
-``_closure_rank`` and of the rational Hilbert ideal, which build no matrix.
+that would only be traced, by ``_trace_sum`` on the integer lists.
+``_apply`` applies the numerator rows of a rational operator to an integer
+vector, for the integer vectors of ``_closure_rank`` and of the rational
+Hilbert ideal, which build no matrix.
 
 ``_rref`` is the one elimination routine of the package for matrices.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
@@ -568,8 +569,13 @@ def _trace_product(a: Matrix, b: Matrix) -> Scalar:
         raise ShapeError("mixed fields")
     if not a.field.is_rational:
         return (a @ b).trace()
-    (x, dx), (y, dy), n, m = a._integer_form(), b._integer_form(), a.rows, a.cols
-    return Fraction(sum(sum(map(mul, x[k * m : (k + 1) * m], y[k::n])) for k in range(n)), dx * dy)
+    (x, dx), (y, dy) = a._integer_form(), b._integer_form()
+    return Fraction(_trace_sum(x, y, a.rows, a.cols), dx * dy)
+
+
+def _trace_sum(x: Sequence, y: Sequence, n: int, m: int):
+    """tr(x y) for row-major lists x (n x m) and y (m x n): the sum of x_kl y_lk, n m multiplications."""
+    return sum(sum(map(mul, x[k * m : (k + 1) * m], y[k::n])) for k in range(n))
 
 
 def _rows(*blocks: Matrix) -> list[list]:
@@ -897,9 +903,13 @@ def char_poly(a: Matrix) -> list[Scalar]:
     """Coefficients of det(tI - A), ascending in t; monic of degree n.
 
     Computed by the Faddeev-LeVerrier recurrence, which stays in the field
-    (the only divisions are by 1..n).  A rational AM + cI is made on the
-    integer form of AM; a complex one entrywise, since adding c only on the
-    diagonal could flip the sign of a float zero.
+    (the only divisions are by 1..n).  The rational one runs on integer
+    lists, with no Matrix per step: M_(k-1) is numerators over e, A M_(k-1)
+    is one :func:`_product` with the numerators of A, over d = d_A e, and
+    c_k = -tr(A M_(k-1)) / k is the one Fraction of the step.  M_k = A M_(k-1)
+    + c_k I is then (p/q) d added on the diagonal, over d q, reduced by
+    :func:`_reduced`.  A complex AM + cI is made entrywise, since adding c
+    only on the diagonal could flip the sign of a float zero.
     """
     if a.rows != a.cols:
         raise ShapeError("char_poly needs a square matrix")
@@ -907,17 +917,19 @@ def char_poly(a: Matrix) -> list[Scalar]:
     field = a.field
     coeffs = [field.zero] * (n + 1)
     coeffs[n] = field.one
+    if field.is_rational:
+        (x, dx), m, e = a._integer_form(), [int(t % (n + 1) == 0) for t in range(n * n)], 1
+        for k in range(1, n + 1):
+            am, d = _product(x, m, n, n, n, 0), dx * e
+            c = coeffs[n - k] = Fraction(-sum(am[:: n + 1]), d * k)
+            p, q = c.numerator, c.denominator
+            m, e = _reduced([v * q + p * d if t % (n + 1) == 0 else v * q for t, v in enumerate(am)], d * q)
+        return coeffs
     eye = m = Matrix.identity(n, field)
     for k in range(1, n + 1):
         am = a @ m
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        if field.is_rational:  # nums / d + p / q on the diagonal is (q nums + p d on the diagonal) / (q d)
-            (nums, d), p, q = am._integer_form(), c.numerator, c.denominator
-            nums = [v * q + p * d if t % (n + 1) == 0 else v * q for t, v in enumerate(nums)]
-            m = Matrix._from_ints(n, n, _reduced(nums, d * q), field)
-        else:
-            m = am + c * eye
+        c = coeffs[n - k] = -am.trace() / k
+        m = am + c * eye
     return coeffs
 
 

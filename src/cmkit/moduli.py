@@ -33,6 +33,7 @@ from .linalg import (
     _answer,
     _closure_rank,
     _kernel_pairs,
+    _product,
     _rref,
     char_poly,
     format_terms,
@@ -71,8 +72,9 @@ def support(fs: FramedTorsionSheaf):
     diagonalizable X they are accurate to about eps times the condition of
     its eigenvector basis, so a repeated eigenvalue is one cluster; the
     roots of char_poly(X) would split a double root by about sqrt(eps).  An
-    eigenvalue with a Jordan block of size k > 1 is still perturbed by
-    about eps^(1/k) unless X is triangular, and may split.
+    eigenvalue with a Jordan block of size k > 1 is perturbed by about
+    (eps |X|)^(1/k) unless X is triangular, so k roots that all lie within
+    10 (eps |X|)^(1/k) of their mean are kept as one root of multiplicity k.
     """
     if fs.field.is_rational:
         # imported here so that commands which never factor do not load (or compile) the module
@@ -86,17 +88,32 @@ def support(fs: FramedTorsionSheaf):
         return out
     import numpy as np
 
-    roots = np.linalg.eigvals(np.array(fs.X.entries, dtype=complex).reshape(fs.n, fs.n))
+    x = np.array(fs.X.entries, dtype=complex).reshape(fs.n, fs.n)
     tol = max(fs.field.tolerance, 1e-12)
     clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
+    for z in sorted(np.linalg.eigvals(x), key=lambda w: (w.real, w.imag)):
         for cl in clusters:
             if abs(cl[0] - z) <= tol * 10 * max(1.0, abs(cl[0])):
                 cl.append(complex(z))
                 break
         else:
             clusters.append([complex(z)])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+    # Largest k first, clusters of k roots in all, each within 10 (eps |X|)^(1/k) of their mean, are one
+    # Jordan block; the head cluster holds the least root left, so the order by least root is kept.
+    delta, out = np.finfo(float).eps * float(np.linalg.norm(x)), []
+    while clusters:
+        head, group = clusters[0], clusters[:1]
+        for k in range(sum(map(len, clusters)), len(head), -1):
+            radius = 10 * delta ** (1 / k)
+            near = [cl for cl in clusters if abs(cl[0] - head[0]) <= 2 * radius]
+            members = [z for cl in near for z in cl]
+            if len(members) == k and all(abs(z - sum(members) / k) <= radius for z in members):
+                group = near
+                break
+        clusters = [cl for cl in clusters if not any(cl is g for g in group)]
+        roots = sorted((z for cl in group for z in cl), key=lambda w: (w.real, w.imag))
+        out.append((sum(roots) / len(roots), len(roots)))
+    return out
 
 
 def factor_str(coeffs: tuple[Fraction, ...]) -> str:
@@ -152,8 +169,12 @@ def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
     The rows are the canonical kernel basis of the End system, read by
     ``_kernel_pairs`` off the pivot rows that :func:`_rref` leaves of
     :func:`_end_rows`.  In rational mode the whole basis is checked against
-    both defining equations at once: [g_1; ...; g_m] X against
-    X [g_1 | ... | g_m], and the same for i and the s_a, four products in all.
+    both defining equations at once, on integer lists gathered from the
+    block's integer form (numerators over d) and compared at one scale:
+    [g_1; ...; g_m] X against X [g_1 | ... | g_m], both over d d_X, and
+    [g_1; ...; g_m] i against i [s_1 | ... | s_m], both over d d_i, four
+    :func:`linalg._product` calls in all.  The products are taken against
+    X and i themselves, so the check does not rest on :func:`_end_rows`.
 
     A rational sheaf of rank one with a surjective framing has End = Q (1, I)
     (see the module docstring), so the block is the one row vec(I, 1), the
@@ -170,11 +191,20 @@ def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
     kern = _kernel_pairs(*_rref(_end_rows(fs), field), ncols, field)
     block, m = _answer(len(kern), ncols, [x for v in kern for x in v], field), len(kern)
     if field.is_rational:  # m >= 1: (1, I) is in End
-        gs, ss = _stack(block, fs, range(m)), _stack(block, fs, range(m), framing=True)
-        if (_side_by_side(gs @ fs.X, m) != fs.X @ _side_by_side(gs, m)
-                or _side_by_side(gs @ fs.i, m) != fs.i @ _side_by_side(ss, m)):
+        # [g_1; ...; g_m] (g_a column-major in its row) and [s_1; ...; s_m] as numerators over d
+        b, (x, _), (i, _) = block._integer_form()[0], fs.X._integer_form(), fs.i._integer_form()
+        gs = [b[a * ncols + c * n + p] for a in range(m) for p in range(n) for c in range(n)]
+        ss = [b[a * ncols + n * n + t] for a in range(m) for t in range(r * r)]
+        gx, xg = _product(gs, x, m * n, n, n, 0), _product(x, _beside(gs, m, n, n), n, n, m * n, 0)
+        gi, i_s = _product(gs, i, m * n, n, r, 0), _product(i, _beside(ss, m, r, r), n, r, m * r, 0)
+        if _beside(gx, m, n, n) != xg or _beside(gi, m, n, r) != i_s:
             raise AssertionError("endomorphism basis element fails g X = X g or g i = i s")
     return block
+
+
+def _beside(stack: list, m: int, rows: int, cols: int) -> list:
+    """[b_1 | ... | b_m] from the stack [b_1; ...; b_m] of m rows x cols blocks, both as row-major lists."""
+    return [stack[(a * rows + p) * cols + c] for p in range(rows) for a in range(m) for c in range(cols)]
 
 
 def _stack(block: Matrix, fs: FramedTorsionSheaf, rows, framing: bool = False) -> Matrix:
@@ -192,13 +222,6 @@ def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix,
     """
     block = _end_block(fs, surjective)
     return [(_stack(block, fs, [a], framing=True), _stack(block, fs, [a])) for a in range(block.rows)]
-
-
-def _side_by_side(stack: Matrix, m: int) -> Matrix:
-    """[b_1 | ... | b_m] from the stack [b_1; ...; b_m] of m blocks of one shape."""
-    rows, cols = stack.rows // m, stack.cols
-    starts = [(a * rows + k) * cols for k in range(rows) for a in range(m)]
-    return stack.gather(rows, m * cols, [p + c for p in starts for c in range(cols)])
 
 
 def _faithful_trace_form(fs: FramedTorsionSheaf, block: Matrix) -> Matrix:

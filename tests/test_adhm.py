@@ -482,6 +482,16 @@ def test_rational_word_invariants_match_prefix_products(q, max_len):
     assert all(type(v) is Fraction for _, v in got)
 
 
+def test_rational_word_invariants_make_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rational word_invariants multiplies Matrix objects")
+
+    q = rand_quadruple(random.Random(479), 4, r=2)
+    expected = _prefix_product_invariants(q, 5)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert word_invariants(q, 5) == expected
+
+
 _COMPLEX_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100, 100, allow_nan=False, allow_infinity=False))
 
 
@@ -575,7 +585,11 @@ def test_rational_hilbert_ideal_eliminates_its_columns_directly(monkeypatch):
 
 
 def _count_products(monkeypatch) -> list:
-    """Record the shape (rows, inner, cols) of every product the product loop is called on."""
+    """Record the shape (rows, inner, cols) of every product the product loop is called on.
+
+    The loop is patched where each caller looks it up: in linalg for
+    ``Matrix.__matmul__``, in adhm for the integer lists of the rational words
+    and of the commutator precondition."""
     calls = []
     product = linalg._product
 
@@ -584,6 +598,7 @@ def _count_products(monkeypatch) -> list:
         return product(left, right, rows, inner, cols, zero)
 
     monkeypatch.setattr(linalg, "_product", counted)
+    monkeypatch.setattr(adhm, "_product", counted)
     return calls
 
 
@@ -591,7 +606,8 @@ def test_word_invariants_form_only_the_short_words(monkeypatch):
     q = conjugate(sample_cm(4, 5), rand_invertible(random.Random(211), 4))
     calls = _count_products(monkeypatch)
     word_invariants(q, MAX_WORD_LEN)
-    # the words of length 1..5 (2 + 4 + ... + 32); forming every word of length <= 10 would take 2046
+    # the words of length 2..5 (4 + 8 + 16 + 32, X and Y are the words of length 1); forming every word
+    # of length <= 10 would take 2046
     assert calls.count((4, 4, 4)) <= 62
 
 

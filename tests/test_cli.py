@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cmkit
 from cmkit.cli import _build_parser, _cmd_hilbert_ideal, main
+from cmkit.linalg import format_terms
 from cmkit.serialize import quadruple_from_json, quadruple_to_json, scalar_to_json
 from cmkit import CMQuadruple, Matrix, adhm, complex_field, conjugate, moduli, sample_cm
 from test_adhm import _commuting_stable_pairs
@@ -103,6 +104,22 @@ def _hilbert_report_and_reference(q: CMQuadruple, degree: int | None) -> tuple[l
 def test_hilbert_ideal_report_prints_what_poly_str_and_scalar_to_json_print(q, degree):
     got, expected = _hilbert_report_and_reference(q, degree)
     assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(_commuting_stable_pairs(), st.sampled_from(["0", "1", "n-1", "n", "n+2"]))
+def test_rational_hilbert_ideal_report_prints_each_term_as_str_of_its_fraction(q, bound):
+    # The command prints the reduced pairs of adhm._hilbert_terms; each must read as str(Fraction) of the
+    # public basis, sign on the numerator, and no "/1".
+    d = {"0": 0, "1": 1, "n-1": q.n - 1, "n": q.n, "n+2": q.n + 2}[bound]
+    result, code, _ = _cmd_hilbert_ideal(quadruple_to_json(q), _build_parser().parse_args(
+        ["hilbert-ideal", "--degree", str(d)]))
+    basis = adhm.hilbert_ideal(q, d).basis
+    assert code == 0 and result["ideal_basis"] == [
+        {"terms": [[a, b, str(c)] for (a, b), c in sorted(poly)],
+         "pretty": format_terms((str(c), adhm.monomial_str(*m)) for m, c in poly)} for poly in basis]
+    assert [[c for _, c in poly] for poly in adhm._hilbert_terms(q, d).basis] == [
+        [(c.numerator, c.denominator) for _, c in poly] for poly in basis]
 
 
 @pytest.mark.parametrize("degree", [None, 2, 4])
@@ -327,24 +344,33 @@ def test_unexpected_exception_is_one_error_report_per_line(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+# X = diag(1, 1, 2) with i = e_1 + e_3 spans a plane only, so classify builds the End system.
+_SPLIT_SHEAF = {"n": 3, "r": 1, "field": "rational",
+                "X": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]], "i": [["1"], ["0"], ["1"]]}
+
+
 def test_corrupted_end_basis_is_internal_error(capsys, monkeypatch):
     kernel_pairs = moduli._kernel_pairs
+    for sheaf, unknown in [
+        (SCALAR_SHEAF, -1),  # s, the last unknown: g i = i s fails since i != 0
+        (SCALAR_SHEAF, 0),  # g[0, 0]: g i = i s fails, as i = e_1
+        (_SPLIT_SHEAF, 5),  # g[2, 1]: g X = X g fails, as X[2, 2] != X[1, 1], and g i = i s holds, as i[1] = 0
+    ]:
+        def corrupted(*args):
+            basis = kernel_pairs(*args)
+            p, q = basis[0][unknown]
+            basis[0][unknown] = (p + q, q)
+            return basis
 
-    def corrupted(*args):
-        basis = kernel_pairs(*args)
-        p, q = basis[0][-1]
-        # shift s, the last unknown: g i = i s then fails since i != 0
-        basis[0][-1] = (p + q, q)
-        return basis
-
-    monkeypatch.setattr(moduli, "_kernel_pairs", corrupted)
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(SCALAR_SHEAF).encode()), encoding="utf-8"))
-    code = main(["classify"])
-    captured = capsys.readouterr()
-    [rep] = [json.loads(line) for line in captured.out.splitlines()]
-    assert code == 2 and rep["status"] == "error" and rep["result"] is None
-    assert rep["messages"] == ["internal error: AssertionError: endomorphism basis element fails g X = X g or g i = i s"]
-    assert "Traceback" not in captured.err
+        monkeypatch.setattr(moduli, "_kernel_pairs", corrupted)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(sheaf).encode()), encoding="utf-8"))
+        code = main(["classify"])
+        captured = capsys.readouterr()
+        [rep] = [json.loads(line) for line in captured.out.splitlines()]
+        assert code == 2 and rep["status"] == "error" and rep["result"] is None
+        assert rep["messages"] == [
+            "internal error: AssertionError: endomorphism basis element fails g X = X g or g i = i s"]
+        assert "Traceback" not in captured.err
 
 
 def test_cached_parser_matches_fresh_processes(capsys, monkeypatch):
@@ -573,7 +599,15 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # from the integer forms of X and i: classify on a dense conjugated n = 4 sheaf
 # with distinct eigenvalues and an r = 2 framing that spans an invariant plane
 # only (X over 720, i over 18, so the two row blocks scale differently; exit 1),
-# and on X = g diag(1, 1, 2, -3) g^-1 with r = 1 (exit 1).
+# and on X = g diag(1, 1, 2, -3) g^-1 with r = 1 (exit 1).  The last four were
+# recorded before char_poly, the rational words, the Hilbert-ideal terms and
+# the End certificate moved onto integer lists: invariants --max-len 4 on
+# sample_cm(6, 606) conjugated by rand_invertible(Random(1606), 6), the shape
+# of the benchmark's invariants requests; a rational invariants --max-len 3
+# with r = 2; hilbert-ideal at degree 3 on four conjugated points whose pivot
+# rows have negative pivots and whose generators have negative fractional
+# coefficients; and classify (exit 1) on a dense conjugated n = 5 sheaf with a
+# non-cyclic framing, whose char_poly is (x - 1/2)^2 (x + 2) (x^2 + x + 3).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

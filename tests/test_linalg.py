@@ -548,6 +548,16 @@ def test_char_poly_on_integer_form_matches_fraction_faddeev_leverrier(n, kind, d
     assert got == _reference_char_poly(a) and all(type(c) is Fraction for c in got)
 
 
+def test_rational_char_poly_makes_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rational char_poly multiplies Matrix objects")
+
+    a = rand_matrix(random.Random(545), 6, 6)
+    expected = _reference_char_poly(a)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert char_poly(a) == expected
+
+
 # -- the integer form is the matrix: every operation against Fraction arithmetic on entries --
 
 

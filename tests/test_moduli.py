@@ -96,6 +96,20 @@ def test_complex_support_keeps_repeated_eigenvalues_together():
         assert all(abs(z - root) < 1e-12 for (z, _), root in zip(got, roots))
 
 
+def test_complex_support_keeps_a_jordan_block_together():
+    # X = g diag(J_2(1), 2) g^-1: eigvals splits the double eigenvalue by about 2e-8, twice the
+    # tolerance radius, as (eps |X|)^(1/2), and g J_3(1) g^-1 by more; a split of 1e-6 is two eigenvalues.
+    field = complex_field()
+    g = Matrix.from_rows([[1, 2j, 0], [1 - 1j, 1, 3], [0, 1j, 2]], field)
+    jordan = g @ Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]], field) @ g.inverse()
+    jordan3 = g @ Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]], field) @ g.inverse()
+    near = Matrix.from_rows([[1, 0], [0, 1 + 1e-6]], field)
+    for X, roots, mults in [(jordan, [1, 2], [2, 1]), (jordan3, [1], [3]), (near, [1, 1 + 1e-6], [1, 1])]:
+        got = support(FramedTorsionSheaf(X, Matrix.column([1] * X.rows, field)))
+        assert [m for _, m in got] == mults
+        assert all(abs(z - root) < 1e-12 for (z, _), root in zip(got, roots))
+
+
 def test_framing_surjective_examples():
     assert framing_surjective(FramedTorsionSheaf(Matrix.zeros(1, 1), Matrix.column([1])))
     assert framing_surjective(FramedTorsionSheaf(J2, Matrix.column([0, 1])))
