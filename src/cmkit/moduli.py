@@ -73,8 +73,14 @@ def support(fs: FramedTorsionSheaf):
     its eigenvector basis, so a repeated eigenvalue is one cluster; the
     roots of char_poly(X) would split a double root by about sqrt(eps).  An
     eigenvalue with a Jordan block of size k > 1 is perturbed by about
-    (eps |X|)^(1/k) unless X is triangular, so k roots that all lie within
-    10 (eps |X|)^(1/k) of their mean are kept as one root of multiplicity k.
+    (eps |X|)^(1/k) unless X is triangular, and the roots it splits into are
+    ill-conditioned: each lies within about eps |X| / c of the eigenvalue,
+    for c the inverse of its condition number.  So two clusters are one
+    root when a root of each lies within the sum of their reaches
+    5 eps |X| / c of the other; distinct eigenvalues of a diagonalizable X
+    have c of about 1 over the condition of its eigenvector basis and stay
+    apart however close they are.  Two eigenvalues closer than about 30
+    times the spread of a Jordan block of either may still be joined.
     """
     if fs.field.is_rational:
         # imported here so that commands which never factor do not load (or compile) the module
@@ -98,20 +104,26 @@ def support(fs: FramedTorsionSheaf):
                 break
         else:
             clusters.append([complex(z)])
-    # Largest k first, clusters of k roots in all, each within 10 (eps |X|)^(1/k) of their mean, are one
-    # Jordan block; the head cluster holds the least root left, so the order by least root is kept.
-    delta, out = np.finfo(float).eps * float(np.linalg.norm(x)), []
-    while clusters:
-        head, group = clusters[0], clusters[:1]
-        for k in range(sum(map(len, clusters)), len(head), -1):
-            radius = 10 * delta ** (1 / k)
-            near = [cl for cl in clusters if abs(cl[0] - head[0]) <= 2 * radius]
-            members = [z for cl in near for z in cl]
-            if len(members) == k and all(abs(z - sum(members) / k) <= radius for z in members):
-                group = near
-                break
-        clusters = [cl for cl in clusters if not any(cl is g for g in group)]
-        roots = sorted((z for cl in group for z in cl), key=lambda w: (w.real, w.imag))
+    # Clusters join while two of their roots z, w lie within reach(z) + reach(w) of each other; c(z) is
+    # |y^H v| for the unit singular vectors y, v of X - z I of its least singular value, at an eigenvalue
+    # its left and right eigenvectors, so c(z) is about (eps |X|)^((k-1)/k) at a root a Jordan block of
+    # size k split off, and is taken as at least that for k = n.  Groups keep the order of their least roots.
+    groups = [[(z, 0.0) for z in cl] for cl in clusters]
+    if len(clusters) > 1:
+        delta = np.finfo(float).eps * float(np.linalg.norm(x))
+        floor, groups = delta ** (1 - 1 / fs.n), []
+
+        def reach(z):  # 5 eps |X| / c(z)
+            u, _, vh = np.linalg.svd(x - z * np.eye(fs.n))
+            return 5 * delta / max(abs(vh[-1] @ u[:, -1]), floor)
+
+        for cl in clusters:
+            cl = [(z, reach(z)) for z in cl]
+            touching = [g for g in groups if any(abs(z - w) <= r + s for z, r in cl for w, s in g)]
+            groups = [g for g in groups if not any(g is t for t in touching)] + [sum(touching, []) + cl]
+    out = []
+    for g in sorted(groups, key=lambda g: min((z.real, z.imag) for z, _ in g)):
+        roots = sorted((z for z, _ in g), key=lambda w: (w.real, w.imag))
         out.append((sum(roots) / len(roots), len(roots)))
     return out
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import cmkit
 from cmkit.cli import _build_parser, _cmd_hilbert_ideal, main
-from cmkit.linalg import format_terms
 from cmkit.serialize import quadruple_from_json, quadruple_to_json, scalar_to_json
 from cmkit import CMQuadruple, Matrix, adhm, complex_field, conjugate, moduli, sample_cm
 from test_adhm import _commuting_stable_pairs
@@ -94,32 +93,22 @@ def _hilbert_report_and_reference(q: CMQuadruple, degree: int | None) -> tuple[l
     argv = ["hilbert-ideal"] + ([] if degree is None else ["--degree", str(degree)])
     result, code, _ = _cmd_hilbert_ideal(quadruple_to_json(q), _build_parser().parse_args(argv))
     assert code == 0
+    basis = adhm.hilbert_ideal(q, degree).basis
+    if q.field.is_rational:  # the command prints the reduced pairs of adhm._hilbert_terms
+        assert [[c for _, c in poly] for poly in adhm._hilbert_terms(q, degree).basis] == [
+            [(c.numerator, c.denominator) for _, c in poly] for poly in basis]
     expected = [{"terms": [[a, b, scalar_to_json(c, q.field)] for (a, b), c in sorted(poly)],
-                 "pretty": adhm.poly_str(poly)} for poly in adhm.hilbert_ideal(q, degree).basis]
+                 "pretty": adhm.poly_str(poly)} for poly in basis]
     return result["ideal_basis"], expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(_commuting_stable_pairs(), st.sampled_from([None, 0, 1, 2, 6]))
+@given(_commuting_stable_pairs(), st.sampled_from([None, 0, 1, 2, 6, "n-1", "n", "n+2"]))
 def test_hilbert_ideal_report_prints_what_poly_str_and_scalar_to_json_print(q, degree):
+    # a rational coefficient prints as str(Fraction): sign on the numerator, no "/1"
+    degree = {"n-1": q.n - 1, "n": q.n, "n+2": q.n + 2}.get(degree, degree)
     got, expected = _hilbert_report_and_reference(q, degree)
     assert got == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(_commuting_stable_pairs(), st.sampled_from(["0", "1", "n-1", "n", "n+2"]))
-def test_rational_hilbert_ideal_report_prints_each_term_as_str_of_its_fraction(q, bound):
-    # The command prints the reduced pairs of adhm._hilbert_terms; each must read as str(Fraction) of the
-    # public basis, sign on the numerator, and no "/1".
-    d = {"0": 0, "1": 1, "n-1": q.n - 1, "n": q.n, "n+2": q.n + 2}[bound]
-    result, code, _ = _cmd_hilbert_ideal(quadruple_to_json(q), _build_parser().parse_args(
-        ["hilbert-ideal", "--degree", str(d)]))
-    basis = adhm.hilbert_ideal(q, d).basis
-    assert code == 0 and result["ideal_basis"] == [
-        {"terms": [[a, b, str(c)] for (a, b), c in sorted(poly)],
-         "pretty": format_terms((str(c), adhm.monomial_str(*m)) for m, c in poly)} for poly in basis]
-    assert [[c for _, c in poly] for poly in adhm._hilbert_terms(q, d).basis] == [
-        [(c.numerator, c.denominator) for _, c in poly] for poly in basis]
 
 
 @pytest.mark.parametrize("degree", [None, 2, 4])

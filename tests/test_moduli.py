@@ -98,13 +98,20 @@ def test_complex_support_keeps_repeated_eigenvalues_together():
 
 def test_complex_support_keeps_a_jordan_block_together():
     # X = g diag(J_2(1), 2) g^-1: eigvals splits the double eigenvalue by about 2e-8, twice the
-    # tolerance radius, as (eps |X|)^(1/2), and g J_3(1) g^-1 by more; a split of 1e-6 is two eigenvalues.
+    # tolerance radius, as (eps |X|)^(1/2), and g J_3(1) g^-1 by more.  Distinct eigenvalues of a
+    # diagonalizable X stay apart however close their mean: 1e-6 apart for k = 2, 2e-5 for k = 3 (its
+    # Jordan radius is about 7e-5), and 0.05 for k = 10 (radius 0.3); next to a Jordan block too.
     field = complex_field()
     g = Matrix.from_rows([[1, 2j, 0], [1 - 1j, 1, 3], [0, 1j, 2]], field)
-    jordan = g @ Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]], field) @ g.inverse()
-    jordan3 = g @ Matrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]], field) @ g.inverse()
-    near = Matrix.from_rows([[1, 0], [0, 1 + 1e-6]], field)
-    for X, roots, mults in [(jordan, [1, 2], [2, 1]), (jordan3, [1], [3]), (near, [1, 1 + 1e-6], [1, 1])]:
+    conj = lambda rows: g @ Matrix.from_rows(rows, field) @ g.inverse()
+    jordan, jordan3 = conj([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), conj([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    beside, derogatory = conj([[1, 1, 0], [0, 1, 0], [0, 0, 1 + 1e-5]]), conj([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    diag = lambda ds: Matrix.from_rows([[d if a == b else 0 for b in range(len(ds))] for a, d in enumerate(ds)], field)
+    spread = [k / 20 for k in range(10)]
+    for X, roots, mults in [(jordan, [1, 2], [2, 1]), (jordan3, [1], [3]), (derogatory, [1], [3]),
+                            (beside, [1, 1 + 1e-5], [2, 1]), (diag([1, 1 + 1e-6]), [1, 1 + 1e-6], [1, 1]),
+                            (diag([1, 1 + 2e-5, 1 + 4e-5]), [1, 1 + 2e-5, 1 + 4e-5], [1, 1, 1]),
+                            (diag(spread), spread, [1] * 10)]:
         got = support(FramedTorsionSheaf(X, Matrix.column([1] * X.rows, field)))
         assert [m for _, m in got] == mults
         assert all(abs(z - root) < 1e-12 for (z, _), root in zip(got, roots))
