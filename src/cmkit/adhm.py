@@ -28,14 +28,13 @@ from .linalg import (
     _reduced,
     _rows,
     _rref,
-    _trace_product,
     _trace_sum,
     commutator,
     format_terms,
     kernel_basis,
     power,
 )
-from .linalg import rank  # noqa: F401  (bench/spans.py wraps adhm.rank)
+from .linalg import rank  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 
 class CMQuadruple(Blocks):
@@ -111,7 +110,7 @@ def word_invariants(q: CMQuadruple, max_len: int) -> list[tuple[str, object]]:
             if length:
                 words = [(word + ch, w @ (q.X if ch == "X" else q.Y)) for word, w in words for ch in "XY"]
                 traces.extend((f"tr({word})", w.trace()) for word, w in words)
-            pairings.extend((f"j·{word}·i" if word else "j·i", _trace_product(q.j @ w, q.i)) for word, w in words)
+            pairings.extend((f"j·{word}·i" if word else "j·i", (q.j @ w @ q.i).trace()) for word, w in words)
         return traces + pairings
     n, r, h = q.n, q.r, -(-max_len // 2)
     (j, dj), (i, di) = q.j._integer_form(), q.i._integer_form()

@@ -118,7 +118,7 @@ def _cmd_hilbert_ideal(data, args):
     q = quadruple_from_json(data, default_field=_default_field(args))
     rational = q.field.is_rational
     # A rational term is a pair (p, c) in lowest terms, c > 0, printed once as str(Fraction(p, c)) prints it.
-    ideal = adhm._hilbert_terms(q, args.degree) if rational else adhm.hilbert_ideal(q, args.degree)
+    ideal = adhm._hilbert_terms(q, args.degree)
     # Each generator lists its terms in poly_str order, so pretty is format_terms of them as they come;
     # format_terms reads the printed "1" and "-1" as units.
     monomials = {m: adhm.monomial_str(*m) for m in ideal.monomials}

@@ -32,8 +32,6 @@ one vector per row, read off the pivot rows by ``_kernel_pairs``.
 ``_product`` is the one matrix product loop, shared by both fields:
 complex entries go in as they are, rational ones as their integer forms, so
 chains of products build Fractions only for the entries that are read.
-``_trace_product`` sums tr(AB) from the two integer forms, for a product
-that would only be traced, by ``_trace_sum`` on the integer lists.
 ``_apply`` applies the numerator rows of a rational operator to an integer
 vector, for the integer vectors of ``_closure_rank`` and of the rational
 Hilbert ideal, which build no matrix.
@@ -220,13 +218,14 @@ class Matrix(Value):
     ``_numerators(entries)`` returns: integer numerators over the lcm d of
     the denominators.  Every operation keeps the form canonical by dividing
     out gcd(d, *numerators) (:func:`_reduced`), so ``==`` and ``hash``
-    compare forms.  Arithmetic, ``hstack``, ``trace``, ``is_zero``, elimination,
-    the solvers' answers and ``serialize`` work on forms; a Fraction is
-    built only where an entry is read, and ``entries``, ``[]`` and ``row``
-    (so ``repr``, ``str`` and pickling) build every entry once and keep
-    them.  A matrix made from entries computes its form on first use, so
-    the constructor refuses a rational entry that is not an int or a
-    Fraction (``TypeError``) where the matrix is made.
+    compare forms.  Arithmetic, ``hstack``, ``is_zero``, elimination, the
+    solvers' answers and ``serialize`` work on forms, and ``trace`` sums the
+    integer diagonal over d.  A Fraction is built only where an entry is
+    read, and ``entries``, ``[]`` and ``row`` (so ``repr``, ``str`` and
+    pickling) build every entry once and keep them.  A matrix made from
+    entries computes its form on first use, so the constructor refuses a
+    rational entry that is not an int or a Fraction (``TypeError``) where
+    the matrix is made.
     ``entries`` is a property over the slot ``_entries``, not a slot with a
     ``__getattr__`` fallback: on CPython 3.11 defining ``__getattr__`` slows
     every attribute read of the class, ``rows``, ``cols`` and methods too.
@@ -416,10 +415,10 @@ class Matrix(Value):
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise ShapeError("trace of non-square matrix")
-        if self._entries is None:
-            nums, d = self._ints
+        if self.field.is_rational:
+            nums, d = self._integer_form()
             return Fraction(sum(nums[:: self.rows + 1]), d)
-        return sum((self[k, k] for k in range(self.rows)), self.field.zero)
+        return sum(self.entries[:: self.rows + 1], self.field.zero)
 
     def is_zero(self) -> bool:
         if self.field.is_rational:
@@ -554,23 +553,6 @@ def _product(left: Sequence, right: Sequence, n: int, m: int, p: int, zero) -> l
                     acc[c] += x * y
         flat.extend(acc)
     return flat
-
-
-def _trace_product(a: Matrix, b: Matrix) -> Scalar:
-    """tr(a @ b), the sum of a_kl b_lk; a rational one is summed from the two integer forms, with no product built.
-
-    That is n m multiplications for an n x m by m x n pair, where the product
-    takes n^2 m.  A complex one is the trace of the product, so its float
-    sums keep their order.
-    """
-    if a.cols != b.rows or a.rows != b.cols:
-        raise ShapeError(f"tr({a.rows}x{a.cols} @ {b.rows}x{b.cols})")
-    if a.field != b.field:
-        raise ShapeError("mixed fields")
-    if not a.field.is_rational:
-        return (a @ b).trace()
-    (x, dx), (y, dy) = a._integer_form(), b._integer_form()
-    return Fraction(_trace_sum(x, y, a.rows, a.cols), dx * dy)
 
 
 def _trace_sum(x: Sequence, y: Sequence, n: int, m: int):
@@ -908,8 +890,10 @@ def char_poly(a: Matrix) -> list[Scalar]:
     is one :func:`_product` with the numerators of A, over d = d_A e, and
     c_k = -tr(A M_(k-1)) / k is the one Fraction of the step.  M_k = A M_(k-1)
     + c_k I is then (p/q) d added on the diagonal, over d q, reduced by
-    :func:`_reduced`.  A complex AM + cI is made entrywise, since adding c
-    only on the diagonal could flip the sign of a float zero.
+    :func:`_reduced`.  The last step needs only c_0 = -tr(A M_(n-1)) / n,
+    which :func:`_trace_sum` takes from the two integer lists, so a matrix of
+    size n takes n - 1 products.  A complex AM + cI is made entrywise, since
+    adding c only on the diagonal could flip the sign of a float zero.
     """
     if a.rows != a.cols:
         raise ShapeError("char_poly needs a square matrix")
@@ -919,11 +903,13 @@ def char_poly(a: Matrix) -> list[Scalar]:
     coeffs[n] = field.one
     if field.is_rational:
         (x, dx), m, e = a._integer_form(), [int(t % (n + 1) == 0) for t in range(n * n)], 1
-        for k in range(1, n + 1):
+        for k in range(1, n):
             am, d = _product(x, m, n, n, n, 0), dx * e
             c = coeffs[n - k] = Fraction(-sum(am[:: n + 1]), d * k)
             p, q = c.numerator, c.denominator
             m, e = _reduced([v * q + p * d if t % (n + 1) == 0 else v * q for t, v in enumerate(am)], d * q)
+        if n:
+            coeffs[0] = Fraction(-_trace_sum(x, m, n, n), dx * e * n)
         return coeffs
     eye = m = Matrix.identity(n, field)
     for k in range(1, n + 1):

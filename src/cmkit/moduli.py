@@ -34,17 +34,16 @@ from .linalg import (
     _closure_rank,
     _kernel_pairs,
     _product,
+    _rows,
     _rref,
     char_poly,
     format_terms,
     power,
-    rank,
-    solve_affine,
     vec,
 )
-from .linalg import kernel_basis  # unused here but bench/spans.py wraps moduli.kernel_basis
+from .linalg import kernel_basis, rank, solve_affine  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 from .koszul import FramedTorsionSheaf
-from .koszul import solve_cm_fiber  # unused here but bench/spans.py wraps moduli.solve_cm_fiber
+from .koszul import solve_cm_fiber  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 INCONCLUSIVE = "inconclusive"
 
@@ -219,13 +218,6 @@ def _beside(stack: list, m: int, rows: int, cols: int) -> list:
     return [stack[(a * rows + p) * cols + c] for p in range(rows) for a in range(m) for c in range(cols)]
 
 
-def _stack(block: Matrix, fs: FramedTorsionSheaf, rows, framing: bool = False) -> Matrix:
-    """[g_a; ...], or [s_a; ...] with ``framing``, over the rows ``rows`` of an End block (row a is vec(g_a, s_a))."""
-    n, k = fs.n, block.cols
-    size, at = (fs.r, range(n * n, k)) if framing else (n, [c * n + q for q in range(n) for c in range(n)])
-    return block.gather(len(rows) * size, size, [a * k + t for a in rows for t in at])
-
-
 def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix, Matrix]]:
     """Basis of the algebra {(s, g) : g X = X g, g i = i s}: the rows of :func:`_end_block`, as pairs.
 
@@ -233,19 +225,26 @@ def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix,
     (s, g)(s', g') = (s s', g g').  ``surjective`` is as for ``_end_block``.
     """
     block = _end_block(fs, surjective)
-    return [(_stack(block, fs, [a], framing=True), _stack(block, fs, [a])) for a in range(block.rows)]
+    n, r, k = fs.n, fs.r, block.cols
+    g_at = [c * n + q for q in range(n) for c in range(n)]  # g_a row-major, from its column-major place in row a
+    return [(block.gather(r, r, range(a * k + n * n, (a + 1) * k)), block.gather(n, n, [a * k + t for t in g_at]))
+            for a in range(block.rows)]
 
 
-def _faithful_trace_form(fs: FramedTorsionSheaf, block: Matrix) -> Matrix:
-    """The form tr(g_a g_b) + tr(s_a s_b) on the End block, as one matrix product.
+def _faithful_trace_form(fs: FramedTorsionSheaf, block: Matrix) -> list[list[int]]:
+    """d^2 times the form tr(g_a g_b) + tr(s_a s_b) on a rational End block over d, as integer rows.
 
-    Row a of the block is vec(g_a, s_a), g_a column-major and s_a row-major.
-    Column b of the right factor lists g_b row-major and s_b column-major,
-    which is vec of the transposes; it is one gather of the block.
+    Row a of the block is vec(g_a, s_a), g_a column-major and s_a row-major,
+    and its integer row from :func:`linalg._rows` is that over d.  Column b
+    of the right factor lists g_b row-major and s_b column-major, which is
+    vec of the transposes, so the form is one :func:`linalg._product` of the
+    rows against their swapped transpose.  The scale d^2 leaves the rank.
     """
-    n, r, m, k = fs.n, fs.r, block.rows, block.cols
+    n, r, m = fs.n, fs.r, block.rows
+    rows = _rows(block)
     swap = [(t % n) * n + t // n for t in range(n * n)] + [n * n + (t % r) * r + t // r for t in range(r * r)]
-    return block @ block.gather(k, m, [b * k + swap[t] for t in range(k) for b in range(m)])
+    form = _product([x for row in rows for x in row], [row[t] for t in swap for row in rows], m, block.cols, m, 0)
+    return [form[a * m : (a + 1) * m] for a in range(m)]
 
 
 def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
@@ -260,8 +259,9 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     each simple block of A / rad the form is a positive multiple of the
     reduced trace form, which is nondegenerate.  Hence rank tr_V = dim A/rad.
     Here V carries (s, g) |-> diag(g, s), so the form is
-    tr(g_a g_b) + tr(s_a s_b), one product of an m x (n^2 + r^2) and an
-    (n^2 + r^2) x m matrix.
+    tr(g_a g_b) + tr(s_a s_b), one product of the m integer rows of the End
+    block against their swapped transpose, and its rank is the pivot count
+    of one :func:`_rref` (:func:`_faithful_trace_form`).
 
     Indecomposability is decided over Q, the field of the input: the sheaf
     is declared indecomposable iff dim(End / radical) = 1.  When the
@@ -275,7 +275,7 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
         raise ValueError("is_indecomposable requires the exact rational field")
     if ends is None:
         ends = _end_block(fs)
-    semisimple_dim = rank(_faithful_trace_form(fs, ends))
+    semisimple_dim = len(_rref(_faithful_trace_form(fs, ends), fs.field)[1])
     if semisimple_dim == 1:
         return True
     if factors is None:
@@ -305,17 +305,19 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
     its last r^2 columns, the m x r^2 matrix of the s_a, and t the column of
     tr g_a, the sum of its diagonal-g columns.  The Z are the combinations
     with sum c_a s_a = 0, so the fiber is nonempty iff t lies in the column
-    span of S, and its dimension is n r + m - rank(S).  One
-    ``solve_affine(S, t)`` answers both: it is None exactly when t is outside
-    the span, and rank(S) = r^2 - dim ker S.
+    span of S, that is iff rank(S) = rank([S | t]), and its dimension is
+    n r + m - rank(S).  One :func:`_rref` of the rows [s_a | tr g_a], read
+    off :func:`linalg._rows` of the block (numerators over one d, or complex
+    entries), answers both: t is outside the span exactly when its column is
+    a pivot, and otherwise rank(S) is the number of pivots.  Scaling every
+    row by d changes neither.
     ``ends`` is ``_end_block(fs)`` when the caller already has it.
     """
     if ends is None:
         ends = _end_block(fs)
-    n, r, m, k, field = fs.n, fs.r, ends.rows, ends.cols, fs.field
-    s_part = ends.gather(m, r * r, [a * k + t for a in range(m) for t in range(n * n, k)])
-    diagonal = ends.gather(m, n, [a * k + c * (n + 1) for a in range(m) for c in range(n)])
-    sol = solve_affine(s_part, diagonal @ Matrix(n, 1, (field.one,) * n, field))
-    if sol is None:
+    n, r = fs.n, fs.r
+    rows = [row[n * n :] + [sum(row[c] for c in range(0, n * n, n + 1))] for row in _rows(ends)]
+    pivots = _rref(rows, fs.field)[1]
+    if r * r in pivots:
         return SupportReport(False, None)
-    return SupportReport(True, n * r + m - (r * r - len(sol.kernel_basis)))
+    return SupportReport(True, n * r + len(rows) - len(pivots))

@@ -34,7 +34,7 @@ from math import comb, perm
 from typing import Iterable, Mapping, NamedTuple
 
 from .linalg import Value, _set, format_terms, power
-from .linalg import rank  # noqa: F401  (bench/spans.py wraps weyl.rank)
+from .linalg import rank  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 TermKey = tuple[int, int]  # (x power, d power)
 

@@ -597,6 +597,12 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # rows have negative pivots and whose generators have negative fractional
 # coefficients; and classify (exit 1) on a dense conjugated n = 5 sheaf with a
 # non-cyclic framing, whose char_poly is (x - 1/2)^2 (x + 2) (x^2 + x + 3).
+# The last three were recorded before cm_support_check read [S | t] off the
+# rows of the End block with one elimination: classify on complex X = 2 I_3
+# with i = [1, i, -1]^T (classify-complex-scalar-empty-fiber, exit 1, end_dim
+# 7), on n = 1, X = [5/2], i = [0, 1/3, -2], whose S has 9 columns
+# (classify-rational-n1-r3, fiber_dim 3), and on complex X = J_2(1) with
+# i = [[0, 1, i], [0, 0, 0]] (classify-complex-jordan-r3, fiber_dim 7).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

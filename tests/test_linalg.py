@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, _trace_product, unvec
+from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, unvec
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_invertible, rand_matrix
 
@@ -241,41 +241,6 @@ def test_trace_of_unbuilt_product_equals_trace_of_its_entries(operands):
     assert product._entries is None
     built = sum(product.entries[:: product.rows + 1], Fraction(0))
     assert type(lazy) is Fraction and lazy == built == product.trace()
-
-
-@st.composite
-def _trace_pairs(draw):
-    """An n x m and an m x n rational operand (0 to 4, so empty ones occur), each with its own kind of entries."""
-    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-
-    def operand(rows, cols):
-        entry = _RATIONAL_ENTRIES[draw(st.sampled_from(sorted(_RATIONAL_ENTRIES)))]
-        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
-
-    return operand(n, m), operand(m, n)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_trace_pairs())
-def test_trace_product_is_the_trace_of_the_product(operands):
-    a, b = operands
-    expected = sum((a[k, l] * b[l, k] for k in range(a.rows) for l in range(a.cols)), Fraction(0))
-    got = _trace_product(a, b)
-    assert type(got) is Fraction and got == expected == (a @ b).trace()
-    # from the integer forms of unread products too, building none of their entries
-    pa, pb = a @ Matrix.identity(a.cols), Matrix.identity(b.rows) @ b
-    assert _trace_product(pa, pb) == expected and pa._entries is None and pb._entries is None
-
-
-def test_trace_product_shapes_and_complex_field():
-    with pytest.raises(ShapeError):
-        _trace_product(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
-    with pytest.raises(ShapeError):
-        _trace_product(Matrix.zeros(2, 2), Matrix.zeros(2, 2, complex_field()))
-    field = complex_field()
-    a = Matrix.from_rows([[0.1 + 1j, -0.0], [3e-17, 2.5]], field)
-    b = Matrix.from_rows([[0.7, 1e16], [-2j, 0.3]], field)
-    assert repr(_trace_product(a, b)) == repr((a @ b).trace())
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
@@ -542,9 +507,22 @@ def _reference_char_poly(a: Matrix) -> list[Fraction]:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5), st.sampled_from(sorted(_RATIONAL_ENTRIES)), st.data())
 def test_char_poly_on_integer_form_matches_fraction_faddeev_leverrier(n, kind, data):
+    from cmkit import linalg
+
     entries = data.draw(st.lists(_RATIONAL_ENTRIES[kind], min_size=n * n, max_size=n * n))
     a = Matrix(n, n, tuple(entries))
-    got = char_poly(a)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:5])
+        return product(*args)
+
+    product = linalg._product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_product", counted)
+        got = char_poly(a)
+    # the last step reads c_0 = -tr(A M_(n-1)) / n off the integer lists, so no product of A M_(n-1) is formed
+    assert calls == [(n, n, n)] * max(n - 1, 0)
     assert got == _reference_char_poly(a) and all(type(c) is Fraction for c in got)
 
 

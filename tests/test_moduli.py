@@ -562,10 +562,44 @@ def test_cm_support_by_duality_matches_fiber_solve(field_name, data):
 def test_faithful_trace_form_rank_matches_regular(fs):
     from cmkit.moduli import _end_block, _faithful_trace_form
 
-    form = _faithful_trace_form(fs, _end_block(fs))
+    block = _end_block(fs)
+    form, d = _faithful_trace_form(fs, block), block._integer_form()[1]
     ends = endomorphisms(fs)
-    assert form.to_rows() == [[(g_a @ g_b).trace() + (s_a @ s_b).trace() for s_b, g_b in ends] for s_a, g_a in ends]
-    assert rank(form) == rank(_trace_form(fs))
+    # the rows are the form over the block's d, times d^2
+    assert [[Fraction(x, d * d) for x in row] for row in form] == [
+        [(g_a @ g_b).trace() + (s_a @ s_b).trace() for s_b, g_b in ends] for s_a, g_a in ends]
+    assert rank(Matrix.from_rows(form)) == rank(_trace_form(fs))
+
+
+def _dense_r2_sheaf() -> FramedTorsionSheaf:
+    # g diag(1, 1, 2) g^-1 framed by g [[1, 0], [0, 1], [1, 1]]: dense entries and End of dimension 3
+    g = rand_invertible(random.Random(561), 3)
+    X = g @ Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]]) @ g.inverse()
+    return FramedTorsionSheaf(X, g @ Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("make, in_support", [
+    (lambda: _scalar_sheaf(4, 3), False),
+    (_dense_r2_sheaf, True),
+    (lambda: FramedTorsionSheaf(Matrix.from_rows([[1, 1], [0, 1]], complex_field()),
+                                Matrix.from_rows([[0, 1], [1j, 0]], complex_field())), True),
+], ids=["rational-scalar", "rational-dense-r2", "complex-r2"])
+def test_end_block_readers_solve_no_matrix_system(make, in_support, monkeypatch):
+    """After ``_end_block``, the support check and the trace form read its rows: no solver and no ``@``."""
+    from cmkit import linalg, moduli
+
+    fs = make()
+    block = moduli._end_block(fs)
+    expected = (cm_support_check(fs, block), is_indecomposable(fs, ends=block) if fs.field.is_rational else None)
+    assert block.rows > 1 and expected[0].in_support is in_support
+
+    def refuse(*args):
+        raise AssertionError("a reader of the End block built a Matrix system")
+
+    for owner, attr in [(moduli, "solve_affine"), (moduli, "rank"), (linalg.Matrix, "__matmul__")]:
+        monkeypatch.setattr(owner, attr, refuse)
+    got = (cm_support_check(fs, block), is_indecomposable(fs, ends=block) if fs.field.is_rational else None)
+    assert got == expected
 
 
 def _direct_end_basis(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
