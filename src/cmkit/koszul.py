@@ -21,6 +21,7 @@ the span of the homogeneous solutions [X, Y'] = i j'.  It may be empty.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (
@@ -202,13 +203,13 @@ class FiberSolution(NamedTuple):
 def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
     """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equations row-major."""
     n, r, field = X.rows, i.cols, X.field
-    eye = Matrix.identity(n, field)
+    x, eye = X.entries, Matrix.identity(n, field).entries
     ncols = n * n + r * n
-    flat = [field.zero] * (n * n * ncols)
-    add_sandwich(flat, ncols, X, eye, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, eye, -X, eq_row=0, unknown_col=0, square=True)
-    add_sandwich(flat, ncols, -i, eye, eq_row=0, unknown_col=n * n, square=False)
-    return Matrix(n * n, ncols, tuple(flat), field)
+    rows = [[field.zero] * ncols for _ in range(n * n)]
+    add_sandwich(rows, x, eye, n, n, eq_row=0, unknown_col=0)
+    add_sandwich(rows, eye, (-X).entries, n, n, eq_row=0, unknown_col=0)
+    add_sandwich(rows, (-i).entries, eye, r, n, eq_row=0, unknown_col=n * n)
+    return Matrix(n * n, ncols, tuple(chain.from_iterable(rows)), field)
 
 
 def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:

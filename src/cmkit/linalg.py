@@ -22,12 +22,14 @@ selection are the only places the tolerance enters.
 Linear systems in matrix unknowns use one vectorization convention.  The
 unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
 column-major, then F row-major.  Each matrix equation contributes its entries
-as consecutive rows, row-major.  ``add_sandwich`` writes the coefficients of
-a term Z |-> A Z B straight into such a system; only the Koszul fiber system
-is built that way, since ``moduli`` writes the rows of its End system
-straight from the integer forms of X and i.  ``unvec`` reads a solution
-vector back into its two blocks.  A kernel basis can also stay one matrix,
-one vector per row, read off the pivot rows by ``_kernel_pairs``.
+as consecutive rows, row-major.  ``add_sandwich``, the one writer of such
+systems, adds the coefficients of a term Z |-> A Z B, for A and B row-major
+sequences of any entry type, into its rows: the four terms of ``moduli``'s
+End system over the integer forms of X and i, and the three of the Koszul
+fiber system over Fraction entries (complex entries in the complex field).
+``unvec`` reads a solution vector back into its two blocks.  A kernel basis
+can also stay one matrix, one vector per row, read off the pivot rows by
+``_kernel_pairs``.
 
 ``_product`` is the one matrix product loop, shared by both fields:
 complex entries go in as they are, rational ones as their integer forms, so
@@ -834,24 +836,26 @@ def unvec(v: Matrix, n: int, framing_rows: int, framing_cols: int) -> tuple[Matr
     return square, v.gather(framing_rows, framing_cols, range(n * n, n * n + framing_rows * framing_cols))
 
 
-def add_sandwich(flat: list, ncols: int, a: Matrix, b: Matrix, *, eq_row: int, unknown_col: int, square: bool) -> None:
-    """Add the coefficients of Z |-> A Z B into a flat row-major system with ncols columns.
+def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *, eq_row: int, unknown_col: int) -> None:
+    """Add the coefficients of Z |-> A Z B, Z a zr x zc block, into a system's rows, one list per equation.
 
-    Entry (p, q) of A Z B is equation ``eq_row + p * B.cols + q``.  Unknown
-    Z[k, l] is column ``unknown_col + l * A.cols + k`` when Z is the square
-    block (column-major) and ``unknown_col + k * B.rows + l`` when it is the
-    framing block (row-major).  Its coefficient in equation (p, q) is
-    A[p, k] * B[l, q]; only nonzero entries of A and B are visited.  A term
-    -(Z |-> A Z B) is added as Z |-> (-A) Z B.  Only ``koszul``'s fiber
-    system is built this way.
+    A and B are row-major sequences of integer numerators, Fractions or
+    complex entries, A with zr columns and B with zc rows and bc columns.
+    Entry (p, q) of A Z B is equation ``eq_row + p * bc + q``; its
+    coefficient A[p, k] * B[l, q] of Z[k, l] is added at column
+    ``l * zr + k`` when Z is the square block, which ``vec`` lists first,
+    column-major (``unknown_col`` 0), and at ``unknown_col + k * zc + l``
+    when Z is the framing block, row-major from column n^2 >= 1.  Only the
+    nonzero entries of A and B are visited, in order.  A term
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
     """
-    zr, zc, bc = a.cols, b.rows, b.cols
-    a_nz = [(*divmod(t, zr), x) for t, x in enumerate(a.entries) if x != 0]
-    b_nz = [(*divmod(t, bc), y) for t, y in enumerate(b.entries) if y != 0]
-    for p, k, x in a_nz:
-        for l, q, y in b_nz:
-            col = unknown_col + (l * zr + k if square else k * zc + l)
-            flat[(eq_row + p * bc + q) * ncols + col] += x * y
+    bc = len(b) // zc
+    k_step, l_step = (zc, 1) if unknown_col else (1, zr)
+    a_nz = [(eq_row + t // zr * bc, unknown_col + t % zr * k_step, x) for t, x in enumerate(a) if x]
+    b_nz = [(t % bc, t // bc * l_step, y) for t, y in enumerate(b) if y]
+    for eq, col, x in a_nz:
+        for q, c, y in b_nz:
+            rows[eq + q][col + c] += x * y
 
 
 def power(var: str, k: int) -> str:

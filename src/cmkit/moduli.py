@@ -36,6 +36,7 @@ from .linalg import (
     _product,
     _rows,
     _rref,
+    add_sandwich,
     char_poly,
     format_terms,
     power,
@@ -140,38 +141,28 @@ def framing_surjective(fs: FramedTorsionSheaf) -> bool:
 def _end_rows(fs: FramedTorsionSheaf) -> list[list]:
     """The rows :func:`_rref` takes of the operator (g, s) |-> (g X - X g, g i - i s) on vec(g, s).
 
-    Equation (p, q) of g X - X g has +X[l, q] at column l n + p, then
-    -X[p, k] at column q n + k; equation (p, q) of g i - i s has +i[l, q] at
-    column l n + p, then -i[p, k] at column n^2 + k r + q.  Rational rows are
-    built from the integer forms of X and i, so the commutator rows are
-    scaled by d_X and the framing rows by d_i, which does not change the
-    kernel, and the all-zero rows (every commutator row when X is scalar)
-    are left out.  Complex rows sum the entries of X and i from zero, in the
-    order written above, and keep their zero rows: the tolerance pivoting of
-    the complex elimination swaps rows by position.
+    :func:`linalg.add_sandwich` writes its four terms: g X and (-X) g from
+    the n x n identity and X, then g i and (-i) s from i and the r x r
+    identity.  Rational rows are written from the integer forms of X and i,
+    so the commutator rows are scaled by d_X and the framing rows by d_i
+    (each block of equations reads only X or only i), which does not change
+    the kernel, and the all-zero rows (every commutator row when X is
+    scalar) are left out.  Complex rows sum the entries of X and i from zero
+    and keep their zero rows: the tolerance pivoting of the complex
+    elimination swaps rows by position.
     """
     n, r, rational = fs.n, fs.r, fs.field.is_rational
-    ncols = n * n + r * r
     if rational:
         x, a, zero = fs.X._integer_form()[0], fs.i._integer_form()[0], 0
     else:
         x, a, zero = fs.X.entries, fs.i.entries, fs.field.zero
-    rows = []
-    # per block m (n x w): unknown[q][k] is the column of g[k, q] or s[k, q], the unknown that m[p, k] multiplies
-    for m, w, unknown in ((x, n, [[q * n + k for k in range(n)] for q in range(n)]),
-                          (a, r, [[n * n + k * r + q for k in range(r)] for q in range(r)])):
-        column_nz = [[(l * n, m[l * w + q]) for l in range(n) if m[l * w + q]] for q in range(w)]
-        row_nz = [[(k, m[p * w + k]) for k in range(w) if m[p * w + k]] for p in range(n)]
-        for p in range(n):
-            for q in range(w):
-                row, at = [zero] * ncols, unknown[q]
-                for c, y in column_nz[q]:
-                    row[c + p] += y
-                for k, y in row_nz[p]:
-                    row[at[k]] -= y
-                if not rational or any(row):
-                    rows.append(row)
-    return rows
+    eye_n, eye_r = ([int(k == l) for k in range(m) for l in range(m)] for m in (n, r))
+    rows = [[zero] * (n * n + r * r) for _ in range(n * n + n * r)]
+    add_sandwich(rows, eye_n, x, n, n, eq_row=0, unknown_col=0)
+    add_sandwich(rows, [-y for y in x], eye_n, n, n, eq_row=0, unknown_col=0)
+    add_sandwich(rows, eye_n, a, n, n, eq_row=n * n, unknown_col=0)
+    add_sandwich(rows, [-y for y in a], eye_r, r, r, eq_row=n * n, unknown_col=n * n)
+    return [row for row in rows if any(row)] if rational else rows
 
 
 def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:
@@ -218,13 +209,13 @@ def _beside(stack: list, m: int, rows: int, cols: int) -> list:
     return [stack[(a * rows + p) * cols + c] for p in range(rows) for a in range(m) for c in range(cols)]
 
 
-def endomorphisms(fs: FramedTorsionSheaf, surjective=None) -> list[tuple[Matrix, Matrix]]:
+def endomorphisms(fs: FramedTorsionSheaf) -> list[tuple[Matrix, Matrix]]:
     """Basis of the algebra {(s, g) : g X = X g, g i = i s}: the rows of :func:`_end_block`, as pairs.
 
     The algebra is unital and closed under the componentwise composition
-    (s, g)(s', g') = (s s', g g').  ``surjective`` is as for ``_end_block``.
+    (s, g)(s', g') = (s s', g g').
     """
-    block = _end_block(fs, surjective)
+    block = _end_block(fs)
     n, r, k = fs.n, fs.r, block.cols
     g_at = [c * n + q for q in range(n) for c in range(n)]  # g_a row-major, from its column-major place in row a
     return [(block.gather(r, r, range(a * k + n * n, (a + 1) * k)), block.gather(n, n, [a * k + t for t in g_at]))

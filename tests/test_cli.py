@@ -603,6 +603,14 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # 7), on n = 1, X = [5/2], i = [0, 1/3, -2], whose S has 9 columns
 # (classify-rational-n1-r3, fiber_dim 3), and on complex X = J_2(1) with
 # i = [[0, 1, i], [0, 0, 0]] (classify-complex-jordan-r3, fiber_dim 7).
+# The last two were recorded before the End rows and the fiber system were
+# both written by one add_sandwich over row-major sequences: fiber-solve on
+# complex X = g diag(1, 2i, -1 + i) g^-1 with g = [[1, i, 0], [2, 1, -1],
+# [0, 1 - i, 1]] and i = [[1, i], [0, 2], [-1 + 2i, 1]], whose kernel basis
+# pins float digits down to about 1e-17 (fiber-solve-complex-dense-r2), and
+# classify on complex X = (1 + i) I_3 with r = 2, whose zero commutator rows
+# the complex elimination keeps by position (classify-complex-scalar-r2,
+# exit 1).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

@@ -495,25 +495,62 @@ def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
     return Matrix(n * n, ncols, tuple(flat), field)
 
 
+def _same_system(a: Matrix, b: Matrix) -> bool:
+    """Equal matrices, complex entries compared by repr, so the sign of every zero counts too."""
+    return a == b and (a.field.is_rational or list(map(repr, a.entries)) == list(map(repr, b.entries)))
+
+
 @pytest.mark.parametrize("field_name", ["rational", "complex"])
 @pytest.mark.parametrize("conjugated", [False, True])
-@pytest.mark.parametrize("r", [1, 2])
-def test_fiber_system_matches_unit_probing(field_name, conjugated, r):
+@pytest.mark.parametrize("r", [1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fiber_system_matches_unit_probing(field_name, conjugated, r, data):
+    """n <= 5 and X diagonal, or conjugated dense; a complex X has nonzero imaginary parts unless the drawn
+    scale is 1."""
     from cmkit import complex_field
     from cmkit.koszul import _fiber_system
 
-    rng = random.Random(1000 * r + 10 * conjugated + len(field_name))
-    n = 4
-    X = sample_cm(n, rng.randint(0, 10**6)).X
+    n = data.draw(st.integers(1, 5))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    X = Matrix.from_rows([[data.draw(values) if k == l else 0 for l in range(n)] for k in range(n)])
     if conjugated:
-        g = rand_invertible(rng, n)
+        g = rand_invertible(random.Random(data.draw(st.integers(0, 10**6))), n)
         X = g @ X @ g.inverse()
-    i = rand_matrix(rng, n, r)
+    i = Matrix.from_rows([[data.draw(values) for _ in range(r)] for _ in range(n)])
     if field_name == "complex":
         field = complex_field(1e-9)
-        X = Matrix.from_rows(X.to_rows(), field)
-        i = Matrix.from_rows([[v * (1 + 1j) for v in row] for row in i.to_rows()], field)
-    assert _fiber_system(X, i) == _probed_fiber_system(X, i)
+        scale = data.draw(st.sampled_from([1, 1j, 1 - 2j]))
+        X = Matrix.from_rows([[complex(v) * scale for v in row] for row in X.to_rows()], field)
+        i = Matrix.from_rows([[complex(v) * (1 + 1j) for v in row] for row in i.to_rows()], field)
+    assert _same_system(_fiber_system(X, i), _probed_fiber_system(X, i))
+
+
+@pytest.mark.parametrize("field_name", ["rational", "complex"])
+def test_end_rows_and_fiber_system_write_through_add_sandwich(field_name, monkeypatch):
+    from cmkit import complex_field, koszul, linalg, moduli
+
+    q = conjugate(sample_cm(3, 31), rand_invertible(random.Random(31), 3))
+    X, i = q.X, q.i.hstack(Matrix.column([1, Fraction(-1, 2), 0]))
+    if field_name == "complex":
+        field = complex_field()
+        X = Matrix.from_rows([[complex(v) * (1 - 2j) for v in row] for row in X.to_rows()], field)
+        i = Matrix.from_rows([[complex(v) for v in row] for row in i.to_rows()], field)
+    fs = FramedTorsionSheaf(X, i)
+    end_rows, fiber = moduli._end_rows(fs), koszul._fiber_system(X, i)
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            linalg.add_sandwich(*args, **kwargs)
+        return record
+
+    monkeypatch.setattr(moduli, "add_sandwich", recorder("moduli"))
+    monkeypatch.setattr(koszul, "add_sandwich", recorder("koszul"))
+    assert repr(moduli._end_rows(fs)) == repr(end_rows) and calls == ["moduli"] * 4
+    calls.clear()
+    assert _same_system(koszul._fiber_system(X, i), fiber) and calls == ["koszul"] * 3
 
 
 # --- the Koszul laws as properties, n <= 4 and r <= 2 ---
