@@ -27,6 +27,12 @@ systems, adds the coefficients of a term Z |-> A Z B, for A and B row-major
 sequences of any entry type, into its rows: the four terms of ``moduli``'s
 End system over the integer forms of X and i, and the three of the Koszul
 fiber system over Fraction entries (complex entries in the complex field).
+Both writers hand rational rows to ``_rref`` last equation first.  The RREF
+does not depend on the row order, but the path to it does: on dense X the
+reversed order takes 15-20 % fewer row steps for the fiber and about a
+quarter fewer for End, with less fill (806 against 952 and 982 against 1314
+at n = 6).  Complex rows stay row-major, since the float digits of tolerance
+pivoting depend on the row order.
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
@@ -119,6 +125,9 @@ class Field(NamedTuple):
 
     Pivoting follows the policy of the field: first nonzero entry in column
     order for rationals, entry of maximal absolute value for complex floats.
+    The rational pivot is the first such row, so the row order of a system
+    sets the elimination's work but not its RREF; the rational fiber and End
+    systems are listed last equation first, which takes fewer row steps.
     """
 
     name: str
@@ -847,7 +856,10 @@ def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *
     column-major (``unknown_col`` 0), and at ``unknown_col + k * zc + l``
     when Z is the framing block, row-major from column n^2 >= 1.  Only the
     nonzero entries of A and B are visited, in order.  A term
-    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.  The rows stay in this
+    row-major order; the rational writers reverse them once all terms are
+    in, which saves the elimination 15-25 % of its row steps on dense X
+    (see the module docstring).
     """
     bc = len(b) // zc
     k_step, l_step = (zc, 1) if unknown_col else (1, zr)

@@ -470,7 +470,10 @@ def test_fiber_dimension_over_diagonal_cyclic_data_is_n():
 
 
 def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
-    """Reference oracle: the fiber operator assembled by applying it to every unit (Y, j)."""
+    """Reference oracle: the fiber operator assembled by applying it to every unit (Y, j).
+
+    Equation (a, b) is row a n + b, row-major, in the complex field, and row n^2 - 1 - (a n + b) in the
+    rational field, whose system lists its equations last first."""
     from cmkit import commutator
 
     n, r, field = X.rows, i.cols, X.field
@@ -491,7 +494,8 @@ def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
         image = commutator(X, yu) - i @ ju
         for a in range(n):
             for b in range(n):
-                flat[(a * n + b) * ncols + cidx] = image[a, b]
+                eq = n * n - 1 - (a * n + b) if field.is_rational else a * n + b
+                flat[eq * ncols + cidx] = image[a, b]
     return Matrix(n * n, ncols, tuple(flat), field)
 
 
@@ -551,6 +555,39 @@ def test_end_rows_and_fiber_system_write_through_add_sandwich(field_name, monkey
     assert repr(moduli._end_rows(fs)) == repr(end_rows) and calls == ["moduli"] * 4
     calls.clear()
     assert _same_system(koszul._fiber_system(X, i), fiber) and calls == ["koszul"] * 3
+
+
+def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(monkeypatch):
+    """A guard on work, not time: the rational fiber system [A | -vec(I)] of a dense n = 6 sheaf, r = 1, and
+    the End rows of the same X with r = 2 take fewer fraction-free row steps (rows cleared by
+    ``linalg._clear``) in the order their writers give than in row-major order, which is that order reversed:
+    806 against 952 and 982 against 1314 when this test was written.  The pivots agree."""
+    from cmkit import linalg, moduli
+    from cmkit.koszul import _fiber_system
+
+    n = 6
+    q = conjugate(sample_cm(n, n), rand_invertible(random.Random(n + 1000), n))
+    rhs = (-Matrix.identity(n)).gather(n * n, 1, range(n * n))
+    framing = q.i.hstack(Matrix.column([k % 3 - 1 for k in range(n)]))
+    systems = {"fiber": linalg._rows(_fiber_system(q.X, q.i), rhs),
+               "End": moduli._end_rows(FramedTorsionSheaf(q.X, framing))}
+    cleared = [0]
+    clear = linalg._clear
+
+    def counting(ints, pr, pc, targets):
+        cleared[0] += sum(1 for k in targets if ints[k][pc])
+        clear(ints, pr, pc, targets)
+
+    monkeypatch.setattr(linalg, "_clear", counting)
+
+    def steps(rows):
+        cleared[0] = 0
+        return linalg._integer_rref([list(row) for row in rows]), cleared[0]
+
+    for name, rows in systems.items():
+        (pivots, writer), (row_major_pivots, row_major) = steps(rows), steps(rows[::-1])
+        assert pivots == row_major_pivots
+        assert writer < 0.9 * row_major, (name, writer, row_major)
 
 
 # --- the Koszul laws as properties, n <= 4 and r <= 2 ---

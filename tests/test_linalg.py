@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmkit import (
     Matrix,
@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _numerators, _rows, _rref, unvec
+from cmkit.linalg import RATIONAL, _closure_rank, _integer_rref, _numerators, _rows, _rref, unvec
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_invertible, rand_matrix
 
@@ -399,6 +399,44 @@ def test_integer_rref_matches_fraction_gauss_jordan(shaped):
                 a.inverse()
     assert a._integer_form() == _numerators(a.entries)
 
+
+@st.composite
+def _integer_rows_and_order(draw):
+    """Integer rows, n x k for n, k <= 6 (0 x k and n x 0 too), with a zero row, a repeated row (possibly
+    negated) or rank 0 drawn in, and a permutation of the rows."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    kind = draw(st.sampled_from(["drawn", "zero-row", "repeated", "rank-0"]))
+    if kind == "zero-row" and nrows:
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    elif kind == "repeated" and nrows >= 2:
+        source, target = draw(st.permutations(range(nrows)))[:2]
+        rows[target] = [draw(st.sampled_from([1, -1, 3])) * x for x in rows[source]]
+    elif kind == "rank-0":
+        rows = [[0] * ncols for _ in range(nrows)]
+    return rows, draw(st.permutations(range(nrows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_rows_and_order())
+@example(([], []))
+@example(([[], [], []], [2, 0, 1]))
+@example(([[0, 0, 0], [0, 0, 0]], [1, 0]))
+@example(([[2, 4, 6], [1, 2, 3], [-1, -2, -3], [0, 1, 0]], [3, 1, 0, 2]))
+def test_integer_rref_does_not_depend_on_the_row_order(shaped):
+    """The RREF is unique, so the rows reversed, or permuted, give the same pivot list and the same
+    primitive pivot rows up to sign, and zero rows after them: the fact that lets the rational fiber
+    and End systems list their equations in any order."""
+    rows, order = shaped
+    reduced = [list(row) for row in rows]
+    pivots = _integer_rref(reduced)
+    for permutation in (reversed(range(len(rows))), order):
+        permuted = [list(rows[k]) for k in permutation]
+        assert _integer_rref(permuted) == pivots
+        for got, want in zip(permuted, reduced[: len(pivots)]):
+            assert got == want or got == [-x for x in want]
+        assert not any(map(any, permuted[len(pivots) :]))
 
 
 def _real_systems(rng):

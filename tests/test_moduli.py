@@ -329,14 +329,15 @@ def _probed_end_system(fs: FramedTorsionSheaf) -> Matrix:
 
 def _assert_end_rows_match_probing(fs: FramedTorsionSheaf) -> None:
     """``_end_rows(fs)`` against the probed system: in the rational field its commutator rows times d_X and
-    its framing rows times d_i, all-zero rows left out; in the complex field every row, entry for entry by repr."""
+    its framing rows times d_i, last equation first, all-zero rows left out; in the complex field every row in
+    row-major order, entry for entry by repr."""
     from cmkit.moduli import _end_rows
 
     n, rows, probed = fs.n, _end_rows(fs), _probed_end_system(fs)
     if fs.field.is_rational:
         scales = [fs.X._integer_form()[1]] * (n * n) + [fs.i._integer_form()[1]] * (n * fs.r)
         scaled = [[x * d for x in probed.row(k)] for k, d in enumerate(scales)]
-        assert rows == [row for row in scaled if any(row)]
+        assert rows == [row for row in reversed(scaled) if any(row)]
         assert all(type(x) is int for row in rows for x in row)
     else:
         assert [list(map(repr, row)) for row in rows] == [list(map(repr, probed.row(k))) for k in range(probed.rows)]
