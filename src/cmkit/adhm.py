@@ -77,7 +77,8 @@ MAX_WORD_LEN = 10
 # sample draws and reports n^2 entries; 64 is four times the largest size targeted, 16.
 MAX_SAMPLE_N = 64
 # A degree bound d gives (d+1)(d+2)/2 monomials and about as many kernel
-# vectors; the default bound n is not capped, since the document limits it.
+# vectors.  The cap holds for the default bound n too, so a larger n needs
+# an explicit bound.
 MAX_HILBERT_DEGREE = 32
 
 
@@ -180,7 +181,8 @@ def hilbert_ideal(q: CMQuadruple, degree_bound: int | None = None) -> HilbertIde
     of the columns of degree <= d grows strictly with d until it is the
     whole space (a V_d equal to V_(d+1) is invariant and holds i), so for
     degree_bound >= n - 1 the quotient dimension is exactly n.  A degree
-    bound above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``.
+    bound above :data:`MAX_HILBERT_DEGREE` is refused with ``ValueError``,
+    and so is the default bound n when n is above it.
 
     This is :func:`_hilbert_terms` with one Fraction made of each rational
     term's pair (p, q); the command line prints the pairs themselves.
@@ -211,6 +213,9 @@ def _hilbert_terms(q: CMQuadruple, degree_bound: int | None) -> HilbertIdeal:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     if degree_bound is not None and degree_bound > MAX_HILBERT_DEGREE:
         raise ValueError(f"degree bound must be <= {MAX_HILBERT_DEGREE}, got {degree_bound}")
+    if degree_bound is None and q.n > MAX_HILBERT_DEGREE:
+        raise ValueError(f"default degree bound n = {q.n} must be <= {MAX_HILBERT_DEGREE}: "
+                         "pass a degree bound (--degree)")
     if q.r != 1:
         raise ValueError("hilbert_ideal needs framing rank 1")
     if not q.j.is_zero():

@@ -15,7 +15,10 @@ order, and goes on after any failed line; the exit code is the worst
 per-line status.
 
 Each handler imports the modules it calls, so a cold process loads only what
-its one command runs (``cech`` never loads ``moduli``, ``koszul`` or ``adhm``).
+its one command runs.  Besides ``linalg`` and ``serialize``: ``cech`` loads
+``weyl``; the quadruple commands load ``adhm``; ``fiber-solve`` and
+``homotopy`` load ``koszul``; ``classify`` loads ``koszul``, ``moduli`` and
+``factor``; ``normalize`` loads ``koszul`` and ``adhm``.
 """
 
 from __future__ import annotations

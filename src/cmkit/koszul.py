@@ -17,12 +17,16 @@ top-degree-down back-substitution.
 The fiber of CM points over a fixed framed sheaf (X, i) is the affine
 solution set of [X, Y] - i j + I = 0 in (Y, j): a particular solution plus
 the span of the homogeneous solutions [X, Y'] = i j'.  It may be empty.
+
+Only :func:`from_cm` and :func:`normalize` meet a :class:`CMQuadruple`, so
+they alone import :mod:`cmkit.adhm`, and ``classify``, ``fiber-solve`` and
+``homotopy`` never load it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import (
     Block,
@@ -36,7 +40,9 @@ from .linalg import (
     solve_affine,
     unvec,
 )
-from .adhm import CMQuadruple, cm_residual
+
+if TYPE_CHECKING:
+    from .adhm import CMQuadruple
 
 
 class NotCMPoint(ValueError):
@@ -115,6 +121,8 @@ class KoszulTriple(Blocks):
 
 def from_cm(q: CMQuadruple) -> KoszulTriple:
     """A CM point becomes a triple with constant covector; raises off the CM locus."""
+    from .adhm import cm_residual
+
     res = cm_residual(q)
     if not res.is_zero():
         raise NotCMPoint(res)
@@ -167,6 +175,8 @@ def normalize(kt: KoszulTriple) -> CMQuadruple:
     In the rational field the result is certified: it must satisfy the CM
     relation exactly, or ``AssertionError`` reports a defect.
     """
+    from .adhm import CMQuadruple, cm_residual
+
     res = check_square(kt)
     if not res.is_zero():
         raise InvalidKoszulTriple(res)

@@ -17,7 +17,13 @@ has one grammar, :func:`parse_rational`, which the document reader and
 :meth:`Field.coerce` share.
 
 The complex mode carries an explicit tolerance; zero tests and pivot
-selection are the only places the tolerance enters.
+selection are the only places the tolerance enters.  The tolerance is
+absolute and answers scale with the input, so it does not decide which
+answers are round-off.  Instead the elimination stores a row update that
+cancelled to within 2^-44 (256 units in the last place) of the term it
+subtracts as exact 0, so a cancellation leaves no residue near 1e-16 for the
+answers to carry.  Residue that builds up over several updates of an
+ill-conditioned system can still be read out.
 
 Linear systems in matrix unknowns use one vectorization convention.  The
 unknowns are a square block Z (n x n) and a framing block F: ``vec`` lists Z
@@ -172,6 +178,9 @@ RATIONAL = Field("rational")
 
 # The complex field's tolerance wherever neither the document nor the caller gives one.
 DEFAULT_TOLERANCE = 1e-9
+# A complex row update a - f p whose result is within this fraction of |f p|
+# has cancelled to round-off, and the elimination stores it as exact 0.
+_CANCELLED = 2.0 ** -44
 
 
 def complex_field(tolerance: float = DEFAULT_TOLERANCE) -> Field:
@@ -597,8 +606,10 @@ def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
     multiple of row k of the RREF, as primitive integers, and the rows after
     the pivot rows zero (see :func:`_integer_rref`); :func:`_read` reads
     answers from them.  Complex mode pivots on the entry of maximal absolute
-    value above tolerance and leaves the RREF itself, pivots 1.  Zero entries
-    are skipped in the elimination inner loops, so sparse inputs stay cheap.
+    value above tolerance and leaves the RREF itself, pivots 1; an update
+    a - f p with |a - f p| <= ``_CANCELLED`` |f| |p| is stored as 0j.  Zero
+    entries are skipped in the elimination inner loops, so sparse inputs
+    stay cheap.
     """
     if field.is_rational:
         return rows, _integer_rref(rows)
@@ -628,6 +639,7 @@ def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
                     prow[c] = prow[c] * inv
         prow[pc] = field.one
         nz_cols = [c for c in range(pc + 1, ncols) if prow[c] != 0]
+        cancelled = [_CANCELLED * abs(prow[c]) for c in nz_cols]
         for r in range(nrows):
             if r == pr:
                 continue
@@ -636,8 +648,10 @@ def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
                 rows[r][pc] = field.zero
                 continue
             rr = rows[r]
-            for c in nz_cols:
-                rr[c] = rr[c] - f * prow[c]
+            af = abs(f)
+            for c, m in zip(nz_cols, cancelled):
+                x = rr[c] - f * prow[c]
+                rr[c] = x if abs(x) > af * m else _CZERO
             rr[pc] = field.zero
         pivots.append(pc)
         pr += 1

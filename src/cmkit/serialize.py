@@ -17,10 +17,12 @@ rational matrix by :meth:`Matrix.rational_strings`, straight from the form
 when no entry has been read, in the bytes ``str(Fraction)`` gives.
 
 A document is an object with ``n``, ``r`` (default 1), an optional ``field``
-and ``tolerance``, and one key per block.  The one reader and the one writer
-take the blocks of each kind from its ``BLOCKS``, the table its constructor
-checks.  The model classes are imported only by the readers that build them,
-so loading this module loads nothing of cmkit but ``linalg``.
+and ``tolerance``, and one key per block; a framed-sheaf document has n at
+most 16 and r at most 8 (:data:`SHEAF_CAPS`).  The one reader and the one
+writer take the blocks of each kind from its ``BLOCKS``, the table its
+constructor checks.  The model classes are imported only by the readers
+that build them, so loading this module loads nothing of cmkit but
+``linalg``.
 """
 
 from __future__ import annotations
@@ -141,14 +143,27 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def read_document(kind: type, data, default_field: Field | None = None):
-    """The ``kind`` object in ``data``, each block checked against its shape in ``kind.BLOCKS``."""
+# The largest n and r of a framed-sheaf document.  The End system of
+# classify is (n^2 + n r) x (n^2 + r^2) and the fiber system of fiber-solve
+# n^2 x (n^2 + n r), so the work grows as a high power of both.  At the
+# caps, on dense rational X and i, a cold fiber-solve took 15 s and a cold
+# classify 8 s (2 vCPUs at 2.1 GHz, Python 3.11).
+SHEAF_CAPS = {"n": 16, "r": 8}
+
+
+def read_document(kind: type, data, default_field: Field | None = None, caps: dict[str, int] | None = None):
+    """The ``kind`` object in ``data``, each block checked against its shape in ``kind.BLOCKS``.
+
+    ``caps`` bounds the size fields ``n`` and ``r``; they are checked before
+    any block is read."""
     if not isinstance(data, dict):
         raise SchemaError(".", "expected an object")
     size = {"n": _require(data, "n"), "r": data.get("r", 1)}
     for key, value in size.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SchemaError(key, "expected a positive integer")
+        if caps and value > caps[key]:
+            raise SchemaError(key, f"must be <= {caps[key]}, got {value}")
     fallback = default_field or RATIONAL
     # an explicit "field" key in the document wins over the caller's default
     field = field_from_name(
@@ -182,7 +197,7 @@ def triple_from_json(data, default_field: Field | None = None):
 def sheaf_from_json(data, default_field: Field | None = None):
     from .koszul import FramedTorsionSheaf
 
-    return read_document(FramedTorsionSheaf, data, default_field)
+    return read_document(FramedTorsionSheaf, data, default_field, SHEAF_CAPS)
 
 
 quadruple_to_json = triple_to_json = sheaf_to_json = write_document

@@ -215,9 +215,12 @@ def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
 # The cmkit modules a cold process loads for each command; none of them loads
 # ``dataclasses``.  The CLI module itself runs as __main__, as under
 # ``python -m cmkit.cli``, so it is not one of them.
-_CECH_MODULES = {"cmkit", "cmkit.linalg", "cmkit.serialize", "cmkit.weyl"}
-_ADHM_MODULES = _CECH_MODULES - {"cmkit.weyl"} | {"cmkit.adhm"}
-_KOSZUL_MODULES = _ADHM_MODULES | {"cmkit.koszul"}
+# Of the commands that load ``koszul``, only normalize, which returns a
+# CMQuadruple, loads ``adhm`` too.
+_BASE_MODULES = {"cmkit", "cmkit.linalg", "cmkit.serialize"}
+_CECH_MODULES = _BASE_MODULES | {"cmkit.weyl"}
+_ADHM_MODULES = _BASE_MODULES | {"cmkit.adhm"}
+_KOSZUL_MODULES = _BASE_MODULES | {"cmkit.koszul"}
 _MODULI_MODULES = _KOSZUL_MODULES | {"cmkit.moduli", "cmkit.factor"}
 _SMALL_TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["3"]],
                  "j": {"coeffs": [[["1"]], [["3"]]]}}
@@ -228,7 +231,7 @@ _COLD_COMMANDS = [
     (["invariants"], FLAGSHIP, _ADHM_MODULES),
     (["hilbert-ideal"], COMMUTING_PAIR, _ADHM_MODULES),
     (["sample", "--n", "3", "--seed", "1"], None, _ADHM_MODULES),
-    (["normalize"], _SMALL_TRIPLE, _KOSZUL_MODULES),
+    (["normalize"], _SMALL_TRIPLE, _KOSZUL_MODULES | {"cmkit.adhm"}),
     (["homotopy", "--h", "H_FILE"], _SMALL_TRIPLE, _KOSZUL_MODULES),
     (["fiber-solve"], _SMALL_SHEAF, _KOSZUL_MODULES),
     (["classify"], _SMALL_SHEAF, _MODULI_MODULES),
@@ -610,7 +613,10 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # pins float digits down to about 1e-17 (fiber-solve-complex-dense-r2), and
 # classify on complex X = (1 + i) I_3 with r = 2, whose zero commutator rows
 # the complex elimination keeps by position (classify-complex-scalar-r2,
-# exit 1).
+# exit 1).  fiber-solve-complex-dense-r2 was recorded again when the complex
+# elimination began to store a row update that cancels to round-off as 0:
+# its 15 entries that read up to 1e-15 before read -0.0 now, and other
+# entries moved by at most 2e-15.
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 
@@ -702,6 +708,38 @@ def test_hilbert_ideal_degree_above_cap_is_refused(capsys, monkeypatch):
     code, [rep] = _run(argv, json.dumps(COMMUTING_PAIR), capsys, monkeypatch)
     assert code == 2 and rep["status"] == "error" and rep["result"] is None
     assert rep["messages"] == [f"degree bound must be <= {MAX_HILBERT_DEGREE}, got {MAX_HILBERT_DEGREE + 1}"]
+
+
+def test_hilbert_ideal_default_degree_above_cap_is_refused(capsys, monkeypatch):
+    from cmkit.adhm import MAX_HILBERT_DEGREE
+
+    # n distinct points on the x-axis: commuting and stable, so --degree 2 answers at once
+    n = MAX_HILBERT_DEGREE + 1
+    doc = dict(COMMUTING_PAIR, n=n, X=[[str(a) if a == b else "0" for b in range(n)] for a in range(n)],
+               Y=[["0"] * n for _ in range(n)], i=[["1"] for _ in range(n)], j=[["0"] * n])
+    code, [rep] = _run(["hilbert-ideal"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"default degree bound n = {n} must be <= {MAX_HILBERT_DEGREE}: "
+                               "pass a degree bound (--degree)"]
+    code, [rep] = _run(["hilbert-ideal", "--degree", "2"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 0 and rep["result"]["quotient_dim"] == 3  # the span of i, X i, X^2 i
+
+
+@pytest.mark.parametrize("command", ["fiber-solve", "classify"])
+@pytest.mark.parametrize("key", ["n", "r"])
+def test_sheaf_size_above_cap_is_refused_before_any_block_is_read(key, command, capsys, monkeypatch):
+    from cmkit.serialize import SHEAF_CAPS
+
+    cap = SHEAF_CAPS[key]
+    doc = {"n": 1, "r": 1, "X": [["0"]], "i": [["1"]], key: cap + 1}
+    code, [rep] = _run([command], json.dumps(doc), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"{key}: must be <= {cap}, got {cap + 1}"]
+    # at the cap the size passes, and the first block is read against it
+    code, [rep] = _run([command], json.dumps(dict(doc, **{key: cap})), capsys, monkeypatch)
+    shape = {"n": f"{cap}x{cap}", "r": f"1x{cap}"}[key]
+    block = {"n": "X", "r": "i"}[key]
+    assert code == 2 and rep["messages"][0].startswith(f"{block}: expected a {shape} matrix")
 
 
 _TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["0"]], "j": {"coeffs": [[["1"]]]}}

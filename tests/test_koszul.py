@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +32,8 @@ from cmkit import (
     solve_cm_fiber,
     torsor_action,
 )
+import cmkit
+from cmkit.serialize import sheaf_from_json
 from conftest import rand_invertible, rand_matrix
 
 
@@ -407,6 +414,70 @@ def test_fiber_solve_float_mode():
     assert sol is not None and sol.dimension == 2
     res = X @ sol.particular_Y - sol.particular_Y @ X - i @ sol.particular_j + Matrix.identity(2, field)
     assert res.is_zero()
+
+
+def test_complex_fiber_reads_exact_zeros_within_the_tolerance():
+    # the complex r = 2 golden sheaf: every entry that exact elimination gives as 0
+    # cancels in the row updates, which store it as 0 rather than round-off near 1e-16
+    golden = Path(__file__).parent / "data" / "golden_reports.jsonl"
+    [case] = [c for c in map(json.loads, golden.read_text(encoding="utf-8").splitlines())
+              if c.get("id") == "fiber-solve-complex-dense-r2"]
+    fs = sheaf_from_json(json.loads(case["input"]))
+    sol = solve_cm_fiber(fs)
+    assert sol is not None and sol.dimension > 0
+    blocks = [sol.particular_Y, sol.particular_j, *(m for pair in sol.kernel_basis for m in pair)]
+    entries = [z for m in blocks for z in m.entries]
+    assert all(abs(z) > fs.field.tolerance or z == 0 for z in entries)
+    assert all(z == 0 for z in sol.kernel_basis[0][1].entries)
+    res = fs.X @ sol.particular_Y - sol.particular_Y @ fs.X - fs.i @ sol.particular_j + Matrix.identity(3, fs.field)
+    assert res.is_zero()
+
+
+@pytest.mark.parametrize("tolerance, i0", [(1e-9, 1e10), (1e-3, 2000.0)])
+def test_complex_fiber_keeps_small_answers_of_large_framings(tolerance, i0):
+    # Y[1, 0] = j[0, 0] = 1 / i0 is below the tolerance, but no cancellation made it,
+    # so it must be read as it is or [X, Y] - i j + I misses 0 by 1 at (0, 0)
+    from cmkit import complex_field
+
+    field = complex_field(tolerance)
+    X = Matrix.from_rows([[1, 0], [0, 2]], field)
+    i = Matrix.from_rows([[i0], [1]], field)
+    sol = solve_cm_fiber(FramedTorsionSheaf(X, i))
+    assert sol is not None
+    assert sol.particular_j[0, 0] == pytest.approx(1 / i0) and sol.particular_Y[1, 0] == pytest.approx(1 / i0)
+    res = X @ sol.particular_Y - sol.particular_Y @ X - i @ sol.particular_j + Matrix.identity(2, field)
+    assert res.is_zero()
+
+
+# Run in a fresh interpreter, so that koszul itself is the first to load adhm:
+# normalize certifies a triple's quadruple, and from_cm takes that quadruple
+# and refuses a point off the CM locus.
+_ADHM_ON_DEMAND = """
+import sys
+import cmkit.koszul as koszul
+from cmkit.linalg import Matrix
+
+assert "cmkit.adhm" not in sys.modules
+one = Matrix.identity(1)
+kt = koszul.KoszulTriple(Matrix.zeros(1, 1), one, 3 * one, koszul.PolyCovector.from_coeffs([one, 3 * one]))
+q = koszul.normalize(kt)
+adhm = sys.modules["cmkit.adhm"]
+assert type(q) is adhm.CMQuadruple and adhm.cm_residual(q).is_zero()
+assert koszul.from_cm(q).j.is_constant
+try:
+    koszul.from_cm(adhm.CMQuadruple(q.X, q.Y, q.i, 2 * q.j))
+except koszul.NotCMPoint:
+    print("NotCMPoint")
+"""
+
+
+def test_koszul_loads_adhm_only_where_it_builds_a_quadruple():
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ADHM_ON_DEMAND], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "NotCMPoint"
 
 
 def test_homotopies_form_an_additive_action(flagship):

@@ -19,7 +19,7 @@ from cmkit import (
     solve_affine,
 )
 from cmkit import factor_str, poly_str
-from cmkit.linalg import RATIONAL, _closure_rank, _integer_rref, _numerators, _rows, _rref, unvec
+from cmkit.linalg import _CANCELLED, RATIONAL, _closure_rank, _integer_rref, _numerators, _rows, _rref, unvec
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_invertible, rand_matrix
 
@@ -96,6 +96,21 @@ def test_inverse_and_singular():
     assert a @ a.inverse() == Matrix.identity(2)
     with pytest.raises(SingularMatrixError):
         Matrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+def test_float_mode_inverse_of_a_large_scalar_keeps_its_small_entries():
+    # 1e-10 is below the tolerance, but it is a quotient, not round-off
+    field = complex_field(1e-9)
+    a = 1e10 * Matrix.identity(2, field)
+    assert a.inverse() == 1e-10 * Matrix.identity(2, field)
+
+
+def test_float_mode_row_update_stores_a_cancellation_as_zero():
+    # row 1 minus 0.1 times row 0 cancels in column 1 only to round-off, 0.3 - 0.1 * 3 = -5.6e-17
+    field = complex_field(1e-9)
+    rows, pivots = _rref(_rows(Matrix.from_rows([[1, 3, 1], [0.1, 0.3, 2]], field)), field)
+    assert pivots == [0, 2]
+    assert rows[1][1] == 0 and rows[0][1] == 3
 
 
 def test_float_mode_solve_within_tolerance():
@@ -294,7 +309,8 @@ def test_complex_matmul_unchanged_entry_for_entry(operands):
 
 def _reference_rref(rows, field):
     """Reference oracle: the entry-for-entry Gauss-Jordan loop ``_rref`` ran in both fields
-    before rational elimination became fraction-free."""
+    before rational elimination became fraction-free, with the complex row update
+    storing a result that cancelled to within ``_CANCELLED`` of the term it subtracts as 0."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -331,7 +347,9 @@ def _reference_rref(rows, field):
                 continue
             rr = rows[r]
             for c in nz_cols:
-                rr[c] = rr[c] - f * prow[c]
+                x = rr[c] - f * prow[c]
+                cancelled = not field.is_rational and abs(x) <= abs(f) * (_CANCELLED * abs(prow[c]))
+                rr[c] = 0j if cancelled else x
             rr[pc] = field.zero
         pivots.append(pc)
         pr += 1
