@@ -211,17 +211,7 @@ class FiberSolution(NamedTuple):
 
 
 def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
-    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j): equations row-major, last first when rational.
-
-    Rational rows are listed in reverse, equation (p, q) at row
-    (n - 1 - p) n + (n - 1 - q), because the exact elimination then takes
-    fewer row steps and leaves less fill, for the same RREF: on dense X
-    (conjugated ``sample_cm`` points, r = 1) 806 instead of 952 row steps
-    at n = 6 and 2495 instead of 3074 at n = 8.  The right-hand side
-    -vec(I) reads the same in either order, since (p, q) and its image are
-    both diagonal or both not.  Complex rows stay row-major: tolerance
-    pivoting makes their float digits depend on the row order.
-    """
+    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equation (p, q) at row p n + q."""
     n, r, field = X.rows, i.cols, X.field
     x, eye = X.entries, Matrix.identity(n, field).entries
     ncols = n * n + r * n
@@ -229,8 +219,6 @@ def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
     add_sandwich(rows, x, eye, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, eye, (-X).entries, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, (-i).entries, eye, r, n, eq_row=0, unknown_col=n * n)
-    if field.is_rational:
-        rows.reverse()
     return Matrix(n * n, ncols, tuple(chain.from_iterable(rows)), field)
 
 
@@ -242,7 +230,7 @@ def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
     solutions [X, Y'] = i j'.
     """
     X, i, n, r = fs.X, fs.i, fs.n, fs.r
-    rhs = (-Matrix.identity(n, fs.field)).gather(n * n, 1, range(n * n))  # -vec(I) in either row order
+    rhs = (-Matrix.identity(n, fs.field)).gather(n * n, 1, range(n * n))
     sol = solve_affine(_fiber_system(X, i), rhs)
     if sol is None:
         return None

@@ -33,12 +33,6 @@ systems, adds the coefficients of a term Z |-> A Z B, for A and B row-major
 sequences of any entry type, into its rows: the four terms of ``moduli``'s
 End system over the integer forms of X and i, and the three of the Koszul
 fiber system over Fraction entries (complex entries in the complex field).
-Both writers hand rational rows to ``_rref`` last equation first.  The RREF
-does not depend on the row order, but the path to it does: on dense X the
-reversed order takes 15-20 % fewer row steps for the fiber and about a
-quarter fewer for End, with less fill (806 against 952 and 982 against 1314
-at n = 6).  Complex rows stay row-major, since the float digits of tolerance
-pivoting depend on the row order.
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
@@ -131,9 +125,6 @@ class Field(NamedTuple):
 
     Pivoting follows the policy of the field: first nonzero entry in column
     order for rationals, entry of maximal absolute value for complex floats.
-    The rational pivot is the first such row, so the row order of a system
-    sets the elimination's work but not its RREF; the rational fiber and End
-    systems are listed last equation first, which takes fewer row steps.
     """
 
     name: str
@@ -661,27 +652,35 @@ def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
 def _integer_rref(ints: list[list[int]]) -> list[int]:
     """Pivot columns of the rational RREF of the integer rows ``ints``, which it reduces in place.
 
-    The rows are lists of their own, never a cached integer form, and are
-    first divided by their content.  A forward pass picks the first nonzero
-    entry at or below the current row and clears its column from the rows
-    below; then, from the last pivot back to the first, each pivot column is
-    cleared from the rows above, by a pivot row that holds no later pivot
-    column any more.  So every row is cleared of each pivot column once.
-    Both passes use one row step, :func:`_clear`, so rows stay primitive and
-    no Fraction is built.  Every pivot row ends a nonzero multiple of the
-    row Fraction Gauss-Jordan would hold, so the pivots are the same.  The
-    worst case is rows with many distinct coprime denominators, which start
-    from large numerators; it is still faster than Fraction Gauss-Jordan:
+    The rows are lists of their own, never a cached integer form.  Each is
+    first divided by its content; the all-zero rows are set aside after the
+    others, and the others are eliminated last equation first.  The RREF
+    does not depend on the row order, but the path to it does: the systems
+    of the package are written row-major, and on dense X the reverse takes
+    15-20 % fewer row steps for the CM fiber and about a quarter fewer for
+    End, with less fill (806 against 952 and 982 against 1314 at n = 6), and
+    half of them for the trace form of a scalar sheaf (54 against 108 at
+    n = 5, r = 1).  A forward pass picks the first nonzero entry at or below
+    the current row and clears its column from the rows below; then, from
+    the last pivot back to the first, each pivot column is cleared from the
+    rows above, by a pivot row that holds no later pivot column any more.
+    So every row is cleared of each pivot column once.  Both passes use one
+    row step, :func:`_clear`, so rows stay primitive and no Fraction is
+    built.  Every pivot row ends a nonzero multiple of the row Fraction
+    Gauss-Jordan would hold, so the pivots are the same.  The worst case is
+    rows with many distinct coprime denominators, which start from large
+    numerators; it is still faster than Fraction Gauss-Jordan:
     ``solve_affine`` over distinct 30-bit primes, 12 x 12, took 20 ms
     instead of 35 ms, and over 16-bit primes, 20 x 20, 124 ms instead of
     261 ms (best of 5, Xeon 2.1 GHz, Python 3.11).
     """
-    for k, row in enumerate(ints):
+    ncols = len(ints[0]) if ints else 0
+    nonzero, zero = [], []
+    for row in reversed(ints):
         g = gcd(*row)
-        if g > 1:
-            ints[k] = [x // g for x in row]
-    nrows = len(ints)
-    ncols = len(ints[0]) if nrows else 0
+        (nonzero if g else zero).append([x // g for x in row] if g > 1 else row)
+    ints[:] = nonzero + zero
+    nrows = len(nonzero)
     pivots: list[int] = []
     for pc in range(ncols):
         pr = len(pivots)
@@ -870,10 +869,7 @@ def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *
     column-major (``unknown_col`` 0), and at ``unknown_col + k * zc + l``
     when Z is the framing block, row-major from column n^2 >= 1.  Only the
     nonzero entries of A and B are visited, in order.  A term
-    -(Z |-> A Z B) is added as Z |-> (-A) Z B.  The rows stay in this
-    row-major order; the rational writers reverse them once all terms are
-    in, which saves the elimination 15-25 % of its row steps on dense X
-    (see the module docstring).
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
     """
     bc = len(b) // zc
     k_step, l_step = (zc, 1) if unknown_col else (1, zr)

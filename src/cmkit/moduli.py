@@ -146,14 +146,8 @@ def _end_rows(fs: FramedTorsionSheaf) -> list[list]:
     identity.  Rational rows are written from the integer forms of X and i,
     so the commutator rows are scaled by d_X and the framing rows by d_i
     (each block of equations reads only X or only i), which does not change
-    the kernel.  They are listed last equation first, as the rational fiber
-    system is (see :func:`koszul._fiber_system`): the elimination takes
-    about a quarter fewer row steps for the same RREF, 982 instead of 1314
-    on a dense n = 6, r = 2 sheaf and 2909 instead of 3931 at n = 8.  Then
-    the all-zero rows (every commutator row when X is scalar) are left out.
-    Complex rows sum the entries of X and i from zero, stay row-major and
-    keep their zero rows: the tolerance pivoting of the complex elimination
-    swaps rows by position, so their float digits depend on the row order.
+    the kernel.  Complex rows sum the entries of X and i from zero.  In
+    either field the equations are row-major, commutator rows first.
     """
     n, r, rational = fs.n, fs.r, fs.field.is_rational
     if rational:
@@ -166,7 +160,7 @@ def _end_rows(fs: FramedTorsionSheaf) -> list[list]:
     add_sandwich(rows, [-y for y in x], eye_n, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, eye_n, a, n, n, eq_row=n * n, unknown_col=0)
     add_sandwich(rows, [-y for y in a], eye_r, r, r, eq_row=n * n, unknown_col=n * n)
-    return [row for row in reversed(rows) if any(row)] if rational else rows
+    return rows
 
 
 def _end_block(fs: FramedTorsionSheaf, surjective=None) -> Matrix:

@@ -421,7 +421,8 @@ def test_integer_rref_matches_fraction_gauss_jordan(shaped):
 @st.composite
 def _integer_rows_and_order(draw):
     """Integer rows, n x k for n, k <= 6 (0 x k and n x 0 too), with a zero row, a repeated row (possibly
-    negated) or rank 0 drawn in, and a permutation of the rows."""
+    negated) or rank 0 drawn in; a permutation of the rows; and the rows with up to three all-zero rows of
+    length k inserted anywhere, so a 0 x k system can become an all-zero one."""
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
     rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
@@ -433,25 +434,32 @@ def _integer_rows_and_order(draw):
         rows[target] = [draw(st.sampled_from([1, -1, 3])) * x for x in rows[source]]
     elif kind == "rank-0":
         rows = [[0] * ncols for _ in range(nrows)]
-    return rows, draw(st.permutations(range(nrows)))
+    padded = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        padded.insert(draw(st.integers(0, len(padded))), [0] * ncols)
+    return rows, draw(st.permutations(range(nrows))), padded
 
 
 @settings(max_examples=300, deadline=None)
 @given(_integer_rows_and_order())
-@example(([], []))
-@example(([[], [], []], [2, 0, 1]))
-@example(([[0, 0, 0], [0, 0, 0]], [1, 0]))
-@example(([[2, 4, 6], [1, 2, 3], [-1, -2, -3], [0, 1, 0]], [3, 1, 0, 2]))
+@example(([], [], []))
+@example(([], [], [[0, 0], [0, 0]]))
+@example(([[], [], []], [2, 0, 1], [[], [], [], []]))
+@example(([[0, 0, 0], [0, 0, 0]], [1, 0], [[0, 0, 0]] * 4))
+@example(([[2, 4, 6], [1, 2, 3], [-1, -2, -3], [0, 1, 0]], [3, 1, 0, 2],
+          [[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 0], [-1, -2, -3], [0, 1, 0], [0, 0, 0]]))
 def test_integer_rref_does_not_depend_on_the_row_order(shaped):
-    """The RREF is unique, so the rows reversed, or permuted, give the same pivot list and the same
-    primitive pivot rows up to sign, and zero rows after them: the fact that lets the rational fiber
-    and End systems list their equations in any order."""
-    rows, order = shaped
+    """The RREF is unique, so the rows as drawn, reversed, permuted, or with all-zero rows inserted anywhere
+    give the same pivot list and the same primitive pivot rows up to sign; each list keeps its length, and
+    every row after the pivot rows is zero.  This is what lets ``_integer_rref`` take every system last
+    equation first and set its zero rows aside."""
+    rows, order, padded = shaped
     reduced = [list(row) for row in rows]
     pivots = _integer_rref(reduced)
-    for permutation in (reversed(range(len(rows))), order):
-        permuted = [list(rows[k]) for k in permutation]
-        assert _integer_rref(permuted) == pivots
+    for variant in (rows, reversed(rows), [rows[k] for k in order], padded):
+        permuted = [list(row) for row in variant]
+        size = len(permuted)
+        assert _integer_rref(permuted) == pivots and len(permuted) == size
         for got, want in zip(permuted, reduced[: len(pivots)]):
             assert got == want or got == [-x for x in want]
         assert not any(map(any, permuted[len(pivots) :]))
