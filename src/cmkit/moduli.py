@@ -33,6 +33,7 @@ from .linalg import (
     _answer,
     _closure_rank,
     _kernel_pairs,
+    _pivots,
     _product,
     _rows,
     _rref,
@@ -250,7 +251,7 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
     Here V carries (s, g) |-> diag(g, s), so the form is
     tr(g_a g_b) + tr(s_a s_b), one product of the m integer rows of the End
     block against their swapped transpose, and its rank is the pivot count
-    of one :func:`_rref` (:func:`_faithful_trace_form`).
+    of :func:`_pivots`, one forward elimination (:func:`_faithful_trace_form`).
 
     Indecomposability is decided over Q, the field of the input: the sheaf
     is declared indecomposable iff dim(End / radical) = 1.  When the
@@ -264,7 +265,7 @@ def is_indecomposable(fs: FramedTorsionSheaf, factors=None, ends=None):
         raise ValueError("is_indecomposable requires the exact rational field")
     if ends is None:
         ends = _end_block(fs)
-    semisimple_dim = len(_rref(_faithful_trace_form(fs, ends), fs.field)[1])
+    semisimple_dim = len(_pivots(_faithful_trace_form(fs, ends), fs.field))
     if semisimple_dim == 1:
         return True
     if factors is None:
@@ -295,18 +296,18 @@ def cm_support_check(fs: FramedTorsionSheaf, ends=None) -> SupportReport:
     tr g_a, the sum of its diagonal-g columns.  The Z are the combinations
     with sum c_a s_a = 0, so the fiber is nonempty iff t lies in the column
     span of S, that is iff rank(S) = rank([S | t]), and its dimension is
-    n r + m - rank(S).  One :func:`_rref` of the rows [s_a | tr g_a], read
-    off :func:`linalg._rows` of the block (numerators over one d, or complex
-    entries), answers both: t is outside the span exactly when its column is
-    a pivot, and otherwise rank(S) is the number of pivots.  Scaling every
-    row by d changes neither.
+    n r + m - rank(S).  The pivots (:func:`_pivots`) of the rows
+    [s_a | tr g_a], read off :func:`linalg._rows` of the block (numerators
+    over one d, or complex entries), answer both: t is outside the span
+    exactly when its column is a pivot, and otherwise rank(S) is the number
+    of pivots.  Scaling every row by d changes neither.
     ``ends`` is ``_end_block(fs)`` when the caller already has it.
     """
     if ends is None:
         ends = _end_block(fs)
     n, r = fs.n, fs.r
     rows = [row[n * n :] + [sum(row[c] for c in range(0, n * n, n + 1))] for row in _rows(ends)]
-    pivots = _rref(rows, fs.field)[1]
+    pivots = _pivots(rows, fs.field)
     if r * r in pivots:
         return SupportReport(False, None)
     return SupportReport(True, n * r + len(rows) - len(pivots))

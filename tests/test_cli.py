@@ -605,7 +605,15 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # exit 1).  fiber-solve-complex-dense-r2 was recorded again when the complex
 # elimination began to store a row update that cancels to round-off as 0:
 # its 15 entries that read up to 1e-15 before read -0.0 now, and other
-# entries moved by at most 2e-15.
+# entries moved by at most 2e-15.  The last two were recorded before the
+# rational back substitution finished each pivot row once, beyond the
+# benchmark's n <= 7: fiber-solve on sample_cm(8, 8) conjugated by
+# g = rand_invertible(Random(1008), 8), with r = 2 and the framing
+# [g i | ((k mod 5) - 2) / (1 + k mod 3)] (fiber-solve-rational-dense-n8-r2),
+# and classify (exit 1, end_dim 7) on X = g diag(-5/2, 1/3, 2, 2, 7, -1) g^-1,
+# g = rand_invertible(Random(2006), 6), whose framing g [3/2 e_0 | -2/3 (e_0
+# + e_2)] spans an invariant plane only, so End, the support check and the
+# trace form all run (classify-rational-dense-n6-r2-nonsurjective).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

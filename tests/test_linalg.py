@@ -356,6 +356,27 @@ def _reference_rref(rows, field):
     return rows, pivots
 
 
+# Shapes the back pass of ``_integer_rref`` treats apart, as integer rows: a pivot row that holds no later
+# pivot column (it is finished as it stands), finished rows with negative pivots, pivots all 1 (lcm 1), a
+# wide dense 4 x 28 system like the Hilbert-ideal rows, and a rank-deficient dense 5 x 5 system (the last two
+# rows are r0 + 2 r1 and r2 - 3 r0).
+_NO_LATER_PIVOT = [[2, 0, 0, 4, 1], [0, 3, 1, 0, -1], [0, 0, 2, 1, 1]]
+_NEGATIVE_PIVOTS = [[1, 1, 1, 2], [0, -2, 1, 0], [0, 0, -3, 5]]
+_UNIT_PIVOTS = [[1, 2, 3, 4], [0, 1, 5, 6], [0, 0, 1, 7]]
+_WIDE_DENSE = [[((k + 2) * (c + 3) ** 2 + 5 * k * c) % 17 - 8 for c in range(28)] for k in range(4)]
+_RANK_DEFICIENT = [[3, -1, 4, 1, -5], [2, 7, -1, 8, 2], [-6, 1, 5, 3, 4], [7, 13, 2, 17, -1], [-15, 4, -7, 0, 19]]
+
+
+def _fraction_shape(rows):
+    """An example for ``_rational_rows``: the integer rows with row k divided by 1 + k % 3."""
+    return len(rows), len(rows[0]), [[Fraction(x, 1 + k % 3) for x in row] for k, row in enumerate(rows)]
+
+
+def _order_shape(rows):
+    """An example for ``_integer_rows_and_order``: the rows, their reverse order, and a zero row inserted second."""
+    return rows, list(range(len(rows)))[::-1], [rows[0], [0] * len(rows[0]), *rows[1:]]
+
+
 @st.composite
 def _rational_rows(draw):
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
@@ -375,6 +396,11 @@ def _rational_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_rational_rows())
+@example(_fraction_shape(_NO_LATER_PIVOT))
+@example(_fraction_shape(_NEGATIVE_PIVOTS))
+@example(_fraction_shape(_UNIT_PIVOTS))
+@example(_fraction_shape(_WIDE_DENSE))
+@example(_fraction_shape(_RANK_DEFICIENT))
 def test_integer_rref_matches_fraction_gauss_jordan(shaped):
     """Pivot row k of the integer RREF is a primitive integer multiple of row k of the
     Fraction RREF, the rows after the pivot rows are zero, and the answers read from
@@ -448,6 +474,11 @@ def _integer_rows_and_order(draw):
 @example(([[0, 0, 0], [0, 0, 0]], [1, 0], [[0, 0, 0]] * 4))
 @example(([[2, 4, 6], [1, 2, 3], [-1, -2, -3], [0, 1, 0]], [3, 1, 0, 2],
           [[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 0], [-1, -2, -3], [0, 1, 0], [0, 0, 0]]))
+@example(_order_shape(_NO_LATER_PIVOT))
+@example(_order_shape(_NEGATIVE_PIVOTS))
+@example(_order_shape(_UNIT_PIVOTS))
+@example(_order_shape(_WIDE_DENSE))
+@example(_order_shape(_RANK_DEFICIENT))
 def test_integer_rref_does_not_depend_on_the_row_order(shaped):
     """The RREF is unique, so the rows as drawn, reversed, permuted, or with all-zero rows inserted anywhere
     give the same pivot list and the same primitive pivot rows up to sign; each list keeps its length, and
@@ -465,26 +496,38 @@ def test_integer_rref_does_not_depend_on_the_row_order(shaped):
         assert not any(map(any, permuted[len(pivots) :]))
 
 
-def _real_systems(rng):
-    """[fiber system | rhs] of conjugated points (feasible) and of conjugated collisions with
-    r = 1 (infeasible), n = 2-6; the integer End rows of collision and scalar-X sheaves, n <= 5."""
+def _real_sheaves(rng):
+    """("fiber", sheaf) for n = 2-6: a conjugated point (g X g^-1, g i), r = 1 + n % 2 (a second framing
+    column is random), whose CM fiber is nonempty, and a conjugated collision with r = 1, whose fiber is empty;
+    ("End", sheaf) for n <= 5: the same collision with a random framing of r columns, and X = 5/3 I with two."""
     from cmkit import FramedTorsionSheaf, sample_cm
-    from cmkit.koszul import _fiber_system
-    from cmkit.moduli import _end_rows
 
-    def end_system(fs):
-        return Matrix.from_rows(_end_rows(fs))
-
-    systems = []
+    sheaves = []
     for n in range(2, 7):
         g, q, r = rand_invertible(rng, n), sample_cm(n, n), 1 + n % 2
         collision = g @ Matrix.from_rows([[k // 2 if k == c else 0 for c in range(n)] for k in range(n)]) @ g.inverse()
         i = g @ q.i if r == 1 else (g @ q.i).hstack(rand_matrix(rng, n, 1))
-        rhs = (-Matrix.identity(n)).gather(n * n, 1, range(n * n))
-        systems += [_fiber_system(g @ q.X @ g.inverse(), i).hstack(rhs), _fiber_system(collision, g @ q.i).hstack(rhs)]
+        sheaves += [("fiber", FramedTorsionSheaf(g @ q.X @ g.inverse(), i)),
+                    ("fiber", FramedTorsionSheaf(collision, g @ q.i))]
         if n <= 5:
-            systems += [end_system(FramedTorsionSheaf(collision, rand_matrix(rng, n, r))),
-                        end_system(FramedTorsionSheaf(Fraction(5, 3) * Matrix.identity(n), rand_matrix(rng, n, 2)))]
+            sheaves += [("End", FramedTorsionSheaf(collision, rand_matrix(rng, n, r))),
+                        ("End", FramedTorsionSheaf(Fraction(5, 3) * Matrix.identity(n), rand_matrix(rng, n, 2)))]
+    return sheaves
+
+
+def _real_systems(rng):
+    """[fiber system | rhs] of the "fiber" sheaves of :func:`_real_sheaves` and the integer End rows of the
+    "End" ones, as matrices."""
+    from cmkit.koszul import _fiber_system
+    from cmkit.moduli import _end_rows
+
+    systems = []
+    for kind, fs in _real_sheaves(rng):
+        if kind == "End":
+            systems.append(Matrix.from_rows(_end_rows(fs)))
+        else:
+            rhs = (-Matrix.identity(fs.n)).gather(fs.n * fs.n, 1, range(fs.n * fs.n))
+            systems.append(_fiber_system(fs.X, fs.i).hstack(rhs))
     return systems
 
 
@@ -527,6 +570,58 @@ def _assert_answer(m: Matrix) -> None:
     assert all(type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
                for x in m.entries)
     assert m._integer_form() == _numerators(m.entries)
+
+
+def test_pivot_readers_run_no_back_pass(monkeypatch):
+    """``rank``, the trace-form rank of ``is_indecomposable`` and ``cm_support_check`` read the pivot columns
+    alone, so they run the forward pass only (``linalg._pivots``) and never ``linalg._back_substitute``; their
+    answers are the ones the full elimination gives, on the systems and sheaves of ``_real_systems``."""
+    from cmkit import linalg, moduli
+
+    systems = _real_systems(random.Random(23))
+    sheaves = [(fs, moduli._end_block(fs), moduli.support(fs)) for _, fs in _real_sheaves(random.Random(23))]
+
+    def answers():
+        return ([rank(a) for a in systems],
+                [(moduli.cm_support_check(fs, block), moduli.is_indecomposable(fs, factors, block))
+                 for fs, block, factors in sheaves])
+
+    calls = []
+    back = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda ints, pivots: calls.append(len(pivots)) or back(ints, pivots))
+    with monkeypatch.context() as full:
+        for owner in (linalg, moduli):
+            full.setattr(owner, "_pivots", lambda rows, field: linalg._rref(rows, field)[1])
+        expected = answers()
+    assert len(calls) == len(systems) + 2 * len(sheaves)
+    calls.clear()
+    assert answers() == expected and calls == []
+    assert {report.in_support for report, _ in expected[1]} == {True, False}
+
+
+def test_rational_elimination_clears_only_rows_below_the_pivot(monkeypatch):
+    """A guard on the shape of the work: every row step of ``linalg._clear`` comes from the forward pass and
+    clears rows below its pivot row, so no full-row back step remains; the back pass runs once per elimination."""
+    from cmkit import linalg
+
+    shapes = [_NO_LATER_PIVOT, _NEGATIVE_PIVOTS, _UNIT_PIVOTS, _WIDE_DENSE, _RANK_DEFICIENT]
+    systems = _real_systems(random.Random(23)) + [Matrix.from_rows(rows) for rows in shapes]
+    square = rand_matrix(random.Random(8), 8, 8)
+    steps, backs = [], []
+    clear, back = linalg._clear, linalg._back_substitute
+
+    def recording(ints, pr, pc, targets):
+        steps.append((pr, targets))
+        clear(ints, pr, pc, targets)
+
+    monkeypatch.setattr(linalg, "_clear", recording)
+    monkeypatch.setattr(linalg, "_back_substitute", lambda ints, pivots: backs.append(len(pivots)) or back(ints, pivots))
+    for a in systems:
+        solve_affine(a._columns(range(a.cols - 1)), a._columns([a.cols - 1]))
+        kernel_basis(a)
+    square.inverse()
+    assert steps and len(backs) == 2 * len(systems) + 1
+    assert all(k > pr for pr, targets in steps for k in targets)
 
 
 @settings(max_examples=200, deadline=None)
