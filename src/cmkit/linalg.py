@@ -677,10 +677,7 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
     the lcm of those rows' pivot entries; the free entries of each R_q are
     subtracted once; and one gcd divides the result.  A finished row is
     kept as its pivot entry and its sparse (free column, numerator) list; a
-    row that holds no later pivot column is finished as it stands.  On the
-    fiber system of a dense n = 6 sheaf this takes about a quarter of the
-    time that clearing each pivot column from the rows above by a full-row
-    step of :func:`_clear` took, and the whole elimination a quarter less.
+    row that holds no later pivot column is finished as it stands.
 
     The worst case is rows with many distinct coprime denominators, which
     start from large numerators; it is still faster than Fraction

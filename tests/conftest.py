@@ -1,20 +1,11 @@
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
 
 from cmkit import CMQuadruple, Matrix
-
-# CI keeps no example database, so there a failing property example prints the blob that replays it
-# locally (@reproduce_failure).  Nothing else changes: the profile starts from the active settings, and
-# example counts and deadlines stay the ones they and each test set.
-settings.register_profile("replayable", settings.default, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("replayable")
 
 
 def rand_fraction(rng: random.Random, span: int = 5, max_den: int = 3) -> Fraction:

@@ -631,9 +631,8 @@ def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(
     equation first, and so clears fewer rows (fraction-free row steps of ``linalg._clear``, which only its
     forward pass takes) than when it is handed the same rows reversed, which it then takes row-major.  The
     rational fiber system [A | -vec(I)] of a dense n = 6 sheaf, r = 1, the End rows of the same X with r = 2
-    and the faithful trace-form rows of the scalar sheaf X = 2 I_5, r = 1, took 450 against 505, 633 against
-    841 and 40 against 56 row steps when the back pass stopped taking row steps (806 against 952, 982 against
-    1314 and 54 against 108 before).  The pivots agree."""
+    and the faithful trace-form rows of the scalar sheaf X = 2 I_5, r = 1, take 450 against 505, 633 against
+    841 and 40 against 56 row steps.  The pivots agree."""
     from cmkit import linalg, moduli
     from cmkit.koszul import _fiber_system
 
