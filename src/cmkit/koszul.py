@@ -211,11 +211,19 @@ class FiberSolution(NamedTuple):
 
 
 def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
-    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equation (p, q) at row p n + q."""
+    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equation (p, q) at row p n + q.
+
+    Rational rows start from the int 0, as the End rows of ``moduli._end_rows``
+    do, and :func:`linalg.add_sandwich` adds the Fraction coefficients of X and
+    i into them, so the matrix holds a Fraction only where a term was written;
+    its integer form reads every other entry from an int.  Complex rows sum
+    from ``0j``.
+    """
     n, r, field = X.rows, i.cols, X.field
     x, eye = X.entries, Matrix.identity(n, field).entries
     ncols = n * n + r * n
-    rows = [[field.zero] * ncols for _ in range(n * n)]
+    zero = 0 if field.is_rational else field.zero
+    rows = [[zero] * ncols for _ in range(n * n)]
     add_sandwich(rows, x, eye, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, eye, (-X).entries, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, (-i).entries, eye, r, n, eq_row=0, unknown_col=n * n)

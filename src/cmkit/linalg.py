@@ -31,8 +31,9 @@ column-major, then F row-major.  Each matrix equation contributes its entries
 as consecutive rows, row-major.  ``add_sandwich``, the one writer of such
 systems, adds the coefficients of a term Z |-> A Z B, for A and B row-major
 sequences of any entry type, into its rows: the four terms of ``moduli``'s
-End system over the integer forms of X and i, and the three of the Koszul
-fiber system over Fraction entries (complex entries in the complex field).
+End system, integer numerators of X and i on rows of int zeros, and the
+three of the Koszul fiber system, Fraction coefficients on rows of int
+zeros (complex entries on ``0j`` in the complex field).
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
@@ -930,7 +931,10 @@ def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *
     column-major (``unknown_col`` 0), and at ``unknown_col + k * zc + l``
     when Z is the framing block, row-major from column n^2 >= 1.  Only the
     nonzero entries of A and B are visited, in order.  A term
-    -(Z |-> A Z B) is added as Z |-> (-A) Z B.
+    -(Z |-> A Z B) is added as Z |-> (-A) Z B.  Rational rows start from the
+    int 0: ``moduli._end_rows`` adds integer numerators into them and
+    ``koszul._fiber_system`` Fraction coefficients, so a fiber row holds a
+    Fraction only at the columns a term reaches.
     """
     bc = len(b) // zc
     k_step, l_step = (zc, 1) if unknown_col else (1, zr)

@@ -6,8 +6,10 @@ standard output.  The command runs in a fresh process of the interpreter that
 runs this script, in a temporary directory, so it imports the installed
 package rather than the source tree, unless ``PYTHONPATH`` names another;
 relative ``PYTHONPATH`` entries are taken from the directory the script is
-run from.  Any difference in the exit code or in one byte of standard output
-fails the run:
+run from.  The script first checks that a fresh process can import ``cmkit``
+there, and exits 2 with one line naming the interpreter and ``PYTHONPATH`` if
+it cannot; otherwise it prints the ``cmkit.__file__`` it replays.  Any
+difference in the exit code or in one byte of standard output fails the run:
 
     python tests/replay_goldens.py
     PYTHONPATH=src python tests/replay_goldens.py
@@ -45,6 +47,13 @@ def replay(case: dict, workdir: Path, env: dict) -> list[str]:
     return problems
 
 
+def cmkit_file(workdir: Path, env: dict) -> str | None:
+    """The ``cmkit.__file__`` a replayed command imports, or None when it cannot import ``cmkit``."""
+    proc = subprocess.run([sys.executable, "-c", "import cmkit; print(cmkit.__file__)"], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def main() -> int:
     cases = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
     env = dict(os.environ)
@@ -52,6 +61,12 @@ def main() -> int:
         env["PYTHONPATH"] = os.pathsep.join(p and os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
+        location = cmkit_file(Path(tmp), env)
+        if location is None:
+            print(f"{sys.executable} cannot import cmkit with PYTHONPATH={env.get('PYTHONPATH', '(unset)')}; "
+                  "install the package or set PYTHONPATH=src", file=sys.stderr)
+            return 2
+        print(f"replaying against {location}")
         for number, case in enumerate(cases, 1):
             problems = replay(case, Path(tmp), env)
             if problems:

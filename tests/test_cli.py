@@ -605,11 +605,27 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # exit 1).  fiber-solve-complex-dense-r2 was recorded again when the complex
 # elimination began to store a row update that cancels to round-off as 0:
 # its 15 entries that read up to 1e-15 before read -0.0 now, and other
-# entries moved by at most 2e-15.  The last two were recorded before the
-# rational back substitution finished each pivot row once, beyond the
-# benchmark's n <= 7: fiber-solve on sample_cm(8, 8) conjugated by
-# g = rand_invertible(Random(1008), 8), with r = 2 and the framing
-# [g i | ((k mod 5) - 2) / (1 + k mod 3)] (fiber-solve-rational-dense-n8-r2),
+# entries moved by at most 2e-15.  The next three were recorded before the
+# rational fiber and End equations went to the elimination last equation
+# first: fiber-solve on a dense conjugated n = 7 sheaf, r = 1, whose X has
+# the eigenvalues 21/2, 7, 2, -1, -5/2, -17/3 and -8
+# (fiber-solve-rational-dense-n7); fiber-solve on a dense conjugate of
+# diag(2, 2, 1, 1, 0, 0) with r = 1, whose fiber is empty
+# (fiber-solve-rational-dense-n6-empty, exit 1); and classify on a dense
+# conjugated n = 8 sheaf with eight distinct rational eigenvalues and an
+# r = 2 framing that is not surjective
+# (classify-rational-dense-n8-r2-nonsurjective, exit 1, end_dim 3).  The two
+# after them were recorded before the rational elimination took every system
+# last equation first and set its zero rows aside: classify on X = 2 I_5 with
+# i = [1, -1/2, 0, 3, 2/3]^T (classify-rational-scalar-n5, exit 1,
+# end_dim 21), and hilbert-ideal --degree 2 on a conjugated n = 5 commuting
+# stable pair whose X has the eigenvalues 3, 2, 1, 1/2 and -1
+# (hilbert-ideal-rational-commuting-n5-degree-2).  The last two were
+# recorded before the rational back substitution finished each pivot row
+# once, beyond the benchmark's n <= 7: fiber-solve on sample_cm(8, 8)
+# conjugated by g = rand_invertible(Random(1008), 8), with r = 2 and the
+# framing [g i | ((k mod 5) - 2) / (1 + k mod 3)]
+# (fiber-solve-rational-dense-n8-r2),
 # and classify (exit 1, end_dim 7) on X = g diag(-5/2, 1/3, 2, 2, 7, -1) g^-1,
 # g = rand_invertible(Random(2006), 6), whose framing g [3/2 e_0 | -2/3 (e_0
 # + e_2)] spans an invariant plane only, so End, the support check and the
@@ -635,6 +651,25 @@ def test_golden_reports_byte_identical(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((case["input"] or "").encode()), encoding="utf-8"))
     assert main(argv) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def test_golden_replay_stops_at_once_when_cmkit_cannot_be_imported(tmp_path):
+    """A broken ``cmkit`` first on ``PYTHONPATH`` makes ``replay_goldens.py`` exit 2 with one line naming the
+    interpreter and ``PYTHONPATH``, before any golden line is replayed."""
+    (tmp_path / "cmkit").mkdir()
+    (tmp_path / "cmkit" / "__init__.py").write_text("raise ImportError('not cmkit')\n")
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent / "replay_goldens.py")],
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True, timeout=60)
+    [line] = proc.stderr.splitlines()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert sys.executable in line and f"PYTHONPATH={tmp_path}" in line
+
+
+def test_golden_replay_names_the_cmkit_it_imports(tmp_path):
+    from replay_goldens import cmkit_file
+
+    src = Path(cmkit.__file__).resolve().parents[1]
+    assert Path(cmkit_file(tmp_path, dict(os.environ, PYTHONPATH=str(src)))).resolve() == Path(cmkit.__file__).resolve()
 
 
 def _cli_process(argv, stdin: bytes):

@@ -626,6 +626,30 @@ def test_end_rows_and_fiber_system_write_through_add_sandwich(field_name, monkey
     assert _same_system(koszul._fiber_system(X, i), fiber) and calls == ["koszul"] * 3
 
 
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_rational_fiber_rows_hold_fractions_only_where_a_term_is_written(conjugated):
+    """The rational fiber rows start from the int 0, as the End rows do: an entry is a Fraction only at a
+    column one of the three sandwich terms writes, for a nonzero entry of X or i (at most 2 n^3 + n^2 r of the
+    n^2 (n^2 + n r) entries), and every other entry is the int 0.  The system still equals the probed one."""
+    from cmkit.koszul import _fiber_system
+
+    n, r = 6, 1
+    q = sample_cm(n, n)
+    if conjugated:
+        q = conjugate(q, rand_invertible(random.Random(n + 1000), n))
+    X, i = q.X, q.i
+    x, a = X.to_rows(), i.to_rows()
+    written = {(p * n + b, b * n + k) for p in range(n) for k in range(n) if x[p][k] for b in range(n)}
+    written |= {(p * n + b, l * n + p) for l in range(n) for b in range(n) if x[l][b] for p in range(n)}
+    written |= {(p * n + b, n * n + k * n + b) for p in range(n) for k in range(r) if a[p][k] for b in range(n)}
+    assert len(written) <= 2 * n**3 + n * n * r
+    system = _fiber_system(X, i)
+    fractions = {divmod(t, system.cols) for t, v in enumerate(system.entries) if type(v) is Fraction}
+    assert fractions <= written
+    assert all(v == 0 and type(v) is int for v in system.entries if type(v) is not Fraction)
+    assert _same_system(system, _probed_fiber_system(X, i))
+
+
 def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(monkeypatch):
     """A guard on work, not time: ``linalg._integer_rref`` takes the row-major rows its callers write last
     equation first, and so clears fewer rows (fraction-free row steps of ``linalg._clear``, which only its
