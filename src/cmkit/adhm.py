@@ -74,8 +74,9 @@ def is_stable(q: CMQuadruple) -> bool:
 # n x n products of the words of length 2..h, h = ceil(L/2) (60 at L = 10); the
 # complex field forms every word as one n x n product, so its work doubles too.
 MAX_WORD_LEN = 10
-# sample draws and reports n^2 entries; 64 is four times the largest size targeted, 16.
-MAX_SAMPLE_N = 64
+# sample draws and reports n^2 entries.  48 is the n cap of a quadruple document (serialize.QUADRUPLE_CAPS),
+# so every point sample writes reads back.
+MAX_SAMPLE_N = 48
 # A degree bound d gives (d+1)(d+2)/2 monomials and about as many kernel
 # vectors.  The cap holds for the default bound n too, so a larger n needs
 # an explicit bound.

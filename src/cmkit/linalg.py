@@ -9,7 +9,11 @@ The default field is ``Fraction`` arithmetic, where every comparison is
 exact.  A rational matrix is its canonical integer form, integer numerators
 over the lcm of the denominators (see :class:`Matrix`), and a Fraction is
 built only where an entry is read.  Rational elimination runs fraction-free
-on integer rows sliced out of the forms and leaves them primitive;
+on integer rows sliced out of the forms and leaves them primitive.  Its
+passes skip zero entries, so a sparse system costs about its nonzeros:
+``_numerators`` reads only the nonzero entries, the forward pass scans each
+column once for its pivot row and the rows to clear, and the back pass reads
+each pivot row from its pivot on.
 :func:`_read` takes every answer from the pivot rows as (p, q) pairs, which
 :meth:`Matrix.from_pairs` makes into a form.  A matrix has one RREF, so the
 answers are the ones Gauss-Jordan on Fractions gives.  A rational literal
@@ -529,9 +533,16 @@ class Blocks(Value):
 
 
 def _numerators(entries: tuple) -> tuple[list[int], int]:
-    """Integer numerators of rational entries over the lcm of their denominators."""
-    d = lcm(*{x.denominator for x in entries})
-    return [x.numerator * (d // x.denominator) for x in entries], d
+    """Integer numerators of rational entries over the lcm of their denominators.
+
+    Zeros are skipped in both passes, as :func:`_product` skips them: a zero's
+    denominator is 1, which changes no lcm (the lcm of no denominators is 1
+    too), and its numerator is the int 0 over any d.  So a sparse system
+    reads its nonzeros alone: the n = 12 diagonal fiber system (22464
+    entries, 288 of them Fractions) in 0.67 ms instead of 2.07 ms.
+    """
+    d = lcm(*{x.denominator for x in entries if x})
+    return [x.numerator * (d // x.denominator) if x else 0 for x in entries], d
 
 
 def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
@@ -662,14 +673,14 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
 
     The forward pass, :func:`_echelon`, divides each row by its content,
     sets the all-zero rows aside after the others and eliminates the others
-    last equation first: it picks the first nonzero entry at or below the
-    current row and clears its column from the rows below, by the row step
-    of :func:`_clear`.  The RREF does not depend on the row order, but the
-    path to it does: the systems of the package are written row-major, and
-    on dense X the reverse takes a tenth fewer row steps for the CM fiber
-    and a quarter fewer for End (450 against 505 and 633 against 841 at
-    n = 6), and 40 against 56 for the trace form of a scalar sheaf (n = 5,
-    r = 1).  Readers of the pivot columns alone stop here (:func:`_pivots`).
+    last equation first: one scan of each column at and below the current
+    row finds the first nonzero entry, the pivot, and the rows below it to
+    clear, by the row step of :func:`_clear`.  The RREF does not depend on
+    the row order, but the path to it does: the systems of the package are
+    written row-major, and on dense X the reverse takes a tenth fewer row
+    steps for the CM fiber and a quarter fewer for End (450 against 505 and
+    633 against 841 at n = 6), and 40 against 56 for the trace form of a
+    scalar sheaf (n = 5, r = 1).  Readers of the pivot columns alone stop here (:func:`_pivots`).
 
     The back pass, :func:`_back_substitute`, finishes each pivot row once,
     from the last to the first.  Row k of the RREF is (row k - sum of
@@ -692,12 +703,20 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
 
 
 def _echelon(ints: list[list[int]]) -> list[int]:
-    """The forward pass of :func:`_integer_rref`: primitive echelon rows in place, zero rows last; the pivot columns."""
+    """The forward pass of :func:`_integer_rref`: primitive echelon rows in place, zero rows last; the pivot columns.
+
+    Each column is scanned once, from the current row down.  Its first hit
+    is the pivot row, and the other hits are the rows to clear: each lies
+    after the chosen row, so the swap moves none of them, and the row
+    swapped into the chosen row's place holds a zero there.  :func:`_clear`
+    runs only when there is a row to clear, which on a diagonal fiber system
+    there never is.  The content division leaves zeros as they are.
+    """
     ncols = len(ints[0]) if ints else 0
     nonzero, zero = [], []
     for row in reversed(ints):
         g = gcd(*row)
-        (nonzero if g else zero).append([x // g for x in row] if g > 1 else row)
+        (nonzero if g else zero).append([x // g if x else 0 for x in row] if g > 1 else row)
     ints[:] = nonzero + zero
     nrows = len(nonzero)
     pivots: list[int] = []
@@ -705,30 +724,35 @@ def _echelon(ints: list[list[int]]) -> list[int]:
         pr = len(pivots)
         if pr >= nrows:
             break
-        choice = next((r for r in range(pr, nrows) if ints[r][pc]), -1)
-        if choice < 0:
+        hits = [r for r in range(pr, nrows) if ints[r][pc]]
+        if not hits:
             continue
+        choice = hits[0]
         ints[pr], ints[choice] = ints[choice], ints[pr]
-        _clear(ints, pr, pc, range(pr + 1, nrows))
+        if len(hits) > 1:
+            _clear(ints, pr, pc, hits[1:])
         pivots.append(pc)
     return pivots
 
 
 def _back_substitute(ints: list[list[int]], pivots: list[int]) -> None:
-    """The back pass of :func:`_integer_rref`: the echelon pivot rows made primitive RREF rows, last first."""
+    """The back pass of :func:`_integer_rref`: the echelon pivot rows made primitive RREF rows, last first.
+
+    Row k is read from its pivot column on, since an echelon row is zero to
+    the left of its pivot, and its nonzeros are gathered in one pass before
+    they are sorted into free and touched entries."""
     ncols = len(ints[0]) if ints else 0
     at = {pc: k for k, pc in enumerate(pivots)}
     finished: list[tuple[int, list[tuple[int, int]]]] = [(0, [])] * len(pivots)  # (pivot entry, free entries)
     for k in range(len(pivots) - 1, -1, -1):
         row, pk = ints[k], pivots[k]
         free, touched = [], []
-        for c, x in enumerate(row):
-            if x and c != pk:
-                q = at.get(c)
-                if q is None:
-                    free.append((c, x))
-                else:
-                    touched.append((finished[q], x))
+        for c, x in [(c, x) for c, x in enumerate(row[pk + 1 :], pk + 1) if x]:
+            q = at.get(c)
+            if q is None:
+                free.append((c, x))
+            else:
+                touched.append((finished[q], x))
         if not touched:
             finished[k] = (row[pk], free)
             continue
@@ -759,14 +783,12 @@ def _pivots(rows: list[list], field: Field) -> list[int]:
     return _echelon(rows) if field.is_rational else _rref(rows, field)[1]
 
 
-def _clear(ints: list[list[int]], pr: int, pc: int, targets: range) -> None:
-    """Clear column pc from the rows ``targets`` of ``ints`` by the pivot row p = ints[pr], whose entry there is a.
+def _clear(ints: list[list[int]], pr: int, pc: int, hits: list[int]) -> None:
+    """Clear column pc from the rows ``hits`` of ``ints`` by the pivot row p = ints[pr], whose entry there is a.
 
-    The row step is r <- (a/g) r - (f/g) p, g = gcd(a, f), for f = r[pc],
-    then r divided by its content: integer rows stay primitive."""
-    hits = [k for k in targets if ints[k][pc]]
-    if not hits:
-        return
+    ``hits`` lists the rows below p that hold a nonzero f = r[pc], as
+    :func:`_echelon` finds them.  The row step is r <- (a/g) r - (f/g) p,
+    g = gcd(a, f), then r divided by its content: integer rows stay primitive."""
     p = ints[pr]
     a, nz = p[pc], [(c, x) for c, x in enumerate(p) if x]
     for k in hits:

@@ -18,7 +18,8 @@ when no entry has been read, in the bytes ``str(Fraction)`` gives.
 
 A document is an object with ``n``, ``r`` (default 1), an optional ``field``
 and ``tolerance``, and one key per block; a framed-sheaf document has n at
-most 16 and r at most 8 (:data:`SHEAF_CAPS`).  The one reader and the one
+most 16 and r at most 8 (:data:`SHEAF_CAPS`), and a quadruple or triple
+document n at most 48 (:data:`QUADRUPLE_CAPS`).  The one reader and the one
 writer take the blocks of each kind from its ``BLOCKS``, the table its
 constructor checks.  The model classes are imported only by the readers
 that build them, so loading this module loads nothing of cmkit but
@@ -150,19 +151,30 @@ def _require(data: dict, key: str):
 # classify 8 s (2 vCPUs at 2.1 GHz, Python 3.11).
 SHEAF_CAPS = {"n": 16, "r": 8}
 
+# The largest n of a quadruple or Koszul-triple document.  The slowest command
+# on one is a rational invariants --max-len 10, whose 60 word products grow as
+# n^3: cold, on the points sample writes, it took 2.5 s at n = 32, 13.7 s at
+# n = 48 (a 28 KB document) and 41 s at n = 64 (51 KB), past fiber-solve at
+# the sheaf caps.  At n = 64 a cold hilbert-ideal --degree 32 took 2.1 s and a
+# cold normalize of a degree-64 covector 0.5 s (2 vCPUs at 2.1 GHz, Python
+# 3.11).  adhm.MAX_SAMPLE_N is the same n, so every point sample writes reads
+# back.  r is not capped: i and j hold n r entries each, so the document's
+# own length bounds it.
+QUADRUPLE_CAPS = {"n": 48}
+
 
 def read_document(kind: type, data, default_field: Field | None = None, caps: dict[str, int] | None = None):
     """The ``kind`` object in ``data``, each block checked against its shape in ``kind.BLOCKS``.
 
-    ``caps`` bounds the size fields ``n`` and ``r``; they are checked before
-    any block is read."""
+    ``caps`` bounds the size fields it names, ``n`` or ``r``; they are checked
+    before any block is read."""
     if not isinstance(data, dict):
         raise SchemaError(".", "expected an object")
     size = {"n": _require(data, "n"), "r": data.get("r", 1)}
     for key, value in size.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SchemaError(key, "expected a positive integer")
-        if caps and value > caps[key]:
+        if caps and value > caps.get(key, value):
             raise SchemaError(key, f"must be <= {caps[key]}, got {value}")
     fallback = default_field or RATIONAL
     # an explicit "field" key in the document wins over the caller's default
@@ -185,13 +197,13 @@ def write_document(doc) -> dict:
 def quadruple_from_json(data, default_field: Field | None = None):
     from .adhm import CMQuadruple
 
-    return read_document(CMQuadruple, data, default_field)
+    return read_document(CMQuadruple, data, default_field, QUADRUPLE_CAPS)
 
 
 def triple_from_json(data, default_field: Field | None = None):
     from .koszul import KoszulTriple
 
-    return read_document(KoszulTriple, data, default_field)
+    return read_document(KoszulTriple, data, default_field, QUADRUPLE_CAPS)
 
 
 def sheaf_from_json(data, default_field: Field | None = None):

@@ -629,7 +629,12 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # and classify (exit 1, end_dim 7) on X = g diag(-5/2, 1/3, 2, 2, 7, -1) g^-1,
 # g = rand_invertible(Random(2006), 6), whose framing g [3/2 e_0 | -2/3 (e_0
 # + e_2)] spans an invariant plane only, so End, the support check and the
-# trace form all run (classify-rational-dense-n6-r2-nonsurjective).
+# trace form all run (classify-rational-dense-n6-r2-nonsurjective).  The
+# last was recorded before the rational elimination skipped the zeros of
+# sparse systems (one column scan per pivot, _numerators over the nonzeros,
+# the back pass from each pivot on): fiber-solve on the sheaf (X, i) of
+# sample_cm(12, 12), diagonal X with r = 1, the largest size of the
+# benchmark's diagonal fibers (fiber-solve-rational-diagonal-n12).
 _GOLDEN = [json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 
@@ -775,6 +780,21 @@ def test_sheaf_size_above_cap_is_refused_before_any_block_is_read(key, command, 
 
 
 _TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["0"]], "j": {"coeffs": [[["1"]]]}}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["moment"], ["invariants", "--max-len", "10"],
+                                  ["hilbert-ideal", "--degree", "2"], ["normalize"], ["homotopy", "--h", "h.json"]],
+                         ids=lambda argv: argv[0])
+def test_quadruple_and_triple_n_above_cap_is_refused_before_any_block_is_read(argv, capsys, monkeypatch):
+    from cmkit.adhm import MAX_SAMPLE_N
+    from cmkit.serialize import QUADRUPLE_CAPS
+
+    cap = QUADRUPLE_CAPS["n"]
+    assert MAX_SAMPLE_N <= cap  # every point sample writes reads back
+    doc = dict(_TRIPLE if argv[0] in ("normalize", "homotopy") else FLAGSHIP, n=cap + 1)
+    code, [rep] = _run(argv, json.dumps(doc), capsys, monkeypatch)
+    assert code == 2 and rep["status"] == "error" and rep["result"] is None
+    assert rep["messages"] == [f"n: must be <= {cap}, got {cap + 1}"]
 
 # One malformed document per kind of schema error, with the message recorded
 # before the three document kinds were described by one table in serialize.

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,6 +256,38 @@ def test_trace_of_unbuilt_product_equals_trace_of_its_entries(operands):
     assert product._entries is None
     built = sum(product.entries[:: product.rows + 1], Fraction(0))
     assert type(lazy) is Fraction and lazy == built == product.trace()
+
+
+def _reference_numerators(entries: tuple) -> tuple[list[int], int]:
+    """Reference oracle: numerators over the lcm of every entry's denominator, zeros' denominators 1 included."""
+    d = lcm(*[x.denominator for x in entries])
+    return [x.numerator * (d // x.denominator) for x in entries], d
+
+
+# Entries that are mostly zero, in each type a rational entry can have: six branches of zeros, four of nonzeros.
+_ZERO_HEAVY = st.one_of(
+    *[st.just(zero) for zero in (0, Fraction(0), False)] * 2,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.sampled_from(_DENOMINATORS)),
+    st.fractions(max_denominator=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ZERO_HEAVY, max_size=40).map(tuple))
+@example(())
+@example((0,) * 12)
+@example((Fraction(0), False, 0, Fraction(0)))
+@example((0, Fraction(0), Fraction(5, 6), False, True, 0, Fraction(-7, 4)))
+def test_numerators_skip_zeros_and_match_the_lcm_of_every_denominator(entries):
+    """``_numerators`` reads the nonzeros alone; its form is still the one over the lcm of all denominators,
+    with an int 0 for every zero, and a rational Matrix of the same entries has that form."""
+    expected = _reference_numerators(entries)
+    got = _numerators(entries)
+    assert got == expected
+    assert all(type(v) is int for v in got[0]) and type(got[1]) is int
+    assert Matrix(1, len(entries), entries)._integer_form() == expected
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
@@ -599,9 +631,16 @@ def test_pivot_readers_run_no_back_pass(monkeypatch):
     assert {report.in_support for report, _ in expected[1]} == {True, False}
 
 
+# Row steps of the guard below, counted as the rows below each pivot row with a nonzero in its column, before
+# ``linalg._echelon`` scanned each column once and handed ``linalg._clear`` only those rows.
+_GUARD_ROW_STEPS = 4059
+
+
 def test_rational_elimination_clears_only_rows_below_the_pivot(monkeypatch):
     """A guard on the shape of the work: every row step of ``linalg._clear`` comes from the forward pass and
-    clears rows below its pivot row, so no full-row back step remains; the back pass runs once per elimination."""
+    clears rows below its pivot row, so no full-row back step remains; the back pass runs once per elimination.
+    ``_clear`` is handed exactly the rows below the pivot row that hold a nonzero in the pivot column, never an
+    empty list, and the row steps are as many as before the forward pass scanned each column once."""
     from cmkit import linalg
 
     shapes = [_NO_LATER_PIVOT, _NEGATIVE_PIVOTS, _UNIT_PIVOTS, _WIDE_DENSE, _RANK_DEFICIENT]
@@ -611,6 +650,8 @@ def test_rational_elimination_clears_only_rows_below_the_pivot(monkeypatch):
     clear, back = linalg._clear, linalg._back_substitute
 
     def recording(ints, pr, pc, targets):
+        assert targets and all(ints[k][pc] for k in targets)
+        assert set(targets) >= {k for k in range(pr + 1, len(ints)) if ints[k][pc]}
         steps.append((pr, targets))
         clear(ints, pr, pc, targets)
 
@@ -622,6 +663,7 @@ def test_rational_elimination_clears_only_rows_below_the_pivot(monkeypatch):
     square.inverse()
     assert steps and len(backs) == 2 * len(systems) + 1
     assert all(k > pr for pr, targets in steps for k in targets)
+    assert sum(len(targets) for _, targets in steps) == _GUARD_ROW_STEPS
 
 
 @settings(max_examples=200, deadline=None)
