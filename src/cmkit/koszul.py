@@ -66,6 +66,7 @@ class PolyCovector(Value):
     __slots__ = _FIELDS = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Matrix, ...]) -> None:
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ShapeError("need at least one coefficient")
         shape = (coeffs[0].rows, coeffs[0].cols)

@@ -8,7 +8,10 @@ polynomials, and matrix polynomial evaluation.
 The default field is ``Fraction`` arithmetic, where every comparison is
 exact.  A rational matrix is its canonical integer form, integer numerators
 over the lcm of the denominators (see :class:`Matrix`), and a Fraction is
-built only where an entry is read.  Rational elimination runs fraction-free
+built only where an entry is read.  A complex matrix has the same form, its
+entries over 1, so negation, sums, scalar and matrix products, ``gather``,
+``hstack`` and the rows handed to elimination are written once for both
+fields.  Rational elimination runs fraction-free
 on integer rows sliced out of the forms and leaves them primitive.  Its
 passes skip zero entries, so a sparse system costs about its nonzeros:
 ``_numerators`` reads only the nonzero entries, the forward pass scans each
@@ -42,9 +45,9 @@ zeros (complex entries on ``0j`` in the complex field).
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
 
-``_product`` is the one matrix product loop, shared by both fields:
-complex entries go in as they are, rational ones as their integer forms, so
-chains of products build Fractions only for the entries that are read.
+``_product`` is the one matrix product loop, shared by both fields: it
+multiplies the two forms, complex entries or integer numerators, so chains
+of rational products build Fractions only for the entries that are read.
 ``_apply`` applies the numerator rows of a rational operator to an integer
 vector, for the integer vectors of ``_closure_rank`` and of the rational
 Hilbert ideal, which build no matrix.
@@ -232,18 +235,22 @@ class Matrix(Value):
     safe to share across threads.  Two matrices are equal when their shapes,
     entries and fields are.
 
-    A rational matrix is its integer form, the pair (numerators, d) that
-    ``_numerators(entries)`` returns: integer numerators over the lcm d of
-    the denominators.  Every operation keeps the form canonical by dividing
-    out gcd(d, *numerators) (:func:`_reduced`), so ``==`` and ``hash``
-    compare forms.  Arithmetic, ``hstack``, ``is_zero``, elimination, the
-    solvers' answers and ``serialize`` work on forms, and ``trace`` sums the
-    integer diagonal over d.  A Fraction is built only where an entry is
-    read, and ``entries``, ``[]`` and ``row`` (so ``repr``, ``str`` and
-    pickling) build every entry once and keep them.  A matrix made from
-    entries computes its form on first use, so the constructor refuses a
-    rational entry that is not an int or a Fraction (``TypeError``) where
-    the matrix is made.
+    A matrix is its form (values, d), row-major values over a scale d.  A
+    rational form is the integer form ``_numerators(entries)`` returns,
+    integer numerators over the lcm d of the denominators, kept canonical by
+    dividing out gcd(d, *numerators) (:func:`_reduced`).  A complex form is
+    the entries over 1, so arithmetic, ``gather``, ``hstack`` and ``_rows``
+    take one path in both fields.  Forms over one d are added unscaled and
+    d = 1 is never reduced: a complex value times 1 can lose the sign of a
+    zero part.  ``==`` and ``hash`` compare forms.  Arithmetic, ``hstack``,
+    ``is_zero``, elimination, the solvers' answers and ``serialize`` work on
+    forms, and ``trace`` sums the integer diagonal over d.  A Fraction is
+    built only where an entry is read, and ``entries``, ``[]`` and ``row``
+    (so ``repr``, ``str`` and pickling) build every entry once and keep
+    them.  A rational matrix made from entries computes its form on first
+    use, so the constructor refuses a rational entry that is not an int or a
+    Fraction (``TypeError``) where the matrix is made.  It keeps
+    ``tuple(entries)``, so a matrix made from a list does not change with it.
     ``entries`` is a property over the slot ``_entries``, not a slot with a
     ``__getattr__`` fallback: on CPython 3.11 defining ``__getattr__`` slows
     every attribute read of the class, ``rows``, ``cols`` and methods too.
@@ -253,6 +260,7 @@ class Matrix(Value):
     __slots__ = ("rows", "cols", "_entries", "field", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: tuple[Scalar, ...], field: Field = RATIONAL) -> None:
+        entries = tuple(entries)
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
         if len(entries) != rows * cols:
@@ -265,15 +273,15 @@ class Matrix(Value):
         _set(self, "cols", cols)
         _set(self, "_entries", entries)
         _set(self, "field", field)
-        _set(self, "_ints", None)
+        _set(self, "_ints", None if field.is_rational else (entries, 1))
 
     @staticmethod
-    def _from_ints(rows: int, cols: int, ints: tuple[list[int], int], field: Field) -> "Matrix":
-        """The rational matrix with canonical integer form ``ints``; its entries are built when first read."""
+    def _from_ints(rows: int, cols: int, ints: tuple[Sequence, int], field: Field) -> "Matrix":
+        """The matrix with canonical form ``ints``: a rational one builds its entries when first read."""
         m = object.__new__(Matrix)
         _set(m, "rows", rows)
         _set(m, "cols", cols)
-        _set(m, "_entries", None)
+        _set(m, "_entries", None if field.is_rational else tuple(ints[0]))
         _set(m, "field", field)
         _set(m, "_ints", ints)
         return m
@@ -299,8 +307,9 @@ class Matrix(Value):
             _set(self, "_entries", entries)
         return entries
 
-    def _integer_form(self) -> tuple[list[int], int]:
-        """(numerators, d) of a rational matrix, as ``_numerators(self.entries)`` gives it."""
+    def _integer_form(self) -> tuple[Sequence, int]:
+        """The form (values, d): a rational matrix's numerators over d, as ``_numerators(self.entries)`` gives
+        them, or a complex matrix's entries over 1."""
         ints = self._ints
         if ints is None:
             ints = _numerators(self._entries)
@@ -308,10 +317,8 @@ class Matrix(Value):
         return ints
 
     def _key(self) -> tuple:
-        if self.field.is_rational:
-            nums, d = self._integer_form()
-            return self.rows, self.cols, tuple(nums), d, self.field
-        return self._fields()
+        values, d = self._integer_form()
+        return self.rows, self.cols, tuple(values), d, self.field
 
     # -- construction -----------------------------------------------------
 
@@ -374,12 +381,15 @@ class Matrix(Value):
             raise ShapeError("mixed fields")
 
     def _sum(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other; a rational one is made from the two integer forms, over the lcm of their d."""
+        """self + sign * other, made from the two forms over the lcm of their d.
+
+        Forms over one d are added as they stand: scaling by 1 is not exact for
+        complex values, since ``complex(-0.0, -1.0) * 1`` is ``-1j``."""
         self._same_shape(other)
-        if not self.field.is_rational:
-            flat = tuple(map(add if sign > 0 else sub, self.entries, other.entries))
-            return Matrix(self.rows, self.cols, flat, self.field)
         (a, da), (b, db) = self._integer_form(), other._integer_form()
+        if da == db:
+            flat = list(map(add if sign > 0 else sub, a, b))
+            return Matrix._from_ints(self.rows, self.cols, _reduced(flat, da), self.field)
         d = lcm(da, db)
         sa, sb = d // da, sign * (d // db)
         return Matrix._from_ints(self.rows, self.cols, _reduced([x * sa + y * sb for x, y in zip(a, b)], d), self.field)
@@ -391,17 +401,15 @@ class Matrix(Value):
         return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
-        if self.field.is_rational:
-            nums, d = self._integer_form()
-            return Matrix._from_ints(self.rows, self.cols, ([-v for v in nums], d), self.field)
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries), self.field)
+        values, d = self._integer_form()
+        return Matrix._from_ints(self.rows, self.cols, ([-v for v in values], d), self.field)
 
     def __rmul__(self, scalar) -> "Matrix":
+        """c * self: each value times p over the scale times q, c = p / q (a complex c is c / 1)."""
         c = self.field.coerce(scalar)
-        if self.field.is_rational:
-            (nums, d), p = self._integer_form(), c.numerator
-            return Matrix._from_ints(self.rows, self.cols, _reduced([v * p for v in nums], d * c.denominator), self.field)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries), self.field)
+        p, q = (c.numerator, c.denominator) if self.field.is_rational else (c, 1)
+        values, d = self._integer_form()
+        return Matrix._from_ints(self.rows, self.cols, _reduced([v * p for v in values], d * q), self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -409,22 +417,16 @@ class Matrix(Value):
         if self.field != other.field:
             raise ShapeError("mixed fields")
         n, m, p = self.rows, self.cols, other.cols
-        if self.field.is_rational:
-            a, da = self._integer_form()
-            b, db = other._integer_form()
-            return Matrix._from_ints(n, p, _reduced(_product(a, b, n, m, p, 0), da * db), self.field)
-        flat = tuple(_product(self.entries, other.entries, n, m, p, self.field.zero))
-        return Matrix(n, p, flat, self.field)
+        (a, da), (b, db) = self._integer_form(), other._integer_form()
+        zero = 0 if self.field.is_rational else self.field.zero  # 0j keeps an empty complex sum 0j
+        return Matrix._from_ints(n, p, _reduced(_product(a, b, n, m, p, zero), da * db), self.field)
 
     def gather(self, rows: int, cols: int, at: Sequence[int]) -> "Matrix":
         """The rows x cols matrix whose entries, row-major, are this one's at the row-major indices ``at``."""
         if len(at) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(at)}")
-        if self.field.is_rational:
-            nums, d = self._integer_form()
-            return Matrix._from_ints(rows, cols, _reduced([nums[t] for t in at], d), self.field)
-        e = self.entries
-        return Matrix(rows, cols, tuple(e[t] for t in at), self.field)
+        values, d = self._integer_form()
+        return Matrix._from_ints(rows, cols, _reduced([values[t] for t in at], d), self.field)
 
     def transpose(self) -> "Matrix":
         rows, cols = self.rows, self.cols
@@ -459,14 +461,12 @@ class Matrix(Value):
         return _answer(n, n, [col[i] for i in range(n) for col in cols], self.field)
 
     def hstack(self, *others: "Matrix") -> "Matrix":
-        """[self | others[0] | ...]; a rational one is made from the integer forms, over their lcm."""
+        """[self | others[0] | ...], made from the forms over their lcm."""
         blocks, rows, cols = (self, *others), self.rows, self.cols + sum(m.cols for m in others)
         if any(m.rows != rows or m.field != self.field for m in others):
             raise ShapeError("hstack mismatch")
         flat = list(chain.from_iterable(_rows(*blocks)))
-        if self.field.is_rational:
-            return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
-        return Matrix(rows, cols, tuple(flat), self.field)
+        return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
 
     def _columns(self, cols: list[int]) -> "Matrix":
         """The columns ``cols`` of this matrix, in that order."""
@@ -545,8 +545,12 @@ def _numerators(entries: tuple) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) if x else 0 for x in entries], d
 
 
-def _reduced(nums: list[int], d: int) -> tuple[list[int], int]:
-    """nums and d divided by g = gcd(d, *nums): the form ``_numerators`` gives, as lcm_k(d / gcd(d, v_k)) = d / g."""
+def _reduced(nums: list, d: int) -> tuple[list, int]:
+    """nums and d divided by g = gcd(d, *nums): the form ``_numerators`` gives, as lcm_k(d / gcd(d, v_k)) = d / g.
+
+    A form over d = 1 is returned as it is: every complex form is one, and ``gcd`` refuses complex values."""
+    if d == 1:
+        return nums, d
     g = gcd(d, *nums)
     return ([v // g for v in nums], d // g) if g > 1 else (nums, d)
 
@@ -586,10 +590,8 @@ def _trace_sum(x: Sequence, y: Sequence, n: int, m: int):
 
 
 def _rows(*blocks: Matrix) -> list[list]:
-    """The rows of [blocks[0] | ...] for :func:`_rref`, each a list of its own: complex entries, or integer rows
-    sliced out of the blocks' integer forms and scaled to their common lcm, the form a rational ``hstack`` keeps."""
-    if not blocks[0].field.is_rational:
-        return [[x for m in blocks for x in m.row(i)] for i in range(blocks[0].rows)]
+    """The rows of [blocks[0] | ...] for :func:`_rref`, each a list of its own, sliced out of the blocks' forms and
+    scaled to their common lcm, the form ``hstack`` keeps: integer rows, or complex entries, whose d is 1."""
     forms = [(m._integer_form(), m.cols) for m in blocks]
     d = lcm(*(e for (_, e), _ in forms))
     rows: list[list] = [[] for _ in range(blocks[0].rows)]

@@ -144,17 +144,16 @@ def _end_rows(fs: FramedTorsionSheaf) -> list[list]:
 
     :func:`linalg.add_sandwich` writes its four terms: g X and (-X) g from
     the n x n identity and X, then g i and (-i) s from i and the r x r
-    identity.  Rational rows are written from the integer forms of X and i,
-    so the commutator rows are scaled by d_X and the framing rows by d_i
-    (each block of equations reads only X or only i), which does not change
-    the kernel.  Complex rows sum the entries of X and i from zero.  In
-    either field the equations are row-major, commutator rows first.
+    identity.  The rows are written from the forms of X and i, so rational
+    commutator rows are scaled by d_X and framing rows by d_i (each block of
+    equations reads only X or only i), which does not change the kernel; a
+    complex form is the entries over 1.  Rational rows start from the int 0
+    and complex ones from 0j.  In either field the equations are row-major,
+    commutator rows first.
     """
-    n, r, rational = fs.n, fs.r, fs.field.is_rational
-    if rational:
-        x, a, zero = fs.X._integer_form()[0], fs.i._integer_form()[0], 0
-    else:
-        x, a, zero = fs.X.entries, fs.i.entries, fs.field.zero
+    n, r = fs.n, fs.r
+    x, a = fs.X._integer_form()[0], fs.i._integer_form()[0]
+    zero = 0 if fs.field.is_rational else fs.field.zero
     eye_n, eye_r = ([int(k == l) for k in range(m) for l in range(m)] for m in (n, r))
     rows = [[zero] * (n * n + r * r) for _ in range(n * n + n * r)]
     add_sandwich(rows, eye_n, x, n, n, eq_row=0, unknown_col=0)

@@ -90,7 +90,7 @@ class MicrolocalElement(Value):
     __slots__ = _FIELDS = ("terms", "floor")
 
     def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
-        _set(self, "terms", terms)
+        _set(self, "terms", tuple(terms))
         _set(self, "floor", floor)
 
     @classmethod
@@ -182,6 +182,7 @@ class WeylElement(MicrolocalElement):
     def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
         if floor is not None:
             raise ValueError(f"a Weyl element is exact and has no floor, got {floor}")
+        terms = tuple(terms)
         for (a, b), _ in terms:
             if b < 0:
                 raise ValueError(f"Weyl monomial powers must be nonnegative, got {(a, b)}")

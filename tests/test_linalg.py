@@ -339,6 +339,58 @@ def test_complex_matmul_unchanged_entry_for_entry(operands):
     assert [repr(x) for x in (a @ b).entries] == [repr(x) for x in _complex_loop_product(a, b).entries]
 
 
+@st.composite
+def _complex_arithmetic_operands(draw):
+    """Two complex r x c matrices a and b, an r x c2 matrix e, a scalar c and row-major indices into a."""
+    field = complex_field(1e-9)
+    rows, cols, wide = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.builds(complex, _COMPLEX_PART, _COMPLEX_PART)
+
+    def operand(c):
+        return Matrix(rows, c, tuple(draw(st.lists(entry, min_size=rows * c, max_size=rows * c))), field)
+
+    a, b, e = operand(cols), operand(cols), operand(wide)
+    at = draw(st.lists(st.integers(0, rows * cols - 1), max_size=6)) if rows * cols else []
+    return a, b, e, draw(entry), at
+
+
+_SIGNED_ZERO_ENTRIES = (complex(-0.0, -1.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(-2.5, -0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_arithmetic_operands())
+@example((Matrix(2, 2, _SIGNED_ZERO_ENTRIES, complex_field(1e-9)), Matrix(2, 2, _SIGNED_ZERO_ENTRIES[::-1],
+          complex_field(1e-9)), Matrix(2, 1, (complex(-0.0, -0.0), 1j), complex_field(1e-9)), complex(-0.0, 1.0),
+          [3, 0, 0]))
+def test_complex_arithmetic_unchanged_entry_for_entry(operands):
+    """``+``, ``-``, negation, scalar ``*``, ``transpose``, ``gather``, ``hstack`` and ``_rows`` match plain-Python
+    entrywise arithmetic repr for repr, signed zeros included, and equal entries give equal matrices and hashes.
+
+    The scalar product is checked as ``c * x``, the order the entries were multiplied in before a complex matrix
+    was its entries over 1; complex multiplication commutes in IEEE arithmetic, so ``x * c`` gives the same bits.
+    """
+    a, b, e, c, at = operands
+    field, rows, cols = a.field, a.rows, a.cols
+    x, y = a.entries, b.entries
+    expected = {
+        "a + b": (a + b, [p + q for p, q in zip(x, y)]),
+        "a - b": (a - b, [p - q for p, q in zip(x, y)]),
+        "-a": (-a, [-p for p in x]),
+        "c * a": (c * a, [c * p for p in x]),
+        "transpose": (a.transpose(), [x[i * cols + k] for k in range(cols) for i in range(rows)]),
+        "gather": (a.gather(1, len(at), at), [x[t] for t in at]),
+        "hstack": (a.hstack(e), [v for i in range(rows) for v in a.row(i) + e.row(i)]),
+    }
+    for name, (got, want) in expected.items():
+        assert [repr(v) for v in got.entries] == [repr(v) for v in want], name
+        built = Matrix(got.rows, got.cols, tuple(want), field)
+        assert got == built and hash(got) == hash(built), name
+    assert [[repr(v) for v in row] for row in _rows(a, e)] == \
+        [[repr(v) for v in a.row(i) + e.row(i)] for i in range(rows)]
+    twin = Matrix(rows, cols, tuple(x), field)
+    assert twin == a and hash(twin) == hash(a)
+
+
 def _reference_rref(rows, field):
     """Reference oracle: the entry-for-entry Gauss-Jordan loop ``_rref`` ran in both fields
     before rational elimination became fraction-free, with the complex row update

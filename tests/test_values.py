@@ -69,6 +69,7 @@ VALUES = [
     (HilbertIdeal, (((0, 0),), (), 1, 0), {0: ((1, 0),), 1: ((((0, 0), F(1)),),), 2: 2, 3: 1}),
     (SupportReport, (True, 2), {0: False, 1: None}),
     (HilbertIdeal, (((0, 0), (1, 0)), ((((1, 0), F(1)),),), 1, 1), {1: ((((1, 0), F(2)),),)}),
+    (Matrix, (1, 2, (1j, complex(-0.0, 2.0)), complex_field()), {2: (1j, 3j)}),
 ]
 IDS = [f"{cls.__name__}-{k}" for k, (cls, _, _) in enumerate(VALUES)]
 # These define + or * or [], so they must not be tuples: m * 2 would repeat the entries.
@@ -127,6 +128,27 @@ def test_pickle_and_copy_keep_the_value(cls, args, changes):
     obj = cls(*args)
     for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(twin) is cls and twin == obj
+
+
+# (class, constructor arguments, index of the sequence argument, a new first item for it).
+LISTED = [
+    (Matrix, (1, 2, (F(1), F(2)), RATIONAL), 2, F(7)),
+    (Matrix, (1, 2, (1j, 2j), complex_field()), 2, 7j),
+    (PolyCovector, ((A,),), 0, B),
+    (MicrolocalElement, (OTHER_TERMS, None), 0, ((0, -3), F(5))),
+    (WeylElement, (OTHER_TERMS, None), 0, ((0, -1), F(1))),
+]
+
+
+@pytest.mark.parametrize("cls, args, k, item", LISTED, ids=[f"{cls.__name__}-{n}" for n, (cls, *_) in enumerate(LISTED)])
+def test_a_value_built_from_a_list_keeps_its_own_tuple(cls, args, k, item):
+    """Editing the caller's list afterwards changes nothing: the value equals, hashes and prints like the one
+    built from the tuple, and a Weyl element keeps only the terms it checked."""
+    items = list(args[k])
+    value = cls(*args[:k], items, *args[k + 1 :])
+    items[0] = item
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    assert repr(value) == repr(cls(*args)) and str(value) == str(cls(*args))
 
 
 def test_ring_elements_compare_by_value_across_kinds():
