@@ -17,6 +17,10 @@ top-degree-down back-substitution.
 The fiber of CM points over a fixed framed sheaf (X, i) is the affine
 solution set of [X, Y] - i j + I = 0 in (Y, j): a particular solution plus
 the span of the homogeneous solutions [X, Y'] = i j'.  It may be empty.
+``_fiber_system`` writes the n^2 equations as rows [A | -vec(I)], one list
+each, and ``solve_cm_fiber`` hands them to ``linalg._solve_rows``, the
+solver body ``solve_affine`` runs after its shape checks, so the mostly
+zero system is never a ``Matrix``.
 
 Only :func:`from_cm` and :func:`normalize` meet a :class:`CMQuadruple`, so
 they alone import :mod:`cmkit.adhm`, and ``classify``, ``fiber-solve`` and
@@ -25,7 +29,6 @@ they alone import :mod:`cmkit.adhm`, and ``classify``, ``fiber-solve`` and
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .linalg import (
@@ -35,11 +38,12 @@ from .linalg import (
     ShapeError,
     Value,
     _set,
+    _solve_rows,
     add_sandwich,
     commutator,
-    solve_affine,
     unvec,
 )
+from .linalg import solve_affine  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 if TYPE_CHECKING:
     from .adhm import CMQuadruple
@@ -211,24 +215,26 @@ class FiberSolution(NamedTuple):
         return len(self.kernel_basis)
 
 
-def _fiber_system(X: Matrix, i: Matrix) -> Matrix:
-    """The operator (Y, j) |-> X Y - Y X - i j on vec(Y, j), equation (p, q) at row p n + q.
+def _fiber_system(X: Matrix, i: Matrix) -> list[list]:
+    """The rows [A | -vec(I)] of [X, Y] - i j + I = 0, A the operator (Y, j) |-> X Y - Y X - i j on vec(Y, j).
 
-    Rational rows start from the int 0, as the End rows of ``moduli._end_rows``
-    do, and :func:`linalg.add_sandwich` adds the Fraction coefficients of X and
-    i into them, so the matrix holds a Fraction only where a term was written;
-    its integer form reads every other entry from an int.  Complex rows sum
-    from ``0j``.
+    Equation (p, q) is row p n + q, a list of its own.  Rational rows start
+    from the int 0, as the End rows of ``moduli._end_rows`` do, and
+    :func:`linalg.add_sandwich` adds the Fraction coefficients of X and i
+    into them, so a row holds a Fraction only where a term was written; its
+    right-hand side is the int -1 or 0.  Complex rows sum from ``0j``, and
+    their right-hand sides are ``-(1+0j)`` and ``-(0j)``, the entries of the
+    negated identity.
     """
     n, r, field = X.rows, i.cols, X.field
-    x, eye = X.entries, Matrix.identity(n, field).entries
+    zero, one = (0, 1) if field.is_rational else (field.zero, field.one)
+    eye = [one if k == l else zero for k in range(n) for l in range(n)]
     ncols = n * n + r * n
-    zero = 0 if field.is_rational else field.zero
-    rows = [[zero] * ncols for _ in range(n * n)]
-    add_sandwich(rows, x, eye, n, n, eq_row=0, unknown_col=0)
+    rows = [[zero] * ncols + [-eye[p * n + q]] for p in range(n) for q in range(n)]
+    add_sandwich(rows, X.entries, eye, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, eye, (-X).entries, n, n, eq_row=0, unknown_col=0)
     add_sandwich(rows, (-i).entries, eye, r, n, eq_row=0, unknown_col=n * n)
-    return Matrix(n * n, ncols, tuple(chain.from_iterable(rows)), field)
+    return rows
 
 
 def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
@@ -236,11 +242,12 @@ def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
 
     Emptiness is a meaningful answer: the framed sheaf then lies outside the
     support of the CM family.  The kernel basis spans the homogeneous
-    solutions [X, Y'] = i j'.
+    solutions [X, Y'] = i j'.  The rows of :func:`_fiber_system` go straight
+    to ``linalg._solve_rows``, the body of ``solve_affine``, with no
+    :class:`Matrix` of the system between them.
     """
     X, i, n, r = fs.X, fs.i, fs.n, fs.r
-    rhs = (-Matrix.identity(n, fs.field)).gather(n * n, 1, range(n * n))
-    sol = solve_affine(_fiber_system(X, i), rhs)
+    sol = _solve_rows(_fiber_system(X, i), n * n + r * n, fs.field)
     if sol is None:
         return None
     py, pj = unvec(sol.particular, n, r, n)

@@ -40,7 +40,9 @@ systems, adds the coefficients of a term Z |-> A Z B, for A and B row-major
 sequences of any entry type, into its rows: the four terms of ``moduli``'s
 End system, integer numerators of X and i on rows of int zeros, and the
 three of the Koszul fiber system, Fraction coefficients on rows of int
-zeros (complex entries on ``0j`` in the complex field).
+zeros (complex entries on ``0j`` in the complex field).  The fiber rows,
+with their right-hand side, go to :func:`_solve_rows`, the body of
+``solve_affine``, and never become a :class:`Matrix`.
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
@@ -52,7 +54,8 @@ of rational products build Fractions only for the entries that are read.
 vector, for the integer vectors of ``_closure_rank`` and of the rational
 Hilbert ideal, which build no matrix.
 
-``_rref`` is the one elimination routine of the package for matrices;
+``_rref`` is the one elimination routine of the package for matrices, and
+``_solve_rows`` the one affine solver on it, for both fields;
 ``_pivots`` runs its rational forward pass alone, for the readers that need
 only the pivot columns (``rank``, the trace form and the support check).
 ``_closure_rank`` (the dimension of the operator-invariant span of some
@@ -128,6 +131,7 @@ def parse_rational(text: str) -> tuple[int, int]:
 
 _ZERO, _ONE, _CZERO, _CONE = Fraction(0), Fraction(1), complex(0), complex(1)
 _RATIONAL_TYPES = frozenset((Fraction, int))
+_COMPLEX_TYPES = frozenset((complex, float, int))
 
 
 class Field(NamedTuple):
@@ -249,7 +253,9 @@ class Matrix(Value):
     (so ``repr``, ``str`` and pickling) build every entry once and keep
     them.  A rational matrix made from entries computes its form on first
     use, so the constructor refuses a rational entry that is not an int or a
-    Fraction (``TypeError``) where the matrix is made.  It keeps
+    Fraction (``TypeError``) where the matrix is made, and a complex one
+    refuses an entry that is not an int, float or complex: a Fraction kept
+    there would print as "1/3" and differ from 1/3 + 0j.  It keeps
     ``tuple(entries)``, so a matrix made from a list does not change with it.
     ``entries`` is a property over the slot ``_entries``, not a slot with a
     ``__getattr__`` fallback: on CPython 3.11 defining ``__getattr__`` slows
@@ -265,10 +271,15 @@ class Matrix(Value):
             raise ShapeError("negative dimensions")
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
-        if field.is_rational and not _RATIONAL_TYPES.issuperset(map(type, entries)):
+        if field.is_rational:
+            if not _RATIONAL_TYPES.issuperset(map(type, entries)):
+                for x in entries:
+                    if not isinstance(x, (int, Fraction)):
+                        raise TypeError(f"a rational matrix takes int or Fraction entries, got {x!r}")
+        elif not _COMPLEX_TYPES.issuperset(map(type, entries)):
             for x in entries:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"a rational matrix takes int or Fraction entries, got {x!r}")
+                if not isinstance(x, (int, float, complex)):
+                    raise TypeError(f"a complex matrix takes int, float or complex entries, got {x!r}")
         _set(self, "rows", rows)
         _set(self, "cols", cols)
         _set(self, "_entries", entries)
@@ -540,6 +551,7 @@ def _numerators(entries: tuple) -> tuple[list[int], int]:
     too), and its numerator is the int 0 over any d.  So a sparse system
     reads its nonzeros alone: the n = 12 diagonal fiber system (22464
     entries, 288 of them Fractions) in 0.67 ms instead of 2.07 ms.
+    :func:`_solve_rows` calls it once per row of such a system.
     """
     d = lcm(*{x.denominator for x in entries if x})
     return [x.numerator * (d // x.denominator) if x else 0 for x in entries], d
@@ -919,17 +931,35 @@ def solve_affine(a: Matrix, b: Matrix) -> AffineSolution | None:
 
     The particular solution sets all free variables to zero; the kernel basis
     spans the homogeneous solutions, so the full solution set is
-    ``particular + span(kernel_basis)``.
+    ``particular + span(kernel_basis)``.  After the shape checks this is
+    :func:`_solve_rows` on the rows of [A | b].
     """
     if b.cols != 1 or b.rows != a.rows:
         raise ShapeError(f"rhs must be a {a.rows}x1 column, got {b.rows}x{b.cols}")
     if a.field != b.field:
         raise ShapeError("mixed fields")
-    rows, pivots = _rref(_rows(a, b), a.field)
-    if any(p == a.cols for p in pivots):
+    return _solve_rows(_rows(a, b), a.cols, a.field)
+
+
+def _solve_rows(rows: list[list], ncols: int, field: Field) -> AffineSolution | None:
+    """:func:`solve_affine` on the augmented rows [A | b], A with ``ncols`` columns, each row a list of its own.
+
+    This is the one solver body of both fields, for ``solve_affine`` and for
+    a system written as rows, such as the fiber system of ``koszul``, which
+    then never becomes a :class:`Matrix`.  A rational row may hold ints and
+    Fractions: each is made integer numerators over the lcm of its own
+    denominators (:func:`_numerators`, which skips zeros).  That scales the
+    row by a positive factor, which the content division of :func:`_echelon`
+    removes, so the elimination takes the path it takes on the rows
+    :func:`_rows` gives.  Complex rows go to :func:`_rref` as they are.
+    """
+    if field.is_rational:
+        rows = [_numerators(row)[0] for row in rows]
+    rows, pivots = _rref(rows, field)
+    if any(p == ncols for p in pivots):
         return None
-    x = _read(rows, pivots, a.cols, a.cols, a.field)
-    return AffineSolution(_answer(a.cols, 1, x, a.field), _kernel(rows, pivots, a.cols, a.field))
+    x = _read(rows, pivots, ncols, ncols, field)
+    return AffineSolution(_answer(ncols, 1, x, field), _kernel(rows, pivots, ncols, field))
 
 
 def vec(square: Matrix, framing: Matrix) -> list[Scalar]:
@@ -954,11 +984,13 @@ def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *
     ``l * zr + k`` when Z is the square block, which ``vec`` lists first,
     column-major (``unknown_col`` 0), and at ``unknown_col + k * zc + l``
     when Z is the framing block, row-major from column n^2 >= 1.  Only the
-    nonzero entries of A and B are visited, in order.  A term
+    nonzero entries of A and B are visited, in order, and a row may hold
+    more columns than the unknowns, such as a right-hand side.  A term
     -(Z |-> A Z B) is added as Z |-> (-A) Z B.  Rational rows start from the
     int 0: ``moduli._end_rows`` adds integer numerators into them and
     ``koszul._fiber_system`` Fraction coefficients, so a fiber row holds a
-    Fraction only at the columns a term reaches.
+    Fraction only at the columns a term reaches, and :func:`_solve_rows`
+    takes its numerators row by row.
     """
     bc = len(b) // zc
     k_step, l_step = (zc, 1) if unknown_col else (1, zr)

@@ -84,13 +84,15 @@ class MicrolocalElement(Value):
     ``floor=None`` marks an exact finite Laurent element: absent coefficients
     are exactly zero.  ``floor=f`` marks a truncation: coefficients with
     d-degree < f are unknown, and arithmetic propagates the floor so that
-    stored terms are always correct.  Elements are immutable.
+    stored terms are always correct.  Elements are immutable: each term is
+    kept as the pair (tuple(key), coefficient), so an element given its terms
+    or keys as lists equals and hashes like the one given tuples.
     """
 
     __slots__ = _FIELDS = ("terms", "floor")
 
     def __init__(self, terms: tuple[tuple[TermKey, Fraction], ...], floor: int | None = None) -> None:
-        _set(self, "terms", tuple(terms))
+        _set(self, "terms", tuple((tuple(key), c) for key, c in terms))
         _set(self, "floor", floor)
 
     @classmethod

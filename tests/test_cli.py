@@ -644,6 +644,16 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # h = [1 - i, 0, 2i] + x [1/2 + i, -1, i], whose j(x) keeps a -0.0
 # (homotopy-complex-scaled-cm-degree-1); and normalize of the triple that
 # homotopy prints, whose j keeps it too (normalize-complex-scaled-cm-degree-2).
+# The last two were recorded before the fiber system went to the elimination
+# as rows, with no Matrix of the system: fiber-solve on complex
+# X = g diag(1, 1, 2i) g^-1, g = L U with L = [[1, 0, 0], [i, 1, 0],
+# [1 - i, 2, 1]] and U = [[1, 1 + i, 0], [0, 1, -i], [0, 0, 1]], and
+# i = g [1 + i, 0, -1]^T, whose framing misses the second eigenvector of the
+# eigenvalue 1, so its fiber is empty and the complex solver answers None
+# (fiber-solve-complex-empty, exit 1); and fiber-solve on sample_cm(4, 4)
+# conjugated by g = rand_invertible(Random(1004), 4) with the r = 3 framing
+# [g i | (k mod 3) - 1 | ((k mod 5) - 2) / (1 + k mod 3)], the first
+# fiber-solve golden line with r = 3 (fiber-solve-rational-dense-n4-r3).
 _GOLDEN =[json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 

@@ -540,8 +540,9 @@ def test_fiber_dimension_over_diagonal_cyclic_data_is_n():
             assert j.is_zero()
 
 
-def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
-    """Reference oracle: the fiber operator assembled by applying it to every unit (Y, j).
+def _probed_fiber_rows(X: Matrix, i: Matrix) -> list[list]:
+    """Reference oracle: the rows [A | -vec(I)] of the fiber system, A assembled by applying the operator to every
+    unit (Y, j), and -vec(I) the entries of the negated identity matrix.
 
     Equation (a, b) is row a n + b, row-major, in either field."""
     from cmkit import commutator
@@ -558,19 +559,23 @@ def _probed_fiber_system(X: Matrix, i: Matrix) -> Matrix:
             jm = [[field.zero] * n for _ in range(r)]
             jm[row][col] = field.one
             units.append((Matrix.zeros(n, n, field), Matrix.from_rows(jm, field)))
-    ncols = len(units)
-    flat = [field.zero] * (n * n * ncols)
-    for cidx, (yu, ju) in enumerate(units):
-        image = commutator(X, yu) - i @ ju
-        for a in range(n):
-            for b in range(n):
-                flat[(a * n + b) * ncols + cidx] = image[a, b]
-    return Matrix(n * n, ncols, tuple(flat), field)
+    images = [commutator(X, yu) - i @ ju for yu, ju in units]
+    rhs = (-Matrix.identity(n, field)).entries
+    return [[image[a, b] for image in images] + [rhs[a * n + b]] for a in range(n) for b in range(n)]
 
 
 def _same_system(a: Matrix, b: Matrix) -> bool:
     """Equal matrices, complex entries compared by repr, so the sign of every zero counts too."""
     return a == b and (a.field.is_rational or list(map(repr, a.entries)) == list(map(repr, b.entries)))
+
+
+def _same_rows(rows: list[list], expected: list[list], field) -> bool:
+    """Equal rows of entries of the field's types (int or Fraction, or complex), complex entries compared by repr,
+    so the sign of every zero counts too."""
+    types = (int, Fraction) if field.is_rational else (complex,)
+    flat = [x for row in rows for x in row]
+    return (rows == expected and all(type(x) in types for x in flat)
+            and (field.is_rational or list(map(repr, flat)) == [repr(x) for row in expected for x in row]))
 
 
 @pytest.mark.parametrize("field_name", ["rational", "complex"])
@@ -596,7 +601,57 @@ def test_fiber_system_matches_unit_probing(field_name, conjugated, r, data):
         scale = data.draw(st.sampled_from([1, 1j, 1 - 2j]))
         X = Matrix.from_rows([[complex(v) * scale for v in row] for row in X.to_rows()], field)
         i = Matrix.from_rows([[complex(v) * (1 + 1j) for v in row] for row in i.to_rows()], field)
-    assert _same_system(_fiber_system(X, i), _probed_fiber_system(X, i))
+    assert _same_rows(_fiber_system(X, i), _probed_fiber_rows(X, i), X.field)
+
+
+@st.composite
+def _fiber_sheaves(draw, field_name: str) -> FramedTorsionSheaf:
+    """A sheaf with n <= 5 and r <= 3: X diagonal, with repeated entries allowed, or conjugated dense, and i drawn
+    or zero.  A repeated eigenvalue or a zero framing often leaves the fiber empty.  A complex sheaf scales X and i
+    by complex units, so its entries have nonzero imaginary parts unless the drawn scale is 1."""
+    from cmkit import complex_field
+
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    diagonal = [draw(st.sampled_from([0, 1, Fraction(-1, 2)]) | values) for _ in range(n)]
+    X = Matrix.from_rows([[diagonal[k] if k == l else 0 for l in range(n)] for k in range(n)])
+    if draw(st.booleans()):
+        g = rand_invertible(random.Random(draw(st.integers(0, 10**6))), n)
+        X = g @ X @ g.inverse()
+    framing = draw(st.sampled_from(["drawn", "drawn", "zero"]))
+    i = Matrix.from_rows([[draw(values) if framing == "drawn" else 0 for _ in range(r)] for _ in range(n)])
+    if field_name == "complex":
+        field = complex_field(1e-9)
+        scale = draw(st.sampled_from([1, 1j, 1 - 2j]))
+        X = Matrix.from_rows([[complex(v) * scale for v in row] for row in X.to_rows()], field)
+        i = Matrix.from_rows([[complex(v) * (1 + 1j) for v in row] for row in i.to_rows()], field)
+    return FramedTorsionSheaf(X, i)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "complex"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_cm_fiber_matches_solve_affine_on_the_matrix_of_its_rows(field_name, data):
+    """``solve_cm_fiber`` hands the rows of ``_fiber_system`` to the solver body of ``solve_affine`` with no
+    Matrix between them.  Built from the same rows, the Matrix A and the column b = -vec(I) give
+    ``solve_affine(A, b)`` the same answer: the same emptiness, particular (Y, j) and kernel basis, entry for
+    entry."""
+    from cmkit.koszul import _fiber_system
+    from cmkit.linalg import unvec
+
+    fs = data.draw(_fiber_sheaves(field_name))
+    n, r, field = fs.n, fs.r, fs.field
+    rows, ncols = _fiber_system(fs.X, fs.i), n * n + n * r
+    a = Matrix(n * n, ncols, tuple(x for row in rows for x in row[:ncols]), field)
+    b = Matrix(n * n, 1, tuple(row[ncols] for row in rows), field)
+    expected, got = solve_affine(a, b), solve_cm_fiber(fs)
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    want = [unvec(expected.particular, n, r, n)] + [unvec(v, n, r, n) for v in expected.kernel_basis]
+    have = [(got.particular_Y, got.particular_j), *got.kernel_basis]
+    assert len(have) == len(want)
+    assert all(_same_system(y, wy) and _same_system(j, wj) for (y, j), (wy, wj) in zip(have, want))
 
 
 @pytest.mark.parametrize("field_name", ["rational", "complex"])
@@ -623,14 +678,15 @@ def test_end_rows_and_fiber_system_write_through_add_sandwich(field_name, monkey
     monkeypatch.setattr(koszul, "add_sandwich", recorder("koszul"))
     assert repr(moduli._end_rows(fs)) == repr(end_rows) and calls == ["moduli"] * 4
     calls.clear()
-    assert _same_system(koszul._fiber_system(X, i), fiber) and calls == ["koszul"] * 3
+    assert _same_rows(koszul._fiber_system(X, i), fiber, X.field) and calls == ["koszul"] * 3
 
 
 @pytest.mark.parametrize("conjugated", [False, True])
 def test_rational_fiber_rows_hold_fractions_only_where_a_term_is_written(conjugated):
     """The rational fiber rows start from the int 0, as the End rows do: an entry is a Fraction only at a
     column one of the three sandwich terms writes, for a nonzero entry of X or i (at most 2 n^3 + n^2 r of the
-    n^2 (n^2 + n r) entries), and every other entry is the int 0.  The system still equals the probed one."""
+    n^2 (n^2 + n r) entries of A), every other entry of A is the int 0, and the right-hand side -vec(I) is the
+    int -1 on the equations (p, p) and the int 0 elsewhere.  The rows still equal the probed ones."""
     from cmkit.koszul import _fiber_system
 
     n, r = 6, 1
@@ -643,29 +699,34 @@ def test_rational_fiber_rows_hold_fractions_only_where_a_term_is_written(conjuga
     written |= {(p * n + b, l * n + p) for l in range(n) for b in range(n) if x[l][b] for p in range(n)}
     written |= {(p * n + b, n * n + k * n + b) for p in range(n) for k in range(r) if a[p][k] for b in range(n)}
     assert len(written) <= 2 * n**3 + n * n * r
-    system = _fiber_system(X, i)
-    fractions = {divmod(t, system.cols) for t, v in enumerate(system.entries) if type(v) is Fraction}
+    rows, ncols = _fiber_system(X, i), n * n + n * r
+    assert len(rows) == n * n and all(len(row) == ncols + 1 for row in rows)
+    fractions = {(k, c) for k, row in enumerate(rows) for c, v in enumerate(row) if type(v) is Fraction}
     assert fractions <= written
-    assert all(v == 0 and type(v) is int for v in system.entries if type(v) is not Fraction)
-    assert _same_system(system, _probed_fiber_system(X, i))
+    assert all(v == 0 and type(v) is int for row in rows for v in row[:ncols] if type(v) is not Fraction)
+    rhs = [row[ncols] for row in rows]
+    assert rhs == [-1 if k % (n + 1) == 0 else 0 for k in range(n * n)] and {type(v) for v in rhs} == {int}
+    assert _same_rows(rows, _probed_fiber_rows(X, i), X.field)
 
 
 def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(monkeypatch):
     """A guard on work, not time: ``linalg._integer_rref`` takes the row-major rows its callers write last
     equation first, and so clears fewer rows (fraction-free row steps of ``linalg._clear``, which only its
     forward pass takes) than when it is handed the same rows reversed, which it then takes row-major.  The
-    rational fiber system [A | -vec(I)] of a dense n = 6 sheaf, r = 1, the End rows of the same X with r = 2
-    and the faithful trace-form rows of the scalar sheaf X = 2 I_5, r = 1, take 450 against 505, 633 against
-    841 and 40 against 56 row steps.  The pivots agree."""
+    rational fiber rows [A | -vec(I)] of a dense n = 6 sheaf, r = 1, each made integer over its own lcm as
+    ``linalg._solve_rows`` makes them, the End rows of the same X with r = 2 and the faithful trace-form rows
+    of the scalar sheaf X = 2 I_5, r = 1, take 450 against 505, 633 against 841 and 40 against 56 row steps.
+    The pivots agree.  The fiber rows of the Matrix [A | -vec(I)], all over one lcm, take the same 450 steps
+    to the same pivots: a row's scale does not change the path."""
     from cmkit import linalg, moduli
     from cmkit.koszul import _fiber_system
 
     n = 6
     q = conjugate(sample_cm(n, n), rand_invertible(random.Random(n + 1000), n))
-    rhs = (-Matrix.identity(n)).gather(n * n, 1, range(n * n))
+    fiber = _fiber_system(q.X, q.i)
     framing = q.i.hstack(Matrix.column([k % 3 - 1 for k in range(n)]))
     scalar = FramedTorsionSheaf(2 * Matrix.identity(5), Matrix.column([1, 2, 3, 4, 5]))
-    systems = {"fiber": linalg._rows(_fiber_system(q.X, q.i), rhs),
+    systems = {"fiber": [linalg._numerators(row)[0] for row in fiber],
                "End": moduli._end_rows(FramedTorsionSheaf(q.X, framing)),
                "trace form": moduli._faithful_trace_form(scalar, moduli._end_block(scalar))}
     cleared = [0]
@@ -681,10 +742,15 @@ def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(
         cleared[0] = 0
         return linalg._integer_rref([list(row) for row in rows]), cleared[0]
 
+    counts = {}
     for name, rows in systems.items():
         (pivots, last_first), (row_major_pivots, row_major) = steps(rows), steps(rows[::-1])
         assert pivots == row_major_pivots
         assert last_first < 0.9 * row_major, (name, last_first, row_major)
+        counts[name] = (pivots, last_first, row_major)
+    assert [c[1:] for c in counts.values()] == [(450, 505), (633, 841), (40, 56)]
+    one_lcm = linalg._rows(Matrix.from_rows(fiber))
+    assert steps(one_lcm) == counts["fiber"][:2] and one_lcm != systems["fiber"]
 
 
 # --- the Koszul laws as properties, n <= 4 and r <= 2 ---

@@ -600,8 +600,8 @@ def _real_sheaves(rng):
 
 
 def _real_systems(rng):
-    """[fiber system | rhs] of the "fiber" sheaves of :func:`_real_sheaves` and the integer End rows of the
-    "End" ones, as matrices."""
+    """The fiber rows [A | -vec(I)] of the "fiber" sheaves of :func:`_real_sheaves` and the integer End rows of
+    the "End" ones, as matrices."""
     from cmkit.koszul import _fiber_system
     from cmkit.moduli import _end_rows
 
@@ -610,8 +610,7 @@ def _real_systems(rng):
         if kind == "End":
             systems.append(Matrix.from_rows(_end_rows(fs)))
         else:
-            rhs = (-Matrix.identity(fs.n)).gather(fs.n * fs.n, 1, range(fs.n * fs.n))
-            systems.append(_fiber_system(fs.X, fs.i).hstack(rhs))
+            systems.append(Matrix.from_rows(_fiber_system(fs.X, fs.i)))
     return systems
 
 
@@ -902,6 +901,19 @@ def test_rational_matrix_refuses_a_non_rational_entry_where_it_is_made(entry):
     # equality and hash read the integer form, which a float or string entry has not got
     with pytest.raises(TypeError, match="int or Fraction entries"):
         Matrix(1, 2, (Fraction(1, 3), entry))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 3), "1", None, [1.0, 0.0]])
+def test_complex_matrix_refuses_an_entry_that_is_not_a_number_where_it_is_made(entry):
+    # a Fraction kept in a complex matrix printed as "1/3", differed from 1/3 + 0j and broke matrix_to_json
+    with pytest.raises(TypeError, match="int, float or complex entries"):
+        Matrix(1, 2, (entry, 2), complex_field())
+
+
+def test_complex_matrix_takes_int_bool_float_and_complex_entries():
+    m = Matrix(1, 4, (2, True, -0.5, 1j), complex_field())
+    assert m == Matrix.from_rows([[2, 1, -0.5, 1j]], complex_field())
+    assert hash(m) == hash(Matrix.from_rows([[2, 1, -0.5, 1j]], complex_field()))
 
 
 def test_rational_matrix_takes_int_bool_and_fraction_entries():

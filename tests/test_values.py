@@ -57,7 +57,7 @@ NAMES = {
 VALUES = [
     (Matrix, (0, 2, (), RATIONAL), {1: 3}),
     (Matrix, (2, 0, (), RATIONAL), {0: 3}),
-    (Matrix, (1, 2, (F(1), F(2)), RATIONAL), {2: (F(1), F(3)), 3: complex_field()}),
+    (Matrix, (1, 2, (1, 2), RATIONAL), {2: (1, 3), 3: complex_field()}),  # int entries are in both fields
     (PolyCovector, ((A,),), {0: (B,)}),
     (MicrolocalElement, (TERMS, None), {0: OTHER_TERMS, 1: -2}),
     (WeylElement, (TERMS, None), {0: OTHER_TERMS}),
@@ -149,6 +149,16 @@ def test_a_value_built_from_a_list_keeps_its_own_tuple(cls, args, k, item):
     items[0] = item
     assert value == cls(*args) and hash(value) == hash(cls(*args))
     assert repr(value) == repr(cls(*args)) and str(value) == str(cls(*args))
+
+
+@pytest.mark.parametrize("cls", [MicrolocalElement, WeylElement])
+def test_ring_element_terms_given_as_lists_are_kept_as_tuples(cls):
+    """A term or its key given as a list is kept as the pair (tuple(key), coefficient): the element hashes, and
+    equals and prints like its tuple-built twin."""
+    for listed in ([[(1, 0), F(1)]], [[[1, 0], F(1)]], [([1, 0], F(1))]):
+        value = cls(listed, None)
+        assert value.terms == TERMS and value == cls(TERMS, None) and hash(value) == hash(cls(TERMS, None))
+        assert repr(value) == repr(cls(TERMS, None))
 
 
 def test_ring_elements_compare_by_value_across_kinds():
