@@ -20,7 +20,8 @@ the span of the homogeneous solutions [X, Y'] = i j'.  It may be empty.
 ``_fiber_system`` writes the n^2 equations as rows [A | -vec(I)], one list
 each, and ``solve_cm_fiber`` hands them to ``linalg._solve_rows``, the
 solver body ``solve_affine`` runs after its shape checks, so the mostly
-zero system is never a ``Matrix``.
+zero system is never a ``Matrix``.  A rational row goes there as its
+integer numerators over the lcm of its own denominators.
 
 Only :func:`from_cm` and :func:`normalize` meet a :class:`CMQuadruple`, so
 they alone import :mod:`cmkit.adhm`, and ``classify``, ``fiber-solve`` and
@@ -37,6 +38,7 @@ from .linalg import (
     Matrix,
     ShapeError,
     Value,
+    _numerators,
     _set,
     _solve_rows,
     add_sandwich,
@@ -244,10 +246,14 @@ def solve_cm_fiber(fs: FramedTorsionSheaf) -> FiberSolution | None:
     support of the CM family.  The kernel basis spans the homogeneous
     solutions [X, Y'] = i j'.  The rows of :func:`_fiber_system` go straight
     to ``linalg._solve_rows``, the body of ``solve_affine``, with no
-    :class:`Matrix` of the system between them.
+    :class:`Matrix` of the system between them; a rational row is first made
+    integer over the lcm of its own denominators (``linalg._numerators``).
     """
     X, i, n, r = fs.X, fs.i, fs.n, fs.r
-    sol = _solve_rows(_fiber_system(X, i), n * n + r * n, fs.field)
+    rows = _fiber_system(X, i)
+    if fs.field.is_rational:
+        rows = [_numerators(row)[0] for row in rows]
+    sol = _solve_rows(rows, n * n + r * n, fs.field)
     if sol is None:
         return None
     py, pj = unvec(sol.particular, n, r, n)

@@ -14,9 +14,11 @@ entries over 1, so negation, sums, scalar and matrix products, ``gather``,
 fields.  Rational elimination runs fraction-free
 on integer rows sliced out of the forms and leaves them primitive.  Its
 passes skip zero entries, so a sparse system costs about its nonzeros:
-``_numerators`` reads only the nonzero entries, the forward pass scans each
-column once for its pivot row and the rows to clear, and the back pass reads
-each pivot row from its pivot on.
+``itertools.compress`` finds the nonzero positions of a row in C, and
+``_numerators``, the content division of the forward pass and the back pass
+(and ``Matrix.rational_strings``) work on those positions alone; the forward
+pass scans each column once for its pivot row and the rows to clear, and the
+back pass reads each pivot row past its pivot.
 :func:`_read` takes every answer from the pivot rows as (p, q) pairs, which
 :meth:`Matrix.from_pairs` makes into a form.  A matrix has one RREF, so the
 answers are the ones Gauss-Jordan on Fractions gives.  A rational literal
@@ -42,7 +44,8 @@ End system, integer numerators of X and i on rows of int zeros, and the
 three of the Koszul fiber system, Fraction coefficients on rows of int
 zeros (complex entries on ``0j`` in the complex field).  The fiber rows,
 with their right-hand side, go to :func:`_solve_rows`, the body of
-``solve_affine``, and never become a :class:`Matrix`.
+``solve_affine``, and never become a :class:`Matrix`; a rational row goes
+as its integer numerators (``_numerators``).
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
 can also stay one matrix, one vector per row, read off the pivot rows by
 ``_kernel_pairs``.
@@ -87,7 +90,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -378,9 +381,19 @@ class Matrix(Value):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def rational_strings(self) -> list[list[str]]:
-        """The rows of a rational matrix as ``str(Fraction)`` prints its entries, "p/q" or "p", read off the form."""
+        """The rows of a rational matrix as ``str(Fraction)`` prints its entries, "p/q" or "p", read off the form.
+
+        A form over d = 1 is its numerators printed; otherwise a zero is "0"
+        and only the nonzero values, which ``compress`` finds, take a gcd."""
         (nums, d), c = self._integer_form(), self.cols
-        flat = [str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}" for v in nums]
+        if d == 1:
+            flat = list(map(str, nums))
+        else:
+            flat = ["0"] * len(nums)
+            for t in compress(range(len(nums)), nums):
+                v = nums[t]
+                g = gcd(v, d)
+                flat[t] = str(v // g) if g == d else f"{v // g}/{d // g}"
         return [flat[i * c : (i + 1) * c] for i in range(self.rows)]
 
     # -- arithmetic ---------------------------------------------------------
@@ -543,18 +556,23 @@ class Blocks(Value):
         return self.X.field
 
 
-def _numerators(entries: tuple) -> tuple[list[int], int]:
-    """Integer numerators of rational entries over the lcm of their denominators.
+def _numerators(entries: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of rational entries over the lcm of their denominators, as a new list.
 
-    Zeros are skipped in both passes, as :func:`_product` skips them: a zero's
-    denominator is 1, which changes no lcm (the lcm of no denominators is 1
-    too), and its numerator is the int 0 over any d.  So a sparse system
-    reads its nonzeros alone: the n = 12 diagonal fiber system (22464
-    entries, 288 of them Fractions) in 0.67 ms instead of 2.07 ms.
-    :func:`_solve_rows` calls it once per row of such a system.
+    Zeros are skipped, as :func:`_product` skips them: a zero's denominator
+    is 1, which changes no lcm (the lcm of no denominators is 1 too), and its
+    numerator is the int 0 over any d.  ``compress`` finds the nonzero
+    positions in C, and only those are read and written into a list of int
+    zeros, so a sparse row costs about its nonzeros.
+    ``koszul.solve_cm_fiber`` calls it once per row of the fiber system.
     """
-    d = lcm(*{x.denominator for x in entries if x})
-    return [x.numerator * (d // x.denominator) if x else 0 for x in entries], d
+    at = list(compress(range(len(entries)), entries))
+    d = lcm(*{entries[t].denominator for t in at})
+    nums = [0] * len(entries)
+    for t in at:
+        x = entries[t]
+        nums[t] = x.numerator * (d // x.denominator)
+    return nums, d
 
 
 def _reduced(nums: list, d: int) -> tuple[list, int]:
@@ -724,13 +742,23 @@ def _echelon(ints: list[list[int]]) -> list[int]:
     after the chosen row, so the swap moves none of them, and the row
     swapped into the chosen row's place holds a zero there.  :func:`_clear`
     runs only when there is a row to clear, which on a diagonal fiber system
-    there never is.  The content division leaves zeros as they are.
+    there never is.  The content of a row is the gcd of its nonzero entries,
+    whose positions ``compress`` finds; a row with content g > 1 is copied
+    and only those entries are divided.
     """
     ncols = len(ints[0]) if ints else 0
     nonzero, zero = [], []
     for row in reversed(ints):
-        g = gcd(*row)
-        (nonzero if g else zero).append([x // g if x else 0 for x in row] if g > 1 else row)
+        at = list(compress(range(ncols), row))
+        if not at:
+            zero.append(row)
+            continue
+        g = gcd(*[row[c] for c in at])
+        if g > 1:
+            row = row.copy()
+            for c in at:
+                row[c] //= g
+        nonzero.append(row)
     ints[:] = nonzero + zero
     nrows = len(nonzero)
     pivots: list[int] = []
@@ -752,16 +780,17 @@ def _echelon(ints: list[list[int]]) -> list[int]:
 def _back_substitute(ints: list[list[int]], pivots: list[int]) -> None:
     """The back pass of :func:`_integer_rref`: the echelon pivot rows made primitive RREF rows, last first.
 
-    Row k is read from its pivot column on, since an echelon row is zero to
-    the left of its pivot, and its nonzeros are gathered in one pass before
-    they are sorted into free and touched entries."""
+    Row k is read past its pivot column, since an echelon row is zero to the
+    left of its pivot, and only at the nonzero entries there, which
+    ``compress`` finds, before they are sorted into free and touched entries."""
     ncols = len(ints[0]) if ints else 0
     at = {pc: k for k, pc in enumerate(pivots)}
     finished: list[tuple[int, list[tuple[int, int]]]] = [(0, [])] * len(pivots)  # (pivot entry, free entries)
     for k in range(len(pivots) - 1, -1, -1):
         row, pk = ints[k], pivots[k]
         free, touched = [], []
-        for c, x in [(c, x) for c, x in enumerate(row[pk + 1 :], pk + 1) if x]:
+        for c in compress(range(pk + 1, ncols), row[pk + 1 :]):
+            x = row[c]
             q = at.get(c)
             if q is None:
                 free.append((c, x))
@@ -946,15 +975,14 @@ def _solve_rows(rows: list[list], ncols: int, field: Field) -> AffineSolution | 
 
     This is the one solver body of both fields, for ``solve_affine`` and for
     a system written as rows, such as the fiber system of ``koszul``, which
-    then never becomes a :class:`Matrix`.  A rational row may hold ints and
-    Fractions: each is made integer numerators over the lcm of its own
-    denominators (:func:`_numerators`, which skips zeros).  That scales the
-    row by a positive factor, which the content division of :func:`_echelon`
-    removes, so the elimination takes the path it takes on the rows
-    :func:`_rows` gives.  Complex rows go to :func:`_rref` as they are.
+    then never becomes a :class:`Matrix`.  Rational rows are integer rows, as
+    :func:`_rows` gives them and :func:`_rref` takes them; a caller whose
+    rows hold Fractions makes each one integer over the lcm of its own
+    denominators first (:func:`_numerators`).  That scales the row by a
+    positive factor, which the content division of :func:`_echelon` removes,
+    so the elimination takes the path it takes on the rows :func:`_rows`
+    gives.  Complex rows go to :func:`_rref` as they are.
     """
-    if field.is_rational:
-        rows = [_numerators(row)[0] for row in rows]
     rows, pivots = _rref(rows, field)
     if any(p == ncols for p in pivots):
         return None
@@ -989,7 +1017,7 @@ def add_sandwich(rows: list[list], a: Sequence, b: Sequence, zr: int, zc: int, *
     -(Z |-> A Z B) is added as Z |-> (-A) Z B.  Rational rows start from the
     int 0: ``moduli._end_rows`` adds integer numerators into them and
     ``koszul._fiber_system`` Fraction coefficients, so a fiber row holds a
-    Fraction only at the columns a term reaches, and :func:`_solve_rows`
+    Fraction only at the columns a term reaches, and ``solve_cm_fiber``
     takes its numerators row by row.
     """
     bc = len(b) // zc

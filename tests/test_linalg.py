@@ -275,19 +275,57 @@ _ZERO_HEAVY = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ZERO_HEAVY, max_size=40).map(tuple))
-@example(())
-@example((0,) * 12)
-@example((Fraction(0), False, 0, Fraction(0)))
-@example((0, Fraction(0), Fraction(5, 6), False, True, 0, Fraction(-7, 4)))
+@given(st.lists(_ZERO_HEAVY, max_size=40))
+@example([])
+@example([0] * 12)
+@example([Fraction(0), False, 0, Fraction(0)])
+@example([0, Fraction(0), Fraction(5, 6), False, True, 0, Fraction(-7, 4)])
+@example([Fraction(3, 2**61 - 1), 0, Fraction(-1, 3**40), -2, Fraction(5, 10**18 + 9)])
 def test_numerators_skip_zeros_and_match_the_lcm_of_every_denominator(entries):
     """``_numerators`` reads the nonzeros alone; its form is still the one over the lcm of all denominators,
-    with an int 0 for every zero, and a rational Matrix of the same entries has that form."""
+    v_k / d the k-th entry with an int 0 for every zero, in a new list whether the row is a list or a tuple,
+    and a rational Matrix of the same entries has that form."""
     expected = _reference_numerators(entries)
     got = _numerators(entries)
-    assert got == expected
-    assert all(type(v) is int for v in got[0]) and type(got[1]) is int
-    assert Matrix(1, len(entries), entries)._integer_form() == expected
+    assert got == expected == _numerators(tuple(entries))
+    nums, d = got
+    assert all(type(v) is int for v in nums) and type(d) is int
+    assert [Fraction(v, d) for v in nums] == [Fraction(x) for x in entries]
+    assert type(nums) is list and nums is not entries
+    assert Matrix(1, len(entries), tuple(entries))._integer_form() == expected
+
+
+# Entries whose forms are over d = 1 (ints), zeros of both types, negatives, and large numerators over small or
+# large denominators.
+_PRINTED_ENTRIES = [
+    st.one_of(st.just(0), st.integers(-(2**90), 2**90)),
+    st.one_of(
+        st.just(0),
+        st.just(Fraction(0)),
+        st.integers(-20, 20),
+        st.builds(Fraction, st.integers(-(2**90), 2**90), st.sampled_from(_DENOMINATORS)),
+        st.fractions(max_denominator=12),
+    ),
+]
+
+
+@st.composite
+def _printed_matrices(draw):
+    rows, cols, entry = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.sampled_from(_PRINTED_ENTRIES))
+    return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printed_matrices())
+@example(Matrix(2, 2, (0, -3, 2**90, Fraction(0))))
+def test_rational_strings_print_each_entry_as_str_of_its_fraction(a):
+    """``Matrix.rational_strings`` prints every entry as ``str(Fraction)`` does, over d = 1 and over d > 1, for a
+    matrix made from entries, its negation and its product with its transpose (forms that were never
+    entries)."""
+    for m in (a, -a, a @ a.transpose()):
+        strings = m.rational_strings()
+        assert strings == [[str(Fraction(x)) for x in m.row(i)] for i in range(m.rows)]
+        assert all(type(s) is str for row in strings for s in row)
 
 
 def _complex_loop_product(a: Matrix, b: Matrix) -> Matrix:
@@ -578,6 +616,109 @@ def test_integer_rref_does_not_depend_on_the_row_order(shaped):
         for got, want in zip(permuted, reduced[: len(pivots)]):
             assert got == want or got == [-x for x in want]
         assert not any(map(any, permuted[len(pivots) :]))
+
+
+def _parent_echelon(ints: list[list[int]]) -> list[int]:
+    """Reference oracle: ``linalg._echelon`` as it was when its content pass took ``gcd`` over whole rows and
+    divided every entry; it calls ``linalg._clear`` through the module, so a patched ``_clear`` records it too."""
+    from cmkit import linalg
+
+    ncols = len(ints[0]) if ints else 0
+    nonzero, zero = [], []
+    for row in reversed(ints):
+        g = gcd(*row)
+        (nonzero if g else zero).append([x // g if x else 0 for x in row] if g > 1 else row)
+    ints[:] = nonzero + zero
+    nrows = len(nonzero)
+    pivots: list[int] = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr >= nrows:
+            break
+        hits = [r for r in range(pr, nrows) if ints[r][pc]]
+        if not hits:
+            continue
+        choice = hits[0]
+        ints[pr], ints[choice] = ints[choice], ints[pr]
+        if len(hits) > 1:
+            linalg._clear(ints, pr, pc, hits[1:])
+        pivots.append(pc)
+    return pivots
+
+
+@st.composite
+def _sparse_integer_rows(draw):
+    """Mostly-zero integer rows, n x k for n, k <= 8 (0 x k and n x 0 too); each row is drawn as it is, times a
+    content factor from 2 to 30, or all zero."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    rows = []
+    for _ in range(nrows):
+        row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        shape = draw(st.sampled_from(["drawn", "content", "zero"]))
+        if shape == "content":
+            factor = draw(st.integers(2, 30))
+            row = [factor * x for x in row]
+        elif shape == "zero":
+            row = [0] * ncols
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_integer_rows())
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 6, 0, -4], [0, 0, 0, 0], [3, 0, 0, 9], [0, 5, 0, 0], [0, 10, 0, 0]])
+def test_echelon_matches_the_whole_row_content_pass(rows):
+    """``linalg._echelon``, whose content pass reads only the nonzero entries of each row, leaves the same rows
+    and pivots as the whole-row content pass before it, and hands ``_clear`` the same row steps."""
+    from cmkit import linalg
+
+    clear = linalg._clear
+    runs = []
+    for echelon in (linalg._echelon, _parent_echelon):
+        steps = []
+
+        def recording(ints, pr, pc, targets):
+            steps.append((pr, pc, list(targets)))
+            clear(ints, pr, pc, targets)
+
+        ints = [list(row) for row in rows]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_clear", recording)
+            pivots = echelon(ints)
+        runs.append((ints, pivots, steps))
+    assert runs[0] == runs[1]
+    assert all(type(x) is int for row in runs[0][0] for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rows())
+def test_solve_affine_hands_the_integer_rows_of_its_matrices_to_the_solver_as_they_are(shaped):
+    """The rows ``_rows`` makes from the forms of A and b are integer already, so ``solve_affine`` runs
+    ``_numerators`` zero times once the forms are made, and answers as ``_solve_rows`` does on the same rows
+    with Fractions, each made integer over its own lcm."""
+    from cmkit import linalg
+
+    nrows, ncols, rows = shaped
+    if not ncols:
+        return
+    a = Matrix(nrows, ncols - 1, tuple(x for row in rows for x in row[:-1]))
+    b = Matrix(nrows, 1, tuple(row[-1] for row in rows))
+    for m in (a, b):
+        m._integer_form()  # a Matrix makes its form with _numerators once, before the count starts
+    expected = linalg._solve_rows([_numerators(row)[0] for row in rows], ncols - 1, RATIONAL)
+    calls = []
+    numerators = linalg._numerators
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_numerators", lambda entries: calls.append(len(entries)) or numerators(entries))
+        got = solve_affine(a, b)
+    assert calls == []
+    assert got == expected
+    if got is not None:
+        assert got.particular.entries == expected.particular.entries
 
 
 def _real_sheaves(rng):
