@@ -31,10 +31,9 @@ from .linalg import (
     _trace_sum,
     commutator,
     format_terms,
-    kernel_basis,
     power,
 )
-from .linalg import rank  # noqa: F401  (tracer sites: bench/spans.py wraps them)
+from .linalg import kernel_basis, rank  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 
 class CMQuadruple(Blocks):
@@ -207,8 +206,9 @@ def _hilbert_terms(q: CMQuadruple, degree_bound: int | None) -> HilbertIdeal:
     evaluation matrix [X^a Y^b i | ...].  One integer elimination of them
     gives each generator's nonzero terms as pairs read off the pivot rows,
     one gcd each.  The complex field makes each column from d powers of X
-    and of Y, n^3 work per column, and takes :func:`kernel_basis` of the
-    evaluation matrix.
+    and of Y, n^3 work per column, eliminates the rows :func:`linalg._rows`
+    gives of the columns and reads the kernel vectors off the pivot rows
+    (:func:`linalg._kernel_pairs`), with no evaluation matrix.
     """
     if degree_bound is not None and degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
@@ -254,8 +254,9 @@ def _hilbert_terms(q: CMQuadruple, degree_bound: int | None) -> HilbertIdeal:
         for _ in range(d):
             x_pows.append(x_pows[-1] @ q.X)
             y_pows.append(y_pows[-1] @ q.Y)
-        kern = kernel_basis(Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons]))
-        basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
+        rows = _rows(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons])
+        kern = _kernel_pairs(*_rref(rows, q.field), len(mons), q.field)
+        basis = tuple(tuple((m, c) for m, c in zip(mons, v) if not q.field.is_zero(c)) for v in kern)
     return HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
 
 

@@ -47,8 +47,8 @@ with their right-hand side, go to :func:`_solve_rows`, the body of
 ``solve_affine``, and never become a :class:`Matrix`; a rational row goes
 as its integer numerators (``_numerators``).
 ``unvec`` reads a solution vector back into its two blocks.  A kernel basis
-can also stay one matrix, one vector per row, read off the pivot rows by
-``_kernel_pairs``.
+can also stay plain vectors, read off the pivot rows by ``_kernel_pairs``,
+as the Hilbert ideal reads it in both fields.
 
 ``_product`` is the one matrix product loop, shared by both fields: it
 multiplies the two forms, complex entries or integer numerators, so chains
@@ -58,16 +58,19 @@ vector, for the integer vectors of ``_closure_rank`` and of the rational
 Hilbert ideal, which build no matrix.
 
 ``_rref`` is the one elimination routine of the package for matrices, and
-``_solve_rows`` the one affine solver on it, for both fields;
-``_pivots`` runs its rational forward pass alone, for the readers that need
-only the pivot columns (``rank``, the trace form and the support check).
+``_solve_rows`` the one affine solver on it, for both fields.  Its rational
+branch runs the forward pass ``_echelon`` and then the back pass
+``_back_substitute``; ``_pivots`` runs the forward pass alone, for the
+readers that need only the pivot columns (``rank``, the trace form and the
+support check).  ``kernel_basis`` and ``_solve_rows`` make their kernel
+columns from ``_kernel_pairs`` themselves.
 ``_closure_rank`` (the dimension of the operator-invariant span of some
 seed columns, for stability and framing surjectivity) needs no matrix in
-the rational field: it reduces each new integer vector once against the
-primitive echelon rows kept so far, by the fraction-free row step of
-``_clear`` without its content division, which costs more than it saves on
-vectors of length n.  The complex field runs it in rounds on ``_rref``,
-whose tolerance pivoting decides the rank.
+either field.  The rational one reduces each new integer vector once
+against the primitive echelon rows kept so far, by the fraction-free row
+step of ``_clear`` without its content division, which costs more than it
+saves on vectors of length n.  The complex one runs in rounds on ``_rref``
+over lists of columns, whose tolerance pivoting decides the rank.
 ``format_terms`` and ``power`` are the one monomial printer, shared by the
 polynomial, factor and Weyl-algebra formatters.
 
@@ -492,10 +495,6 @@ class Matrix(Value):
         flat = list(chain.from_iterable(_rows(*blocks)))
         return Matrix._from_ints(rows, cols, (flat, lcm(*(m._integer_form()[1] for m in blocks))), self.field)
 
-    def _columns(self, cols: list[int]) -> "Matrix":
-        """The columns ``cols`` of this matrix, in that order."""
-        return self.gather(self.rows, len(cols), [i * self.cols + c for i in range(self.rows) for c in cols])
-
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
         return f"[{body}]"
@@ -639,17 +638,27 @@ def _apply(rows: list[list[int]], v: list[int]) -> list[int]:
 def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form, in place, of the rows :func:`_rows` gives.  Returns (rows, pivot columns).
 
-    Rational mode takes integer rows and leaves pivot row k a nonzero
-    multiple of row k of the RREF, as primitive integers, and the rows after
-    the pivot rows zero (see :func:`_integer_rref`); :func:`_read` reads
-    answers from them.  Complex mode pivots on the entry of maximal absolute
-    value above tolerance and leaves the RREF itself, pivots 1; an update
-    a - f p with |a - f p| <= ``_CANCELLED`` |f| |p| is stored as 0j.  Zero
-    entries are skipped in the elimination inner loops, so sparse inputs
-    stay cheap.
+    Rational mode takes integer rows, lists of their own and never a cached
+    integer form, and runs two passes that build no Fraction: the forward
+    pass :func:`_echelon`, then the back pass :func:`_back_substitute`.  It
+    leaves pivot row k the primitive multiple of row k of the RREF, the row
+    Fraction Gauss-Jordan would hold, so the pivots are the same, and the
+    rows after the pivot rows zero; :func:`_read` reads answers from them.
+    The worst case is rows with many distinct coprime denominators, which
+    start from large numerators; it is still faster than Fraction
+    Gauss-Jordan: ``solve_affine`` over distinct 30-bit primes, 12 x 12,
+    took 20 ms instead of 35 ms, and over 16-bit primes, 20 x 20, 124 ms
+    instead of 261 ms (best of 5, Xeon 2.1 GHz, Python 3.11).
+
+    Complex mode pivots on the entry of maximal absolute value above
+    tolerance and leaves the RREF itself, pivots 1; an update a - f p with
+    |a - f p| <= ``_CANCELLED`` |f| |p| is stored as 0j.  Zero entries are
+    skipped in the elimination inner loops, so sparse inputs stay cheap.
     """
     if field.is_rational:
-        return rows, _integer_rref(rows)
+        pivots = _echelon(rows)
+        _back_substitute(rows, pivots)
+        return rows, pivots
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -695,56 +704,27 @@ def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def _integer_rref(ints: list[list[int]]) -> list[int]:
-    """Pivot columns of the rational RREF of the integer rows ``ints``, which it reduces in place.
-
-    The rows are lists of their own, never a cached integer form.  Two
-    passes reduce them, and neither builds a Fraction.  Every pivot row
-    ends the primitive multiple of the row Fraction Gauss-Jordan would
-    hold, so the pivots are the same.
-
-    The forward pass, :func:`_echelon`, divides each row by its content,
-    sets the all-zero rows aside after the others and eliminates the others
-    last equation first: one scan of each column at and below the current
-    row finds the first nonzero entry, the pivot, and the rows below it to
-    clear, by the row step of :func:`_clear`.  The RREF does not depend on
-    the row order, but the path to it does: the systems of the package are
-    written row-major, and on dense X the reverse takes a tenth fewer row
-    steps for the CM fiber and a quarter fewer for End (450 against 505 and
-    633 against 841 at n = 6), and 40 against 56 for the trace form of a
-    scalar sheaf (n = 5, r = 1).  Readers of the pivot columns alone stop here (:func:`_pivots`).
-
-    The back pass, :func:`_back_substitute`, finishes each pivot row once,
-    from the last to the first.  Row k of the RREF is (row k - sum of
-    c_q R_q) / a_k, a_k its pivot entry and R_q the finished rows below
-    whose pivot column row k holds as c_q.  So the row is scaled once, to
-    the lcm of those rows' pivot entries; the free entries of each R_q are
-    subtracted once; and one gcd divides the result.  A finished row is
-    kept as its pivot entry and its sparse (free column, numerator) list; a
-    row that holds no later pivot column is finished as it stands.
-
-    The worst case is rows with many distinct coprime denominators, which
-    start from large numerators; it is still faster than Fraction
-    Gauss-Jordan: ``solve_affine`` over distinct 30-bit primes, 12 x 12,
-    took 20 ms instead of 35 ms, and over 16-bit primes, 20 x 20, 124 ms
-    instead of 261 ms (best of 5, Xeon 2.1 GHz, Python 3.11).
-    """
-    pivots = _echelon(ints)
-    _back_substitute(ints, pivots)
-    return pivots
-
-
 def _echelon(ints: list[list[int]]) -> list[int]:
-    """The forward pass of :func:`_integer_rref`: primitive echelon rows in place, zero rows last; the pivot columns.
+    """Forward pass of the rational :func:`_rref`: primitive echelon rows in place, zero rows last; the pivot columns.
+
+    The row policy: each row is divided by its content, the all-zero rows
+    are set aside after the others, and the others are eliminated last
+    equation first.  The RREF does not depend on the row order, but the path
+    to it does: the systems of the package are written row-major, and on
+    dense X the reverse takes a tenth fewer row steps for the CM fiber and a
+    quarter fewer for End (450 against 505 and 633 against 841 at n = 6),
+    and 40 against 56 for the trace form of a scalar sheaf (n = 5, r = 1).
+    Readers of the pivot columns alone stop here (:func:`_pivots`).
 
     Each column is scanned once, from the current row down.  Its first hit
-    is the pivot row, and the other hits are the rows to clear: each lies
-    after the chosen row, so the swap moves none of them, and the row
-    swapped into the chosen row's place holds a zero there.  :func:`_clear`
-    runs only when there is a row to clear, which on a diagonal fiber system
-    there never is.  The content of a row is the gcd of its nonzero entries,
-    whose positions ``compress`` finds; a row with content g > 1 is copied
-    and only those entries are divided.
+    is the pivot row, and the other hits are the rows to clear, by the row
+    step of :func:`_clear`: each lies after the chosen row, so the swap
+    moves none of them, and the row swapped into the chosen row's place
+    holds a zero there.  :func:`_clear` runs only when there is a row to
+    clear, which on a diagonal fiber system there never is.  The content of
+    a row is the gcd of its nonzero entries, whose positions ``compress``
+    finds; a row with content g > 1 is copied and only those entries are
+    divided.
     """
     ncols = len(ints[0]) if ints else 0
     nonzero, zero = [], []
@@ -778,11 +758,18 @@ def _echelon(ints: list[list[int]]) -> list[int]:
 
 
 def _back_substitute(ints: list[list[int]], pivots: list[int]) -> None:
-    """The back pass of :func:`_integer_rref`: the echelon pivot rows made primitive RREF rows, last first.
+    """Back pass of the rational :func:`_rref`: the echelon pivot rows made primitive RREF rows, last first.
 
-    Row k is read past its pivot column, since an echelon row is zero to the
-    left of its pivot, and only at the nonzero entries there, which
-    ``compress`` finds, before they are sorted into free and touched entries."""
+    Each pivot row is finished once.  Row k of the RREF is (row k - sum of
+    c_q R_q) / a_k, a_k its pivot entry and R_q the finished rows below
+    whose pivot column row k holds as c_q.  So the row is scaled once, to
+    the lcm of those rows' pivot entries; the free entries of each R_q are
+    subtracted once; and one gcd divides the result.  A finished row is
+    kept as its pivot entry and its sparse (free column, numerator) list; a
+    row that holds no later pivot column is finished as it stands.  Row k is
+    read past its pivot column, since an echelon row is zero to the left of
+    its pivot, and only at the nonzero entries there, which ``compress``
+    finds, before they are sorted into free and touched entries."""
     ncols = len(ints[0]) if ints else 0
     at = {pc: k for k, pc in enumerate(pivots)}
     finished: list[tuple[int, list[tuple[int, int]]]] = [(0, [])] * len(pivots)  # (pivot entry, free entries)
@@ -822,7 +809,8 @@ def _back_substitute(ints: list[list[int]], pivots: list[int]) -> None:
 def _pivots(rows: list[list], field: Field) -> list[int]:
     """The pivot columns of the RREF of the rows :func:`_rref` takes, reduced in place, for readers of the pivots alone.
 
-    Rational mode runs only the forward pass, :func:`_echelon`, which finds the same pivots."""
+    Rational mode runs only the first of the two passes of :func:`_rref`, :func:`_echelon`, which finds the same
+    pivots; the back pass would change no pivot."""
     return _echelon(rows) if field.is_rational else _rref(rows, field)[1]
 
 
@@ -889,23 +877,25 @@ def _closure_rank(seeds: Matrix, operators: Sequence[Matrix]) -> int:
     depend on the scale.  The pass stops at n kept vectors.
 
     Complex mode runs in rounds on :func:`_rref`, whose tolerance pivoting
-    decides the rank.  Each round puts the frontier after the columns kept so
-    far and keeps the new pivot columns of their RREF, which are the
-    frontier columns independent of all columns before them (the kept
-    columns are independent, so they are the first pivots).  The next
-    frontier is every operator applied to those, ``[op_1 @ new | ...]``.
+    decides the rank, over lists of columns with no Matrix.  Each round
+    eliminates the rows of the frontier put after the columns kept so far
+    and keeps the new pivot columns of their RREF, which are the frontier
+    columns independent of all columns before them (the kept columns are
+    independent, so they are the first pivots).  The next frontier is every
+    operator applied to each new column by :func:`_product`, operator by
+    operator, which sums each entry in the order ``op @ new`` would.
     """
     n, field = seeds.rows, seeds.field
-    if not field.is_rational:
-        kept, frontier = Matrix(n, 0, (), field), seeds
-        while frontier.cols and kept.cols < n:
-            _, pivots = _rref(_rows(kept, frontier), field)
-            new = frontier._columns([p - kept.cols for p in pivots[kept.cols :]])
-            kept = kept.hstack(new)
-            frontier = Matrix.hstack(*[op @ new for op in operators])
-        return kept.cols
-    ops = [_rows(op) for op in operators]
     nums, r = seeds._integer_form()[0], seeds.cols
+    if not field.is_rational:
+        kept, frontier = [], [nums[c::r] for c in range(r)]
+        while frontier and len(kept) < n:
+            _, pivots = _rref([[v[p] for v in kept + frontier] for p in range(n)], field)
+            new = [frontier[p - len(kept)] for p in pivots[len(kept) :]]
+            kept += new
+            frontier = [_product(op._integer_form()[0], v, n, n, 1, _CZERO) for op in operators for v in new]
+        return len(kept)
+    ops = [_rows(op) for op in operators]
     todo = [nums[c::r] for c in range(r)]
     echelon: dict[int, list[int]] = {}
     while todo and len(echelon) < n:
@@ -940,14 +930,9 @@ def _kernel_pairs(rows: list[list], pivots: list[int], ncols: int, field: Field)
     return basis
 
 
-def _kernel(rows: list[list], pivots: list[int], ncols: int, field: Field) -> list[Matrix]:
-    """The kernel basis of the first ``ncols`` columns of the reduced rows, which are their own RREF."""
-    return [_answer(ncols, 1, v, field) for v in _kernel_pairs(rows, pivots, ncols, field)]
-
-
 def kernel_basis(a: Matrix) -> list[Matrix]:
     """Basis of {v : Av = 0}, one column per free variable, ascending."""
-    return _kernel(*_rref(_rows(a), a.field), a.cols, a.field)
+    return [_answer(a.cols, 1, v, a.field) for v in _kernel_pairs(*_rref(_rows(a), a.field), a.cols, a.field)]
 
 
 class AffineSolution(NamedTuple):
@@ -981,13 +966,17 @@ def _solve_rows(rows: list[list], ncols: int, field: Field) -> AffineSolution | 
     denominators first (:func:`_numerators`).  That scales the row by a
     positive factor, which the content division of :func:`_echelon` removes,
     so the elimination takes the path it takes on the rows :func:`_rows`
-    gives.  Complex rows go to :func:`_rref` as they are.
+    gives.  Complex rows go to :func:`_rref` as they are.  Both answers are
+    read off the reduced rows: the particular solution by :func:`_read`, and
+    the kernel columns, as :func:`kernel_basis` makes them, from
+    :func:`_kernel_pairs`.
     """
     rows, pivots = _rref(rows, field)
     if any(p == ncols for p in pivots):
         return None
     x = _read(rows, pivots, ncols, ncols, field)
-    return AffineSolution(_answer(ncols, 1, x, field), _kernel(rows, pivots, ncols, field))
+    kernel = [_answer(ncols, 1, v, field) for v in _kernel_pairs(rows, pivots, ncols, field)]
+    return AffineSolution(_answer(ncols, 1, x, field), kernel)
 
 
 def vec(square: Matrix, framing: Matrix) -> list[Scalar]:

@@ -54,19 +54,31 @@ def cmkit_file(workdir: Path, env: dict) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def child_env() -> dict:
+    """This process's environment, with each relative ``PYTHONPATH`` entry made absolute from the current directory:
+    each command runs in a temporary directory."""
+    env = dict(os.environ)
+    if "PYTHONPATH" in env:
+        env["PYTHONPATH"] = os.pathsep.join(p and os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
+    return env
+
+
+def cmkit_or_exit(workdir: Path, env: dict, doing: str) -> None:
+    """Print ``doing`` and the ``cmkit.__file__`` a fresh process imports, or exit 2 with one line when it cannot."""
+    location = cmkit_file(workdir, env)
+    if location is None:
+        print(f"{sys.executable} cannot import cmkit with PYTHONPATH={env.get('PYTHONPATH', '(unset)')}; "
+              "install the package or set PYTHONPATH=src", file=sys.stderr)
+        sys.exit(2)
+    print(f"{doing} {location}")
+
+
 def main() -> int:
     cases = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
-    env = dict(os.environ)
-    if "PYTHONPATH" in env:  # each command runs in a temporary directory, so make the entries absolute here
-        env["PYTHONPATH"] = os.pathsep.join(p and os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
+    env = child_env()
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        location = cmkit_file(Path(tmp), env)
-        if location is None:
-            print(f"{sys.executable} cannot import cmkit with PYTHONPATH={env.get('PYTHONPATH', '(unset)')}; "
-                  "install the package or set PYTHONPATH=src", file=sys.stderr)
-            return 2
-        print(f"replaying against {location}")
+        cmkit_or_exit(Path(tmp), env, "replaying against")
         for number, case in enumerate(cases, 1):
             problems = replay(case, Path(tmp), env)
             if problems:

@@ -565,6 +565,53 @@ def test_hilbert_ideal_matches_power_products(q, bound):
         assert ideal.quotient_dim == q.n
 
 
+def _matrix_kernel_ideal(q: CMQuadruple, d: int) -> adhm.HilbertIdeal:
+    """Reference oracle: the complex ideal as ``_hilbert_terms`` read it, from ``kernel_basis`` of the evaluation
+    matrix, one column ``Matrix`` per generator, before it read the kernel vectors off the pivot rows."""
+    mons = adhm._monomials(d)
+    x_pows, y_pows = [Matrix.identity(q.n, q.field)], [Matrix.identity(q.n, q.field)]
+    for _ in range(d):
+        x_pows.append(x_pows[-1] @ q.X)
+        y_pows.append(y_pows[-1] @ q.Y)
+    kern = linalg.kernel_basis(Matrix.hstack(*[x_pows[a] @ y_pows[b] @ q.i for a, b in mons]))
+    basis = tuple(tuple((m, c) for m, c in zip(mons, v.entries) if not q.field.is_zero(c)) for v in kern)
+    return adhm.HilbertIdeal(tuple(mons), basis, len(mons) - len(kern), d)
+
+
+# Parts that make repeated points, round-off near the tolerance and signed zeros likely.
+_SMALL_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-9, -1e-12])
+
+
+@st.composite
+def _complex_commuting_pairs(draw):
+    """Points (x_k, y_k) as diagonal X, Y with i nonzero and j = 0, n <= 4, conjugated or not by a unit upper
+    triangular g; parts from ``_SMALL_PART`` or ``_COMPLEX_PART``.  Repeated points, an entry of i within the
+    tolerance or round-off in XY - YX make some of them fail a precondition."""
+    n, field = draw(st.integers(1, 4)), complex_field()
+    part = draw(st.sampled_from([_SMALL_PART, st.one_of(_SMALL_PART, _COMPLEX_PART)]))
+    entry = st.builds(complex, part, part)
+    xs, ys = (draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(2))
+    i = draw(st.lists(entry.filter(bool), min_size=n, max_size=n))
+    q = CMQuadruple(Matrix(n, n, tuple(xs[k] if k == l else 0j for k in range(n) for l in range(n)), field),
+                    Matrix(n, n, tuple(ys[k] if k == l else 0j for k in range(n) for l in range(n)), field),
+                    Matrix(n, 1, tuple(i), field), Matrix.zeros(1, n, field))
+    if draw(st.booleans()):
+        g = [1 + 0j if k == l else draw(entry) if l > k else 0j for k in range(n) for l in range(n)]
+        q = conjugate(q, Matrix(n, n, tuple(g), field))
+    return q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_complex_commuting_pairs(), st.integers(0, 5))
+def test_complex_hilbert_ideal_matches_the_matrix_kernel(q, d):
+    """The complex ideal equals the one read from ``kernel_basis`` of the evaluation matrix, repr for repr."""
+    try:
+        ideal = hilbert_ideal(q, d)
+    except ValueError:  # a precondition, checked before the columns are made
+        return
+    assert repr(ideal) == repr(_matrix_kernel_ideal(q, d))
+
+
 def _dense_commuting_pair(seed: int) -> CMQuadruple:
     """Four distinct points as diagonal X, Y with i all ones, conjugated by a random invertible g."""
     X = Matrix.from_rows([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])

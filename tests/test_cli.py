@@ -12,33 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmkit
+import cold_modules
+from cold_modules import COMMUTING_PAIR, CUBIC_SHEAF, FLAGSHIP, SMALL_SHEAF, SMALL_TRIPLE
 from cmkit.cli import _build_parser, _cmd_hilbert_ideal, main
 from cmkit.serialize import quadruple_from_json, quadruple_to_json, scalar_to_json
 from cmkit import CMQuadruple, Matrix, adhm, complex_field, conjugate, moduli, sample_cm
 from test_adhm import _commuting_stable_pairs
-
-
-FLAGSHIP = {
-    "n": 2,
-    "r": 1,
-    "field": "rational",
-    "X": [["0", "0"], ["0", "1"]],
-    "Y": [["0", "-1"], ["1", "0"]],
-    "i": [["1"], ["1"]],
-    "j": [["1", "1"]],
-}
-
-
-# Commuting stable data with j = 0: the two points (0, 0) and (1, 0).
-COMMUTING_PAIR = {
-    "n": 2,
-    "r": 1,
-    "field": "rational",
-    "X": [["0", "0"], ["0", "1"]],
-    "Y": [["0", "0"], ["0", "0"]],
-    "i": [["1"], ["1"]],
-    "j": [["0", "0"]],
-}
 
 
 def _run(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -91,7 +70,7 @@ def _hilbert_report_and_reference(q: CMQuadruple, degree: int | None) -> tuple[l
     """The ideal basis the hilbert-ideal command reports for q, and each generator printed by
     scalar_to_json and poly_str from hilbert_ideal."""
     argv = ["hilbert-ideal"] + ([] if degree is None else ["--degree", str(degree)])
-    result, code, _ = _cmd_hilbert_ideal(quadruple_to_json(q), _build_parser().parse_args(argv))
+    result, code, _ = _cmd_hilbert_ideal(quadruple_from_json(quadruple_to_json(q)), _build_parser().parse_args(argv))
     assert code == 0
     basis = adhm.hilbert_ideal(q, degree).basis
     if q.field.is_rational:  # the command prints the reduced pairs of adhm._hilbert_terms
@@ -188,68 +167,37 @@ def test_classify_command(capsys, monkeypatch):
     assert res["support"] == [{"factor": "x", "coeffs": ["0", "1"], "multiplicity": 2}]
 
 
-def test_rational_classify_imports_neither_sympy_nor_numpy(tmp_path):
+def test_classify_reports_the_support_of_an_irreducible_cubic(capsys, monkeypatch):
     # X is the companion matrix of x^3 - 2, irreducible over Q, so every step of the factorizer runs
-    sheaf = {"n": 3, "r": 1, "field": "rational", "X": [["0", "0", "2"], ["1", "0", "0"], ["0", "1", "0"]],
-             "i": [["1"], ["0"], ["0"]]}
-    path = tmp_path / "sheaf.json"
-    path.write_text(json.dumps(sheaf))
-    script = (
-        "import sys\n"
-        "from cmkit.cli import main\n"
-        "code = main(['classify', '--input', sys.argv[1]])\n"
-        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules), file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
+    code, [rep] = _run(["classify"], json.dumps(CUBIC_SHEAF), capsys, monkeypatch)
+    assert code == 0
+    assert rep["result"]["support"] == [{"factor": "x^3 - 2", "coeffs": ["-2", "0", "0", "1"], "multiplicity": 1}]
+
+
+@pytest.mark.parametrize("row", cold_modules.ROWS, ids=[row[0] for row in cold_modules.ROWS])
+def test_cold_command_loads_only_its_modules(row, tmp_path):
+    """Each row of the one table of cold starts, against the source tree; CI runs the same table against the
+    installed package."""
     src = str(Path(cmkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "[]"
-    assert json.loads(proc.stdout)["result"]["support"] == [
-        {"factor": "x^3 - 2", "coeffs": ["-2", "0", "0", "1"], "multiplicity": 1}
-    ]
+    assert cold_modules.check(row, tmp_path, env) is None
 
 
-# The cmkit modules a cold process loads for each command; none of them loads
-# ``dataclasses``.  The CLI module itself runs as __main__, as under
-# ``python -m cmkit.cli``, so it is not one of them.
-# Of the commands that load ``koszul``, only normalize, which returns a
-# CMQuadruple, loads ``adhm`` too.
-_BASE_MODULES = {"cmkit", "cmkit.linalg", "cmkit.serialize"}
-_CECH_MODULES = _BASE_MODULES | {"cmkit.weyl"}
-_ADHM_MODULES = _BASE_MODULES | {"cmkit.adhm"}
-_KOSZUL_MODULES = _BASE_MODULES | {"cmkit.koszul"}
-_MODULI_MODULES = _KOSZUL_MODULES | {"cmkit.moduli", "cmkit.factor"}
-_SMALL_TRIPLE = {"n": 1, "r": 1, "field": "rational", "X": [["0"]], "i": [["1"]], "Y": [["3"]],
-                 "j": {"coeffs": [[["1"]], [["3"]]]}}
-_SMALL_SHEAF = {"n": 2, "r": 1, "field": "rational", "X": [["0", "1"], ["0", "0"]], "i": [["1"], ["0"]]}
-_COLD_COMMANDS = [
-    (["verify"], FLAGSHIP, _ADHM_MODULES),
-    (["moment"], FLAGSHIP, _ADHM_MODULES),
-    (["invariants"], FLAGSHIP, _ADHM_MODULES),
-    (["hilbert-ideal"], COMMUTING_PAIR, _ADHM_MODULES),
-    (["sample", "--n", "3", "--seed", "1"], None, _ADHM_MODULES),
-    (["normalize"], _SMALL_TRIPLE, _KOSZUL_MODULES | {"cmkit.adhm"}),
-    (["homotopy", "--h", "H_FILE"], _SMALL_TRIPLE, _KOSZUL_MODULES),
-    (["fiber-solve"], _SMALL_SHEAF, _KOSZUL_MODULES),
-    (["classify"], _SMALL_SHEAF, _MODULI_MODULES),
-    (["cech", "--twist", "2", "--cutoff", "6"], None, _CECH_MODULES),
-]
+def test_every_document_is_read_by_the_reader_named_in_cli(capsys, monkeypatch):
+    """A handler gets its document from the reader ``cli`` looks up by name when the command runs, so a reader
+    replaced on the module, as the benchmark tracer replaces it to time the parse, sees every document."""
+    from cmkit import cli
 
-
-@pytest.mark.parametrize("argv, doc, modules", _COLD_COMMANDS, ids=[c[0][0] for c in _COLD_COMMANDS])
-def test_cold_command_loads_only_its_modules(argv, doc, modules, tmp_path):
-    hfile, listing = tmp_path / "h.json", tmp_path / "modules.txt"
-    hfile.write_text(json.dumps({"coeffs": [[["3"]]]}))
-    src = str(Path(cmkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    args = [str(hfile) if a == "H_FILE" else a for a in argv]
-    proc = subprocess.run([sys.executable, str(Path(__file__).parent / "cold_modules.py"), str(listing), *args],
-                          input=json.dumps(doc) if doc else "", env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert set(listing.read_text(encoding="utf-8").split()) == modules  # "dataclasses" would be one more
+    calls = []
+    for kind in ("quadruple", "triple", "sheaf"):
+        read = getattr(cli, f"{kind}_from_json")
+        monkeypatch.setattr(cli, f"{kind}_from_json",
+                            lambda *args, kind=kind, read=read, **kwargs: calls.append(kind) or read(*args, **kwargs))
+    for argv, doc in ((["verify"], FLAGSHIP), (["normalize"], SMALL_TRIPLE),
+                      (["fiber-solve"], SMALL_SHEAF), (["sample", "--n", "2", "--seed", "1"], None)):
+        code, _ = _run(argv, json.dumps(doc) if doc else "", capsys, monkeypatch)
+        assert code == 0
+    assert calls == ["quadruple", "triple", "sheaf"]
 
 
 # X = 2 I_3 with r = 1: End has a semisimple part of dimension > 1 and the CM fiber is empty (exit 1)
@@ -478,7 +426,7 @@ def test_missing_input_file_is_error(tmp_path, capsys, monkeypatch):
 
 def test_missing_h_file_is_named_in_the_report(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing.json"
-    code, [rep] = _run(["homotopy", "--h", str(missing)], json.dumps(_SMALL_TRIPLE), capsys, monkeypatch)
+    code, [rep] = _run(["homotopy", "--h", str(missing)], json.dumps(SMALL_TRIPLE), capsys, monkeypatch)
     assert code == 2 and rep["status"] == "error" and rep["result"] is None
     [message] = rep["messages"]
     assert message.startswith("cannot read --h file: ") and str(missing) in message

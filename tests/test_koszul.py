@@ -710,7 +710,7 @@ def test_rational_fiber_rows_hold_fractions_only_where_a_term_is_written(conjuga
 
 
 def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(monkeypatch):
-    """A guard on work, not time: ``linalg._integer_rref`` takes the row-major rows its callers write last
+    """A guard on work, not time: the rational ``linalg._rref`` takes the row-major rows its callers write last
     equation first, and so clears fewer rows (fraction-free row steps of ``linalg._clear``, which only its
     forward pass takes) than when it is handed the same rows reversed, which it then takes row-major.  The
     rational fiber rows [A | -vec(I)] of a dense n = 6 sheaf, r = 1, each made integer over its own lcm as
@@ -740,7 +740,7 @@ def test_rational_systems_are_eliminated_in_fewer_row_steps_last_equation_first(
 
     def steps(rows):
         cleared[0] = 0
-        return linalg._integer_rref([list(row) for row in rows]), cleared[0]
+        return linalg._rref([list(row) for row in rows], linalg.RATIONAL)[1], cleared[0]
 
     counts = {}
     for name, rows in systems.items():

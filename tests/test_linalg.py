@@ -18,8 +18,8 @@ from cmkit import (
     rank,
     solve_affine,
 )
-from cmkit import factor_str, poly_str
-from cmkit.linalg import _CANCELLED, RATIONAL, _closure_rank, _integer_rref, _numerators, _rows, _rref, unvec
+from cmkit import CMQuadruple, FramedTorsionSheaf, factor_str, framing_surjective, is_stable, poly_str
+from cmkit.linalg import _CANCELLED, RATIONAL, _closure_rank, _numerators, _rows, _rref, unvec
 from cmkit.weyl import WEYL_ZERO, d_inv, micro, weyl_element
 from conftest import rand_invertible, rand_matrix
 
@@ -478,7 +478,7 @@ def _reference_rref(rows, field):
     return rows, pivots
 
 
-# Shapes the back pass of ``_integer_rref`` treats apart, as integer rows: a pivot row that holds no later
+# Shapes the back pass of the rational ``_rref`` treats apart, as integer rows: a pivot row that holds no later
 # pivot column (it is finished as it stands), finished rows with negative pivots, pivots all 1 (lcm 1), a
 # wide dense 4 x 28 system like the Hilbert-ideal rows, and a rank-deficient dense 5 x 5 system (the last two
 # rows are r0 + 2 r1 and r2 - 3 r0).
@@ -604,15 +604,15 @@ def _integer_rows_and_order(draw):
 def test_integer_rref_does_not_depend_on_the_row_order(shaped):
     """The RREF is unique, so the rows as drawn, reversed, permuted, or with all-zero rows inserted anywhere
     give the same pivot list and the same primitive pivot rows up to sign; each list keeps its length, and
-    every row after the pivot rows is zero.  This is what lets ``_integer_rref`` take every system last
+    every row after the pivot rows is zero.  This is what lets the rational ``_rref`` take every system last
     equation first and set its zero rows aside."""
     rows, order, padded = shaped
     reduced = [list(row) for row in rows]
-    pivots = _integer_rref(reduced)
+    pivots = _rref(reduced, RATIONAL)[1]
     for variant in (rows, reversed(rows), [rows[k] for k in order], padded):
         permuted = [list(row) for row in variant]
         size = len(permuted)
-        assert _integer_rref(permuted) == pivots and len(permuted) == size
+        assert _rref(permuted, RATIONAL)[1] == pivots and len(permuted) == size
         for got, want in zip(permuted, reduced[: len(pivots)]):
             assert got == want or got == [-x for x in want]
         assert not any(map(any, permuted[len(pivots) :]))
@@ -755,6 +755,13 @@ def _real_systems(rng):
     return systems
 
 
+def _split_augmented(a: Matrix) -> tuple[Matrix, Matrix]:
+    """A and b of an augmented matrix [A | b]."""
+    rows, cols = a.rows, a.cols - 1
+    return (a.gather(rows, cols, [i * a.cols + c for i in range(rows) for c in range(cols)]),
+            a.gather(rows, 1, [i * a.cols + cols for i in range(rows)]))
+
+
 def test_integer_rref_matches_fraction_gauss_jordan_on_real_systems():
     """The checks of the hypothesis test above, on the fiber, End and inverse systems the
     package solves, which are larger and sparser than its strategy draws."""
@@ -774,7 +781,7 @@ def test_integer_rref_matches_fraction_gauss_jordan_on_real_systems():
                 assert not any(row) and not any(expected[k])
         assert rank(a) == len(expected_pivots)
         assert len(kernel_basis(a)) == a.cols - len(expected_pivots)
-        sol = solve_affine(a._columns(range(a.cols - 1)), a._columns([a.cols - 1]))
+        sol = solve_affine(*_split_augmented(a))
         feasible.append(sol is not None)
         if a.cols - 1 in expected_pivots:
             assert sol is None
@@ -850,7 +857,7 @@ def test_rational_elimination_clears_only_rows_below_the_pivot(monkeypatch):
     monkeypatch.setattr(linalg, "_clear", recording)
     monkeypatch.setattr(linalg, "_back_substitute", lambda ints, pivots: backs.append(len(pivots)) or back(ints, pivots))
     for a in systems:
-        solve_affine(a._columns(range(a.cols - 1)), a._columns([a.cols - 1]))
+        solve_affine(*_split_augmented(a))
         kernel_basis(a)
     square.inverse()
     assert steps and len(backs) == 2 * len(systems) + 1
@@ -1114,6 +1121,53 @@ def test_closure_rank_is_rank_of_word_matrix(inputs):
     for w in words[1:]:
         word_matrix = word_matrix.hstack(w @ seeds)
     assert _closure_rank(seeds, ops) == rank(word_matrix)
+
+
+def _matrix_closure_rank(seeds: Matrix, operators: list[Matrix]) -> int:
+    """Reference oracle: the complex ``_closure_rank`` as it ran on matrices, each round an ``hstack`` of the
+    kept and frontier columns and each frontier ``[op_1 @ new | ...]``, before its rounds kept lists of columns."""
+    n, field = seeds.rows, seeds.field
+    kept, frontier = Matrix(n, 0, (), field), seeds
+    while frontier.cols and kept.cols < n:
+        _, pivots = _rref(_rows(kept, frontier), field)
+        cols = [p - kept.cols for p in pivots[kept.cols :]]
+        new = frontier.gather(n, len(cols), [i * frontier.cols + c for i in range(n) for c in cols])
+        kept = kept.hstack(new)
+        frontier = Matrix.hstack(*[op @ new for op in operators])
+    return kept.cols
+
+
+# Parts that make exact cancellations, round-off near the tolerance and signed zeros likely.
+_SMALL_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-9, -1e-12])
+
+
+@st.composite
+def _complex_closure_inputs(draw):
+    """Complex seeds (n x r) and 1-2 operators, n <= 4 and r <= 3, with parts from ``_SMALL_PART`` or
+    ``_COMPLEX_PART`` and exact zero entries."""
+    field = complex_field()
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    part = draw(st.sampled_from([_SMALL_PART, st.one_of(_SMALL_PART, _COMPLEX_PART)]))
+    entry = st.one_of(st.just(complex(0)), st.builds(complex, part, part))
+
+    def block(rows, cols):
+        return Matrix(rows, cols, tuple(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))), field)
+
+    return block(n, r), [block(n, n) for _ in range(draw(st.integers(1, 2)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_closure_inputs())
+def test_complex_closure_rank_matches_the_matrix_rounds(inputs):
+    """The complex closure rank, ``is_stable`` and ``framing_surjective`` equal what the rounds on matrices give."""
+    seeds, ops = inputs
+    n, r = seeds.rows, seeds.cols
+    expected = _matrix_closure_rank(seeds, ops)
+    if len(ops) == 2:
+        spans_all = is_stable(CMQuadruple(ops[0], ops[1], seeds, Matrix.zeros(r, n, seeds.field)))
+    else:
+        spans_all = framing_surjective(FramedTorsionSheaf(ops[0], seeds))
+    assert repr((_closure_rank(seeds, ops), spans_all)) == repr((expected, expected == n))
 
 
 
