@@ -23,8 +23,10 @@ default field of ``--field`` and ``--tolerance``.
 Each handler imports the modules it calls, so a cold process loads only what
 its one command runs.  Besides ``linalg`` and ``serialize``: ``cech`` loads
 ``weyl``; the quadruple commands load ``adhm``; ``fiber-solve`` and
-``homotopy`` load ``koszul``; ``classify`` loads ``koszul``, ``moduli`` and
-``factor``; ``normalize`` loads ``koszul`` and ``adhm``.
+``homotopy`` load ``koszul``; ``classify`` loads ``koszul`` and ``moduli``,
+and ``factor`` only for a rational X with an irreducible diagonal block
+larger than 1 x 1 (so not for a triangular X); ``normalize`` loads
+``koszul`` and ``adhm``.
 """
 
 from __future__ import annotations

@@ -26,15 +26,18 @@ of Calogero-Moser particles and an adelic Grassmannian, Invent. Math. 133,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import compress
+from typing import NamedTuple, Sequence
 
 from .linalg import (
+    RATIONAL,
     Matrix,
     _answer,
     _closure_rank,
     _kernel_pairs,
     _pivots,
     _product,
+    _reduced,
     _rows,
     _rref,
     add_sandwich,
@@ -48,25 +51,35 @@ from .koszul import FramedTorsionSheaf
 from .koszul import solve_cm_fiber  # noqa: F401  (tracer sites: bench/spans.py wraps them)
 
 INCONCLUSIVE = "inconclusive"
+_ONE = Fraction(1)
 
 
 def support(fs: FramedTorsionSheaf):
     """Support of the sheaf: factorization of char_poly(X).
 
     Rational mode returns [(coeffs ascending, multiplicity)] with monic
-    irreducible factors over the rationals, sorted by (length, coeffs), from
-    :mod:`cmkit.factor`: Yun's square-free decomposition over the integers,
-    then Zassenhaus (factor mod a prime, with its roots there found by
-    evaluation, lift the rational roots by Newton's iteration, Hensel-lift
-    the other factors, recombine by trial division).
+    irreducible factors over the rationals, sorted by (length, coeffs).  X
+    is first split into its irreducible diagonal blocks
+    (:func:`_diagonal_blocks`, read off the zero pattern of its integer
+    form): in a topological order of the blocks X is block triangular, so
+    char_poly(X) is the product of the char_polys of the principal
+    submatrices on the blocks.  A 1 x 1 block [a] gives the factor x - a as
+    it stands, so a diagonal or (permuted) triangular X costs no char_poly
+    and no factoring.  A larger block goes through char_poly and
+    :mod:`cmkit.factor`, loaded only then: Yun's square-free decomposition
+    over the integers, then Zassenhaus (factor mod a prime, with its roots
+    there found by evaluation, lift the rational roots by Newton's
+    iteration, Hensel-lift the other factors, recombine by trial division),
+    and its factors are checked to multiply back to the block's char_poly
+    exactly.  A dense X is one block and takes this route on X itself.
+    Equal factors of different blocks add their multiplicities.
     A char_poly that splits over Q never reaches the Hensel tree.  The worst
     case is exponential in the number r of factors mod that prime that are
     not rational roots, up to 2^(r-1) trial subsets, as in sympy's
     Zassenhaus; polynomials that are irreducible over Q but split into many
     factors mod every prime (Swinnerton-Dyer polynomials) reach it.  The
     factorization over Q is unique, so the sorted list does not depend on
-    the route.  The factors are checked to multiply back to char_poly(X)
-    exactly.
+    the route: it is the factorization of char_poly(X) taken whole.
 
     Complex mode returns [(root, multiplicity)]: the eigenvalues of X from
     ``numpy.linalg.eigvals``, clustered by the field tolerance.  For a
@@ -84,15 +97,26 @@ def support(fs: FramedTorsionSheaf):
     times the spread of a Jordan block of either may still be joined.
     """
     if fs.field.is_rational:
-        # imported here so that commands which never factor do not load (or compile) the module
-        from .factor import factor_rational, multiply_out
+        n = fs.n
+        nums, d = fs.X._integer_form()
+        mults: dict[tuple[Fraction, ...], int] = {}
+        for block in _diagonal_blocks(nums, n):
+            if len(block) == 1:
+                k = block[0] * (n + 1)
+                factors = [((Fraction(-nums[k], d), _ONE), 1)]
+            else:
+                # imported here so that commands which never factor do not load (or compile) the module
+                from .factor import factor_rational, multiply_out
 
-        cp = char_poly(fs.X)
-        out = factor_rational(cp)
-        if multiply_out(out) != cp:
-            raise AssertionError("support factors do not multiply back to char_poly(X)")
-        out.sort(key=lambda t: (len(t[0]), t[0]))
-        return out
+                sub = fs.X if len(block) == n else Matrix._from_ints(
+                    len(block), len(block), _reduced([nums[k * n + l] for k in block for l in block], d), RATIONAL)
+                cp = char_poly(sub)
+                factors = factor_rational(cp)
+                if multiply_out(factors) != cp:
+                    raise AssertionError("support factors do not multiply back to char_poly of a diagonal block of X")
+            for f, m in factors:
+                mults[f] = mults.get(f, 0) + m
+        return sorted(mults.items(), key=lambda t: (len(t[0]), t[0]))
     import numpy as np
 
     x = np.array(fs.X.entries, dtype=complex).reshape(fs.n, fs.n)
@@ -127,6 +151,38 @@ def support(fs: FramedTorsionSheaf):
         roots = sorted((z for z, _ in g), key=lambda w: (w.real, w.imag))
         out.append((sum(roots) / len(roots), len(roots)))
     return out
+
+
+def _diagonal_blocks(nums: Sequence, n: int) -> list[list[int]]:
+    """The index sets of the irreducible diagonal blocks of the n x n matrix with row-major values ``nums``.
+
+    They are the strongly connected components of the graph with an edge
+    k -> l for each nonzero off-diagonal entry (k, l).  Listed in a
+    topological order of the components, the indices put the matrix in block
+    triangular form (Tarjan, SIAM J. Comput. 1, 1972; Duff and Reid, ACM
+    TOMS 4, 1978), so its characteristic polynomial is the product of those
+    of the principal submatrices on the blocks; the blocks here come in
+    order of their least index, which the product does not need.  Each row
+    of ``reach`` is a bitmask of the indices its index reaches, closed by
+    Warshall's loop; a block is an index with every index that both reaches
+    it and is reached from it.
+    """
+    reach = [1 << k for k in range(n)]
+    for p in compress(range(n * n), nums):
+        k, l = divmod(p, n)
+        reach[k] |= 1 << l
+    for l in range(n):
+        bit, row = 1 << l, reach[l]
+        for k in range(n):
+            if reach[k] & bit:
+                reach[k] |= row
+    blocks, seen = [], 0
+    for k in range(n):
+        if not seen >> k & 1:
+            block = [l for l in range(k, n) if reach[k] >> l & 1 and reach[l] >> k & 1]
+            blocks.append(block)
+            seen |= sum(1 << l for l in block)
+    return blocks
 
 
 def factor_str(coeffs: tuple[Fraction, ...]) -> str:

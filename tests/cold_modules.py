@@ -16,7 +16,9 @@ input.
 
 None of these commands loads ``dataclasses``; only ``normalize``, which
 returns a CM quadruple, loads both ``koszul`` and ``adhm``; no sheaf command
-loads ``adhm``; and no row loads ``numpy`` or ``sympy``.
+loads ``adhm``; no row loads ``numpy`` or ``sympy``; and ``classify`` loads
+``factor`` only when X has an irreducible diagonal block larger than 1 x 1,
+so a triangular X (a Jordan block, a scalar) does not.
 
 ``tests/test_cli.py`` checks every row against the source tree.  Run as a
 script, this checks every row in a fresh process of the interpreter that
@@ -50,7 +52,8 @@ _BASE = {"cmkit", "cmkit.linalg", "cmkit.serialize"}
 _CECH = _BASE | {"cmkit.weyl"}
 _ADHM = _BASE | {"cmkit.adhm"}
 _KOSZUL = _BASE | {"cmkit.koszul"}
-_MODULI = _KOSZUL | {"cmkit.moduli", "cmkit.factor"}
+_MODULI = _KOSZUL | {"cmkit.moduli"}
+_FACTOR = _MODULI | {"cmkit.factor"}
 
 FLAGSHIP = {"n": 2, "r": 1, "field": "rational", "X": [["0", "0"], ["0", "1"]], "Y": [["0", "-1"], ["1", "0"]],
             "i": [["1"], ["1"]], "j": [["1", "1"]]}
@@ -96,9 +99,10 @@ ROWS = [
     ("fiber-solve-dense-r2", ["fiber-solve"], DENSE_R2_SHEAF, _KOSZUL),
     ("fiber-solve-complex-dense-r2", ["fiber-solve"], "fiber-solve-complex-dense-r2", _KOSZUL),
     ("classify", ["classify"], SMALL_SHEAF, _MODULI),
-    ("classify-cubic", ["classify"], CUBIC_SHEAF, _MODULI),
+    ("classify-cubic", ["classify"], CUBIC_SHEAF, _FACTOR),
     ("classify-scalar-r2", ["classify"], SCALAR_R2_SHEAF, _MODULI),
-    ("classify-dense-r2", ["classify"], "classify-rational-dense-n4-r2-nonsurjective", _MODULI),
+    ("classify-dense-r2", ["classify"], "classify-rational-dense-n4-r2-nonsurjective", _FACTOR),
+    ("classify-block-triangular-r2", ["classify"], "classify-rational-block-triangular-r2-companion-twice", _FACTOR),
     ("cech", ["cech", "--twist", "2", "--cutoff", "6"], None, _CECH),
 ]
 

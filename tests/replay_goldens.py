@@ -14,6 +14,15 @@ difference in the exit code or in one byte of standard output fails the run:
     python tests/replay_goldens.py
     PYTHONPATH=src python tests/replay_goldens.py
 
+With ``--record ID -- ARGV...`` it runs one command instead, in the same
+kind of child process, on the standard input it is given (none when that is
+empty), and prints the golden line of it: ``ID``, the arguments, the input,
+the text of the file named by ``--h`` (which goes to the end, where
+``replay`` puts it), the exit code and the standard output.  New lines are
+recorded this way at the commit whose reports they pin:
+
+    PYTHONPATH=src python tests/replay_goldens.py --record ID -- classify < sheaf.json
+
 Only the standard library is used, so it runs in an environment that holds
 the package's runtime dependencies and nothing else.
 """
@@ -30,15 +39,20 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.jsonl"
 
 
-def replay(case: dict, workdir: Path, env: dict) -> list[str]:
-    """The differences between one golden line and a fresh run of its command in ``env``."""
+def run(case: dict, workdir: Path, env: dict) -> subprocess.CompletedProcess:
+    """A fresh ``python -m cmkit.cli`` process in ``workdir`` with ``env`` on the command of one golden line."""
     argv = list(case["argv"])
     if case["h"] is not None:
         path = workdir / "h.json"
         path.write_text(case["h"], encoding="utf-8")
         argv += ["--h", str(path)]
-    proc = subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=(case["input"] or "").encode(),
+    return subprocess.run([sys.executable, "-m", "cmkit.cli", *argv], input=(case["input"] or "").encode(),
                           cwd=workdir, env=env, capture_output=True, timeout=120)
+
+
+def replay(case: dict, workdir: Path, env: dict) -> list[str]:
+    """The differences between one golden line and a fresh run of its command in ``env``."""
+    proc = run(case, workdir, env)
     problems = []
     if proc.returncode != case["exit"]:
         problems.append(f"exit {proc.returncode}, expected {case['exit']}; stderr: {proc.stderr.decode(errors='replace')}")
@@ -73,7 +87,33 @@ def cmkit_or_exit(workdir: Path, env: dict, doing: str) -> None:
     print(f"{doing} {location}")
 
 
+def record(case_id: str, argv: list[str], stdin: bytes, workdir: Path, env: dict) -> tuple[str, bytes]:
+    """The golden line of one run of ``argv`` on ``stdin``, and the run's standard error.
+
+    ``--h FILE`` leaves the arguments and its text becomes the line's ``h``.
+    """
+    h = None
+    if "--h" in argv:
+        k = argv.index("--h")
+        h = Path(argv[k + 1]).read_text(encoding="utf-8")
+        argv = argv[:k] + argv[k + 2:]
+    case = {"id": case_id, "argv": argv, "input": stdin.decode("utf-8") or None, "h": h}
+    proc = run(case, workdir, env)
+    return json.dumps({**case, "exit": proc.returncode, "stdout": proc.stdout.decode("utf-8")}), proc.stderr
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--record"]:
+        if len(sys.argv) < 5 or sys.argv[3] != "--":
+            print("usage: replay_goldens.py --record ID -- ARGV... < input", file=sys.stderr)
+            return 2
+        with tempfile.TemporaryDirectory() as tmp:
+            line, stderr = record(sys.argv[2], sys.argv[4:], sys.stdin.buffer.read(), Path(tmp), child_env())
+        if stderr:  # a command reports on standard output only: this is a failed import or a crash
+            sys.stderr.write(stderr.decode(errors="replace"))
+            return 1
+        print(line)
+        return 0
     cases = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
     env = child_env()
     failed = 0

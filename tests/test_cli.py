@@ -602,6 +602,13 @@ def test_invariants_max_len_above_cap_is_refused(capsys, monkeypatch):
 # conjugated by g = rand_invertible(Random(1004), 4) with the r = 3 framing
 # [g i | (k mod 3) - 1 | ((k mod 5) - 2) / (1 + k mod 3)], the first
 # fiber-solve golden line with r = 3 (fiber-solve-rational-dense-n4-r3).
+# The last two were recorded with ``replay_goldens.py --record`` before
+# support factored X one irreducible diagonal block at a time: classify on an
+# r = 2 sheaf whose X is block upper triangular with the diagonal blocks
+# companion(x^2 - 2), companion(x^2 - 2) and [3], coupled above the blocks
+# (classify-rational-block-triangular-r2-companion-twice), and on a lower
+# triangular X with the diagonal 1, 3, 1, -2
+# (classify-rational-lower-triangular-repeated-diagonal).
 _GOLDEN =[json.loads(line) for line in
            (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(encoding="utf-8").splitlines()]
 
@@ -642,6 +649,25 @@ def test_golden_replay_names_the_cmkit_it_imports(tmp_path):
 
     src = Path(cmkit.__file__).resolve().parents[1]
     assert Path(cmkit_file(tmp_path, dict(os.environ, PYTHONPATH=str(src)))).resolve() == Path(cmkit.__file__).resolve()
+
+
+@pytest.mark.parametrize("case_id", ["homotopy-complex-scaled-cm-degree-1",
+                                     "classify-rational-block-triangular-r2-companion-twice"])
+def test_recording_a_golden_line_again_reproduces_it(case_id, tmp_path):
+    """``replay_goldens.py --record`` prints the line it replays byte for byte, ``--h`` text included."""
+    [line] = [line for line in (Path(__file__).parent / "data" / "golden_reports.jsonl").read_text(
+        encoding="utf-8").splitlines() if json.loads(line).get("id") == case_id]
+    case = json.loads(line)
+    argv = list(case["argv"])
+    if case["h"] is not None:
+        (tmp_path / "h.json").write_text(case["h"], encoding="utf-8")
+        argv += ["--h", str(tmp_path / "h.json")]
+    src = str(Path(cmkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent / "replay_goldens.py"), "--record", case_id,
+                           "--", *argv], input=(case["input"] or "").encode(), capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.decode() == line + "\n"
 
 
 def _cli_process(argv, stdin: bytes):

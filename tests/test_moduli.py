@@ -297,6 +297,119 @@ def test_support_factors_are_monic():
     assert {factor_str(c) for c, _ in factors} == {"x - 1/2", "x - 1/3"}
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# ascending coefficients of x^2 - 2, x^2 + 1 and x^3 - 2, each irreducible over Q
+_IRREDUCIBLE = [(-2, 0, 1), (1, 0, 1), (-2, 0, 0, 1)]
+
+
+def _companion(coeffs) -> list[list]:
+    """The companion matrix of the monic polynomial with ascending ``coeffs``: ones below the diagonal and the
+    negated lower coefficients in the last column."""
+    d = len(coeffs) - 1
+    return [[1 if k == l + 1 else -coeffs[k] if l == d - 1 else 0 for l in range(d)] for k in range(d)]
+
+
+def _permuted(rows: list[list], perm: list[int]) -> list[list]:
+    """P T P^T for the permutation matrix P that sends index k to perm[k]."""
+    return [[rows[perm[k]][perm[l]] for l in range(len(rows))] for k in range(len(rows))]
+
+
+@st.composite
+def _block_triangular(draw) -> list[list]:
+    """Block upper triangular X whose diagonal blocks are companions of x^2 - 2, x^2 + 1, x^3 - 2 or 1 x 1
+    blocks, repeats allowed, with arbitrary entries above the blocks."""
+    blocks = draw(st.lists(st.one_of(st.sampled_from(_IRREDUCIBLE).map(_companion), _FRACTIONS.map(lambda c: [[c]])),
+                           min_size=1, max_size=4))
+    n = sum(len(b) for b in blocks)
+    rows, start = [[Fraction(0)] * n for _ in range(n)], 0
+    for b in blocks:
+        for k, row in enumerate(b):
+            rows[start + k][start:start + len(b)] = map(Fraction, row)
+            rows[start + k][start + len(b):] = draw(st.lists(_FRACTIONS, min_size=n - start - len(b),
+                                                             max_size=n - start - len(b)))
+        start += len(b)
+    return rows
+
+
+@st.composite
+def _structured_x(draw) -> Matrix:
+    """Rational X of every shape the support splits: diagonal, scalar, upper and lower triangular, permuted
+    triangular, block triangular (permuted or not) and dense conjugated."""
+    kind = draw(st.sampled_from(["diagonal", "scalar", "upper", "lower", "permuted", "blocks", "dense"]))
+    n = draw(st.integers(1, 6))
+    if kind in ("diagonal", "scalar"):
+        diag = draw(st.lists(_FRACTIONS, min_size=n, max_size=n)) if kind == "diagonal" else [draw(_FRACTIONS)] * n
+        rows = [[diag[k] if k == l else Fraction(0) for l in range(n)] for k in range(n)]
+    elif kind in ("upper", "lower", "permuted"):
+        full = [draw(st.lists(_FRACTIONS, min_size=n, max_size=n)) for _ in range(n)]
+        rows = [[full[k][l] if l >= k else Fraction(0) for l in range(n)] for k in range(n)]
+        if kind == "lower":
+            rows = [list(col) for col in zip(*rows)]
+        elif kind == "permuted":
+            rows = _permuted(rows, draw(st.permutations(range(n))))
+    else:
+        rows = draw(_block_triangular())
+        if kind == "blocks" and draw(st.booleans()):
+            rows = _permuted(rows, draw(st.permutations(range(len(rows)))))
+    X = Matrix.from_rows(rows)
+    if kind == "dense":
+        g = rand_invertible(random.Random(draw(st.integers(0, 10**6))), X.rows)
+        X = g @ X @ g.inverse()
+    return X
+
+
+def _factored_char_poly(X: Matrix) -> list:
+    """The support as it was computed before the split into diagonal blocks: char_poly(X) factored whole."""
+    from cmkit.factor import factor_rational
+
+    return sorted(factor_rational(char_poly(X)), key=lambda t: (len(t[0]), t[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structured_x())
+def test_support_by_diagonal_blocks_matches_factoring_the_whole_char_poly(X):
+    got = support(FramedTorsionSheaf(X, Matrix.column([1] * X.rows)))
+    assert got == _factored_char_poly(X)
+    assert all(type(c) is Fraction for coeffs, _ in got for c in coeffs)
+
+
+def _blocks_of(rows) -> list[list[int]]:
+    from cmkit.moduli import _diagonal_blocks
+
+    X = Matrix.from_rows(rows)
+    return _diagonal_blocks(X._integer_form()[0], X.rows)
+
+
+def test_diagonal_blocks_of_jordan_cycle_and_permuted_triangular_matrices():
+    n = 5
+    jordan = [[3 if k == l else 1 if l == k + 1 else 0 for l in range(n)] for k in range(n)]
+    assert _blocks_of(jordan) == [[k] for k in range(n)]
+    assert _blocks_of([[0, 1], [1, 0]]) == [[0, 1]]
+    upper = [[k + l + 1 if l >= k else 0 for l in range(n)] for k in range(n)]
+    assert _blocks_of(_permuted(upper, [3, 0, 4, 1, 2])) == [[k] for k in range(n)]
+    # companion(x^2 - 2) twice and [3], coupled above the blocks; then with the indices permuted
+    golden = [[0, 2, 1, 0, 3], [1, 0, 0, -1, 0], [0, 0, 0, 2, 1], [0, 0, 1, 0, 0], [0, 0, 0, 0, 3]]
+    assert _blocks_of(golden) == [[0, 1], [2, 3], [4]]
+    assert _blocks_of(_permuted(golden, [4, 2, 0, 3, 1])) == [[0], [1, 3], [2, 4]]
+    assert _blocks_of([[1, 2, 0], [0, 1, 2], [2, 0, 1]]) == [[0, 1, 2]]
+
+
+def test_support_runs_char_poly_on_the_larger_blocks_only(monkeypatch):
+    from cmkit import moduli
+
+    calls = []
+    monkeypatch.setattr(moduli, "char_poly", lambda a: calls.append(a) or char_poly(a))
+    triangular = FramedTorsionSheaf(Matrix.from_rows([[1, 0, 0], [2, 3, 0], [-1, 5, 1]]), Matrix.column([1, 0, 1]))
+    assert support(triangular) == [((Fraction(-3), Fraction(1)), 1), ((Fraction(-1), Fraction(1)), 2)]
+    assert calls == []
+    dense = FramedTorsionSheaf(Matrix.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]), Matrix.column([1, 0, 0]))
+    support(dense)
+    assert len(calls) == 1 and calls[0] is dense.X
+    mixed = FramedTorsionSheaf(Matrix.from_rows([[0, 2, 7], [1, 0, 0], [0, 0, 3]]), Matrix.column([1, 0, 0]))
+    assert support(mixed) == [((Fraction(-3), Fraction(1)), 1), ((Fraction(-2), Fraction(0), Fraction(1)), 1)]
+    assert calls[1] == Matrix.from_rows([[0, 2], [1, 0]])
+
+
 def _probed_end_system(fs: FramedTorsionSheaf) -> Matrix:
     """Reference oracle: the End operator (g, s) |-> (g X - X g, g i - i s), applied to every unit (g, s)."""
     n, r, field = fs.n, fs.r, fs.field
